@@ -456,8 +456,8 @@ def linear_spec(terms: Sequence[Tuple[int, Term]], op: str, rhs: int) -> Propaga
 
 def compile_extension(c: ResolvedConstraint, relation) -> PropagatorSpec:
     kind = "TableSupports" if relation.semantics == "supports" else "TableConflicts"
-    return PropagatorSpec(kind, tuple(c.scope),
-                          {"tuples": [list(t) for t in relation.tuples]})
+    # shared, not copied: propagators only read it
+    return PropagatorSpec(kind, tuple(c.scope), {"tuples": relation.tuples})
 
 
 def compile_intension(c: ResolvedConstraint, predicate) -> PropagatorSpec:

@@ -196,10 +196,20 @@ def _trunc_div(a: int, b: int) -> int:
 def _int_pow(a: int, b: int) -> int:
     if b < 0:
         raise EvalError("pow with negative exponent")
+    if a in (0, 1):
+        return a if b else 1
+    if a == -1:
+        return -1 if b & 1 else 1
+    # square-and-multiply: |a| >= 2, so any b >= 64 overflows and the loop
+    # ends after at most 7 squarings
     result = 1
-    for _ in range(b):
-        result = _check64(result * a)
-    return result
+    while True:
+        if b & 1:
+            result = _check64(result * a)
+        b >>= 1
+        if not b:
+            return result
+        a = _check64(a * a)
 
 
 def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:

@@ -297,18 +297,20 @@ def _unique(name: str, seen: set, section: str):
 def parse_instance(document) -> InstanceModel:
     """Parse an XCSP 2.1 document (bytes or str) into an InstanceModel.
 
-    Raises XmlError for malformed XML, StructuralError for schema
-    violations, UnsupportedExtensionError for WCSP/QCSP content. Count
-    drift (nb* attributes vs. actual content) only adds diagnostics.
+    Bytes go to expat undecoded, so that it honours the declared encoding.
+    Raises XmlError for malformed XML or an unknown declared encoding,
+    StructuralError for schema violations, UnsupportedExtensionError for
+    WCSP/QCSP content. Count drift (nb* attributes vs. actual content) only
+    adds diagnostics.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
         root = ET.fromstring(document)
     except ET.ParseError as e:
         line, column = e.position
         raise XmlError("malformed XML: %s" % e.msg if hasattr(e, "msg") else str(e),
                        line=line, column=column) from None
+    except LookupError as e:
+        raise XmlError("malformed XML: %s" % e) from None
     if _local(root.tag) != "instance":
         raise StructuralError("root element must be <instance>, found <%s>" % _local(root.tag))
     _reject_extensions(root)

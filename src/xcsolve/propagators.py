@@ -55,25 +55,42 @@ class Propagator:
 
 
 class TableSupportsProp(Propagator):
-    """Generalized arc consistency by support scanning over the tuple list."""
+    """Generalized arc consistency by simple tabular reduction (STR).
+
+    `valid` holds the tuples whose every value is still in its domain. It
+    starts as the spec's own tuple list and shrinks with the domains; the
+    store trails it, so backtracking brings the longer list back."""
+
+    def __init__(self, spec: PropagatorSpec):
+        super().__init__(spec)
+        self.valid = spec.data["tuples"]
 
     def prune(self, store):
         scope = self.spec.scope
-        tuples = self.spec.data["tuples"]
-        doms = [store.domain(v) for v in scope]
-        supported = [set() for _ in scope]
-        for t in tuples:
-            if all(t[k] in doms[k] for k in range(len(scope))):
-                for k, value in enumerate(t):
-                    supported[k].add(value)
+        valid = kept = self.valid
+        sizes = []
         for k, v in enumerate(scope):
-            store.update(v, IntegerSet.from_values(
-                val for val in doms[k] if val in supported[k]))
-            if store.failed:
-                return FAILED
-        if all(store.assigned(v) for v in scope):
-            return SUBSUMED
-        return OK
+            d = store.domain(v)
+            sizes.append(d.size())
+            # the domain's values, or only those the tuples still use when
+            # fewer, so that a wide domain costs no more than the table
+            if sizes[k] <= len(kept):
+                members = set(d)
+            else:
+                members = {x for x in {t[k] for t in kept} if x in d}
+            kept = [t for t in kept if t[k] in members]
+        if not kept:
+            return FAILED
+        if len(kept) < len(valid):
+            store.save(vars(self), "valid", kept)
+        subsumed = True
+        for k, v in enumerate(scope):
+            supported = {t[k] for t in kept}
+            if len(supported) < sizes[k]:
+                store.update(v, IntegerSet.from_values(supported))
+            if len(supported) > 1:
+                subsumed = False
+        return SUBSUMED if subsumed else OK
 
 
 class TableConflictsProp(Propagator):

@@ -77,58 +77,52 @@ class Engine:
                 self.degrees[v] += 1
         self.active = [True] * len(self.props)
         self.stats = SearchStats()
-        # subsumption is search-state: trailed alongside the domain store
-        self._sub_trail: List[int] = []
-        self._sub_marks: List[int] = []
-
-    # -- trail ------------------------------------------------------------
-
-    def _push(self):
-        self.store.push()
-        self._sub_marks.append(len(self._sub_trail))
-
-    def _undo(self):
-        self.store.undo()
-        mark = self._sub_marks.pop()
-        while len(self._sub_trail) > mark:
-            self.active[self._sub_trail.pop()] = True
-
-    def _subsume(self, k: int):
-        self.active[k] = False
-        self._sub_trail.append(k)
 
     # -- propagation ------------------------------------------------------
 
     def propagate_fixpoint(self, seeds: Optional[List[int]] = None) -> bool:
-        """Run propagators until fixpoint; returns False exactly on failure."""
-        if self.store.failed:
+        """Run propagators until fixpoint; returns False exactly on failure.
+
+        `seeds` are the propagators to run first; None wakes every active
+        one. A propagator runs again whenever a variable it watches changes.
+        """
+        store, active, watchers = self.store, self.active, self.watchers
+        if store.failed:
             self.stats.failures += 1
             return False
         if seeds is None:
-            seeds = [k for k in range(len(self.props)) if self.active[k]]
-        queue = deque(seeds)
+            seeds = range(len(self.props))
+        queue = deque()
         queued = [False] * len(self.props)
         for k in seeds:
-            queued[k] = True
-        self.store.drain_changed()
+            if active[k] and not queued[k]:
+                queue.append(k)
+                queued[k] = True
+        store.drain_changed()
         while queue:
             k = queue.popleft()
             queued[k] = False
-            if not self.active[k]:
+            if not active[k]:
                 continue
             self.stats.propagations += 1
-            outcome = self.props[k].prune(self.store)
-            if outcome == FAILED or self.store.failed:
+            outcome = self.props[k].prune(store)
+            if outcome == FAILED or store.failed:
                 self.stats.failures += 1
                 return False
             if outcome == SUBSUMED:
-                self._subsume(k)
-            for v in self.store.drain_changed():
-                for watcher in self.watchers[v]:
-                    if self.active[watcher] and not queued[watcher]:
+                # subsumption is search state, trailed with the domains
+                store.save(active, k, False)
+            for v in store.drain_changed():
+                for watcher in watchers[v]:
+                    if active[watcher] and not queued[watcher]:
                         queue.append(watcher)
                         queued[watcher] = True
         return True
+
+    def _decide(self) -> bool:
+        """Propagate a decision: wake the watchers of what it changed."""
+        return self.propagate_fixpoint(
+            [k for v in self.store.changed for k in self.watchers[v]])
 
     # -- search -----------------------------------------------------------
 
@@ -151,9 +145,10 @@ class Engine:
 
         if budget_exceeded():
             return SearchResult(solutions, stats, False)
-        # root propagation gets its own trail frame so solve() leaves the
-        # store exactly as constructed and the engine can be reused
-        self._push()
+        # root propagation wakes every propagator, in its own trail frame so
+        # that solve() leaves the store exactly as constructed and the
+        # engine can be reused
+        self.store.push()
         failed = not self.propagate_fixpoint()
         while True:
             if not failed and self.store.all_assigned():
@@ -168,37 +163,37 @@ class Engine:
                 # backtrack to the deepest open left branch, then go right
                 while decisions and decisions[-1][2]:
                     decisions.pop()
-                    self._undo()
+                    self.store.undo()
                 if not decisions:
                     break
                 var, value, _ = decisions.pop()
-                self._undo()
+                self.store.undo()
                 if budget_exceeded():
                     complete = False
                     break
-                self._push()
+                self.store.push()
                 decisions.append((var, value, True))
                 stats.nodes += 1
                 stats.peak_depth = max(stats.peak_depth, len(decisions))
                 self.store.remove_value(var, value)
-                failed = not self.propagate_fixpoint()
+                failed = not self._decide()
                 continue
             if budget_exceeded():
                 complete = False
                 break
             var, value = self.strategy.select(self.store, self.degrees)
-            self._push()
+            self.store.push()
             decisions.append((var, value, False))
             stats.nodes += 1
             stats.peak_depth = max(stats.peak_depth, len(decisions))
             self.store.assign(var, value)
-            failed = not self.propagate_fixpoint()
+            failed = not self._decide()
 
         # unwind so the store returns to its root state
         while decisions:
             decisions.pop()
-            self._undo()
-        self._undo()  # the root-propagation frame
+            self.store.undo()
+        self.store.undo()  # the root-propagation frame
         return SearchResult(solutions, stats, complete)
 
 

@@ -3,11 +3,14 @@
 Domains are immutable IntegerSets replaced wholesale on update; the trail
 records the previous set so backtracking restores choice-point state
 exactly. `failed` is set precisely when some domain became empty.
+Search state outside the domains (subsumed propagators, the valid tuples
+of a table) goes on a second trail through `save`, restored by the same
+`push`/`undo` marks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .intset import IntegerSet
 
@@ -17,7 +20,8 @@ class DomainStore:
         self._domains = list(domains)
         self.failed = any(d.is_empty() for d in domains)
         self._trail: List[Tuple[int, IntegerSet]] = []
-        self._marks: List[int] = []
+        self._saved: List[Tuple[Any, Any, Any]] = []
+        self._marks: List[Tuple[int, int]] = []
         # variables updated since the engine last drained this list
         self.changed: List[int] = []
 
@@ -73,14 +77,23 @@ class DomainStore:
 
     # -- trail ------------------------------------------------------------
 
+    def save(self, owner, key, value):
+        """Set `owner[key] = value` until the matching undo. `owner` is any
+        list or dict: the engine's active flags, a propagator's `vars()`."""
+        self._saved.append((owner, key, owner[key]))
+        owner[key] = value
+
     def push(self):
-        self._marks.append(len(self._trail))
+        self._marks.append((len(self._trail), len(self._saved)))
 
     def undo(self):
-        mark = self._marks.pop()
+        mark, saved_mark = self._marks.pop()
         while len(self._trail) > mark:
             i, old = self._trail.pop()
             self._domains[i] = old
+        while len(self._saved) > saved_mark:
+            owner, key, old = self._saved.pop()
+            owner[key] = old
         self.failed = False
         self.changed = []
 

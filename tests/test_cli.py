@@ -107,6 +107,28 @@ def test_malformed_xml_is_input_error(tmp_path):
     assert "error:" in err
 
 
+def test_latin1_document_with_declared_encoding_solves(tmp_path):
+    xml = TINY_ALLDIFF.replace("<instance>", '<?xml version="1.0" '
+                               'encoding="ISO-8859-1"?>\n<instance>', 1)
+    xml = xml.replace("A1", "\u00c91").replace("A2", "\u00e92")
+    path = tmp_path / "latin1.xml"
+    path.write_bytes(xml.encode("latin-1"))
+    code, out, err = run_cli(RunConfig(str(path), mode="all"))
+    assert code == EXIT_OK
+    assert out == "s SATISFIABLE\nv 1 2\nv 2 1\n"
+    assert err == ""
+
+
+def test_unknown_declared_encoding_is_input_error(tmp_path):
+    xml = '<?xml version="1.0" encoding="no-such-codec"?>\n' + TINY_ALLDIFF
+    path = write(tmp_path, xml)
+    code, out, err = run_cli(RunConfig(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "no-such-codec" in err
+
+
 def test_unsupported_extension_is_input_error():
     code, out, err = run_cli(RunConfig(str(CORPUS / "reject_wcsp.xml")))
     assert code == EXIT_ERROR

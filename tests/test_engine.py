@@ -1,10 +1,12 @@
+import time
+
 from xcsolve import BranchStrategy, Engine, search_all, search_first
 from xcsolve.compiler import Problem, PropagatorSpec
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import FAILED, SUBSUMED, build_propagator
 from xcsolve.store import DomainStore
 
-from helpers import TINY_ALLDIFF, instance_xml, load, pigeonhole_xml
+from helpers import TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml
 
 
 def iset(*values):
@@ -124,11 +126,11 @@ def test_subsumed_propagator_reactivates_on_backtrack():
     spec = PropagatorSpec("NotEqual", (0, 1), {})
     problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
     engine = Engine(problem)
-    engine._push()
+    engine.store.push()
     engine.store.assign(0, 1)
     assert engine.propagate_fixpoint()
     assert engine.active == [False]
-    engine._undo()
+    engine.store.undo()
     assert engine.active == [True]
 
 
@@ -233,3 +235,80 @@ def test_zero_time_budget_yields_incomplete():
     result = search_first(problem, time_limit=0.0)
     assert not result.complete
     assert result.solutions == []
+
+
+def test_constraints_sharing_a_relation_share_its_tuples():
+    # the table propagator shrinks its own valid-tuple list on the trail;
+    # the relation both constraints read must stay as parsed
+    xml = instance_xml(
+        [("A", [0, 1, 2]), ("B", [0, 1, 2]), ("C", [0, 1, 2])],
+        [{"name": "c0", "scope": ["A", "B"], "reference": "r0"},
+         {"name": "c1", "scope": ["B", "C"], "reference": "r0"}],
+        relations=[{"name": "r0", "arity": 2, "semantics": "supports",
+                    "tuples": [(0, 1), (1, 2), (2, 0), (1, 0), (0, 2)]}],
+    )
+    instance, problem = load(xml)
+    relation = instance.constraints[0].ref.relation
+    parsed = list(relation.tuples)
+    first, second = problem.propagators
+    assert first.data["tuples"] is relation.tuples
+    assert second.data["tuples"] is relation.tuples
+    engine = Engine(problem)
+    root = engine.store.snapshot()
+    r1 = engine.solve(find_all=True)
+    assert engine.store.snapshot() == root
+    r2 = engine.solve(find_all=True)
+    assert engine.store.snapshot() == root
+    assert engine.store.depth() == 0
+    assert relation.tuples == parsed
+    assert all(p.valid is relation.tuples for p in engine.props)
+    assert r1.solutions == r2.solutions
+    assert sorted(r1.solutions) == sorted(brute_force(instance))
+    assert r1.solutions
+
+
+def test_table_reduction_is_undone_on_backtrack():
+    spec = PropagatorSpec("TableSupports", (0, 1),
+                          {"tuples": [(1, 1), (1, 2), (2, 2), (3, 1)]})
+    problem = Problem(["X", "Y"], [iset(1, 2, 3), iset(1, 2)], [spec])
+    engine = Engine(problem)
+    prop = engine.props[0]
+    engine.store.push()
+    engine.store.assign(1, 2)
+    assert engine.propagate_fixpoint()
+    assert prop.valid == [(1, 2), (2, 2)]
+    assert engine.store.domain(0) == iset(1, 2)
+    engine.store.push()
+    engine.store.assign(0, 2)
+    assert engine.propagate_fixpoint()
+    assert prop.valid == [(2, 2)]
+    engine.store.undo()
+    assert prop.valid == [(1, 2), (2, 2)]
+    engine.store.undo()
+    assert prop.valid is spec.data["tuples"]
+    assert engine.store.domain(0) == iset(1, 2, 3)
+
+
+def test_decision_wakes_only_watchers_of_the_changed_variable():
+    specs = [PropagatorSpec("NotEqual", (0, 1), {}),
+             PropagatorSpec("NotEqual", (2, 3), {})]
+    problem = Problem(["W", "X", "Y", "Z"], [iset(1, 2, 3)] * 4, specs)
+    result = search_first(problem)
+    assert result.solutions == [[1, 2, 1, 2]]
+    # the root runs both; W=1 and Y=1 each wake one propagator, which is
+    # then subsumed; X=2 and Z=2 wake none (waking every active one: 6)
+    assert result.stats.propagations == 4
+
+
+def test_table_work_is_bounded_by_the_table_not_the_domain_width():
+    wide = IntegerSet.interval(-10 ** 12, 10 ** 12)
+    spec = PropagatorSpec("TableSupports", (0, 1),
+                          {"tuples": [(0, 10 ** 12), (-10 ** 12, 0), (5, 5)]})
+    problem = Problem(["X", "Y"], [wide, iset(0, 5, 10 ** 12)], [spec])
+    started = time.monotonic()
+    engine = Engine(problem)
+    assert engine.propagate_fixpoint()
+    assert engine.store.domain(0) == iset(-10 ** 12, 0, 5)
+    result = search_all(problem)
+    assert time.monotonic() - started < 1.0
+    assert result.solutions == [[-10 ** 12, 0], [0, 10 ** 12], [5, 5]]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,34 @@ def test_overflow_detected():
         run("mul(%d,4)" % big)
     with pytest.raises(EvalError):
         run("pow(2,70)")
+
+
+def test_pow_cost_does_not_grow_with_the_exponent():
+    # a loop of b multiplications would take hours on these exponents
+    started = time.monotonic()
+    assert run("pow(1,%d)" % 2 ** 62) == 1
+    assert run("pow(-1,%d)" % (2 ** 62 + 1)) == -1
+    assert run("pow(-1,%d)" % 2 ** 62) == 1
+    assert run("pow(0,%d)" % 2 ** 62) == 0
+    assert run("pow(0,0)") == 1
+    with pytest.raises(EvalError):
+        run("pow(2,%d)" % 2 ** 62)
+    assert time.monotonic() - started < 1.0
+    # the last value that fits, and the first that does not
+    assert run("pow(2,62)") == 2 ** 62
+    assert run("pow(-2,63)") == -2 ** 63
+    assert run("pow(3,39)") == 3 ** 39
+    for text in ("pow(2,63)", "pow(-2,64)", "pow(3,40)", "pow(1,-1)", "pow(0,-3)"):
+        with pytest.raises(EvalError):
+            run(text)
+
+
+def test_pow_matches_repeated_multiplication():
+    for a in range(-5, 6):
+        for b in range(0, 30):
+            want = a ** b
+            if -2 ** 63 <= want < 2 ** 63:
+                assert run("pow(%d,%d)" % (a, b)) == want
 
 
 def test_boolean_nonzero_truth():
