@@ -2,9 +2,11 @@
 
 Each constraint becomes one or more `PropagatorSpec`s over dense variable
 indices. Intensional constraints are strength-upgraded when they have a
-recognizable linear shape; `disjunctive`, `diffn`, and `not_all_equal` are
-decomposed into generic expression checks, all the other globals get a
-dedicated propagator kind.
+recognizable linear shape. Each `{value occurrences}` pair of
+`global_cardinality` becomes an `among`-shaped counter, and `disjunctive`
+a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are decomposed
+into generic expression checks, the other globals get a dedicated
+propagator kind.
 
 Accepted <parameters> grammar per global (vars may be names, values ints;
 ``{ }`` and ``[ ]`` both group):
@@ -217,7 +219,7 @@ class WeightedSumSig:
     rhs: int
 
 
-def _scope_vars(c: ResolvedConstraint, sig: str) -> List[int]:
+def scope_vars(c: ResolvedConstraint, sig: str) -> List[int]:
     p = c.parameters
     if p is None or p == []:
         return list(c.scope)
@@ -486,10 +488,11 @@ def _expr_check(e: ex.Expr) -> PropagatorSpec:
 
 
 def _or_all(parts: List[ex.Expr]) -> ex.Expr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = ex.Apply("or", (out, p))
-    return out
+    # balanced, so that the nesting grows with the log of the part count
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return ex.Apply("or", (_or_all(parts[:mid]), _or_all(parts[mid:])))
 
 
 def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
@@ -503,7 +506,7 @@ def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
 def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[PropagatorSpec]:
     name = c.ref.name
     if name == "alldifferent":
-        vars_ = _scope_vars(c, "(optional) [x1 ... xn]")
+        vars_ = scope_vars(c, "(optional) [x1 ... xn]")
         if options.decompose_alldifferent:
             return [PropagatorSpec("NotEqual", (x, y), {})
                     for i, x in enumerate(vars_) for y in vars_[i + 1:]]
@@ -525,28 +528,32 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
         })]
     if name == "global_cardinality":
         sig = parse_gcc_params(c)
-        scope = _unique_vars([var_term(v) for v in sig.vars]
-                             + [occ for _, occ in sig.entries])
-        return [PropagatorSpec("GlobalCardinality", tuple(scope), {
-            "vars": sig.vars,
-            "entries": [[value, occ] for value, occ in sig.entries],
-        })]
+        specs = []
+        for value, occ in sig.entries:
+            count = occ[1] if occ[0] == "const" else None
+            count_var = occ[1] if occ[0] == "var" else None
+            scope = tuple(dict.fromkeys(sig.vars + term_vars(occ)))
+            specs.append(PropagatorSpec("GlobalCardinality", scope, {
+                "vars": sig.vars, "values": [value],
+                "lo": count, "hi": count, "count_var": count_var,
+            }))
+        return specs
     if name == "cumulative":
         sig = parse_cumulative_params(c)
-        scope = _unique_vars([origin for origin, _, _ in sig.tasks])
-        return [PropagatorSpec("Cumulative", tuple(scope), {
-            "tasks": [[origin, d, h] for origin, d, h in sig.tasks],
-            "capacity": sig.capacity,
-        })]
+        return [_cumulative_spec(sig.tasks, sig.capacity)]
     if name == "disjunctive":
+        # the tasks that take time share a resource of capacity 1; a task of
+        # duration 0 may still not fall strictly inside another one, which a
+        # profile cannot see, so each such pair keeps its own check
         sig = parse_disjunctive_params(c)
-        specs = []
-        for i in range(len(sig.tasks)):
-            for j in range(i + 1, len(sig.tasks)):
-                (oi, di), (oj, dj) = sig.tasks[i], sig.tasks[j]
-                parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
-                                       term_expr(oj), ex.IntLiteral(dj))
-                specs.append(_expr_check(_or_all(parts)))
+        proper = [(o, d, 1) for o, d in sig.tasks if d > 0]
+        specs = [_cumulative_spec(proper, 1)] if len(proper) >= 2 else []
+        for i, (oi, di) in enumerate(sig.tasks):
+            for oj, dj in sig.tasks[i + 1:]:
+                if (di == 0) != (dj == 0):
+                    parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
+                                           term_expr(oj), ex.IntLiteral(dj))
+                    specs.append(_expr_check(_or_all(parts)))
         return specs
     if name == "diffn":
         sig = parse_diffn_params(c)
@@ -567,7 +574,7 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
         scope = _unique_vars(sig.xs + sig.ys)
         return [PropagatorSpec(kind, tuple(scope), {"xs": sig.xs, "ys": sig.ys})]
     if name == "not_all_equal":
-        vars_ = _scope_vars(c, "(optional) [x1 ... xn]")
+        vars_ = scope_vars(c, "(optional) [x1 ... xn]")
         if len(vars_) < 2:
             raise CompileError(
                 "constraint %r: not_all_equal needs at least 2 variables, got %d"
@@ -582,13 +589,17 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
     raise CompileError("unsupported global constraint %r" % name)
 
 
+def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
+                     capacity: int) -> PropagatorSpec:
+    scope = _unique_vars([origin for origin, _, _ in tasks])
+    return PropagatorSpec("Cumulative", tuple(scope), {
+        "tasks": [[origin, d, h] for origin, d, h in tasks],
+        "capacity": capacity,
+    })
+
+
 def _unique_vars(terms: List[Term]) -> List[int]:
-    out: List[int] = []
-    for term in terms:
-        for v in term_vars(term):
-            if v not in out:
-                out.append(v)
-    return out
+    return list(dict.fromkeys(v for term in terms for v in term_vars(term)))
 
 
 def compile_constraint(c: ResolvedConstraint,

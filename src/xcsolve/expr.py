@@ -24,6 +24,10 @@ OPERATORS: Dict[str, int] = {
     "if": 3,
 }
 
+# deepest operator nesting accepted; every later pass over an expression
+# recurses once per level
+MAX_DEPTH = 256
+
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
@@ -86,7 +90,8 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
     """Parse functional notation such as ``and(eq(X0,X1),gt(X2,0))``.
 
     Identifiers must either be operators from the closed set or appear in
-    `formal_params`; anything else is a parse error.
+    `formal_params`; anything else is a parse error, and so is nesting
+    operators more than `MAX_DEPTH` deep.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -105,7 +110,7 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
         pos += 1
         return tok
 
-    def parse_expr() -> Expr:
+    def parse_expr(depth: int) -> Expr:
         tok = take()
         if tok.lstrip("-").isdigit():
             return IntLiteral(int(tok))
@@ -114,11 +119,14 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
         if peek() == "(":
             if tok not in OPERATORS:
                 raise FormatError("unknown operator %r" % tok)
+            if depth == MAX_DEPTH:
+                raise FormatError("expression nested deeper than %d operators"
+                                  % MAX_DEPTH)
             take("(")
-            args = [parse_expr()]
+            args = [parse_expr(depth + 1)]
             while peek() == ",":
                 take(",")
-                args.append(parse_expr())
+                args.append(parse_expr(depth + 1))
             take(")")
             want = OPERATORS[tok]
             if len(args) != want:
@@ -130,7 +138,7 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
             raise FormatError("identifier %r is not a declared parameter" % tok)
         return Param(tok)
 
-    result = parse_expr()
+    result = parse_expr(0)
     if pos != len(tokens):
         raise FormatError("trailing tokens after expression: %r" % tokens[pos:])
     return result

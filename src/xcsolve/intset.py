@@ -34,7 +34,17 @@ class IntegerSet:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntegerSet":
-        return cls.from_intervals((v, v) for v in values)
+        out = []
+        start = prev = None
+        for v in sorted(set(values)):
+            if v - 1 != prev:  # a gap: close the run so far, open a new one
+                if prev is not None:
+                    out.append((start, prev))
+                start = v
+            prev = v
+        if prev is not None:
+            out.append((start, prev))
+        return cls(tuple(out))
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntegerSet":
@@ -125,10 +135,23 @@ class IntegerSet:
         return IntegerSet.from_intervals(list(self.ranges) + list(other.ranges))
 
     def difference(self, other: "IntegerSet") -> "IntegerSet":
-        out = self
-        for v in other:
-            out = out.remove(v)
-        return out
+        out = []
+        b = other.ranges
+        j = 0
+        for lo, hi in self.ranges:
+            # skip the ranges of `other` wholly below this one; the rest cut
+            # it into pieces, left to right
+            while j < len(b) and b[j][1] < lo:
+                j += 1
+            k = j
+            while k < len(b) and b[k][0] <= hi:
+                if b[k][0] > lo:
+                    out.append((lo, b[k][0] - 1))
+                lo = b[k][1] + 1
+                k += 1
+            if lo <= hi:
+                out.append((lo, hi))
+        return IntegerSet(tuple(out))
 
     # -- dunder plumbing --------------------------------------------------
 

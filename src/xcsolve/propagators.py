@@ -248,27 +248,32 @@ class AllDifferentProp(Propagator):
 
 
 class CountingProp(Propagator):
-    """Shared filtering for among / atleast / atmost.
+    """Shared filtering for among / atleast / atmost, and for each
+    `{value occurrences}` pair of global_cardinality.
 
     Maintains lower/upper bounds on |{i : x_i in S}| and confronts them
     with the required count (a fixed interval or a count variable).
     """
 
+    def __init__(self, spec: PropagatorSpec):
+        super().__init__(spec)
+        self.values = sorted(set(spec.data["values"]))
+
     def prune(self, store):
         data = self.spec.data
         vars_ = data["vars"]
-        value_set = IntegerSet.from_values(data["values"])
+        values = self.values
         count_var = data["count_var"]
 
         lb = ub = 0
         undecided = []
         for v in vars_:
             d = store.domain(v)
-            inside = d.intersect(value_set)
-            if inside.is_empty():
+            hits = sum(1 for value in values if value in d)
+            if not hits:
                 continue
             ub += 1
-            if inside == d:
+            if hits == d.size():
                 lb += 1
             else:
                 undecided.append(v)
@@ -285,16 +290,15 @@ class CountingProp(Propagator):
 
         if lb > need_hi or ub < need_lo:
             return FAILED
-        if lb == need_hi:
-            # no further variable may take a counted value
+        if undecided and (lb == need_hi or ub == need_lo):
+            # at the upper count no further variable may take a counted
+            # value; at the lower one every undecided variable must
+            value_set = IntegerSet.from_values(values)
             for v in undecided:
-                store.update(v, store.domain(v).difference(value_set))
-                if store.failed:
-                    return FAILED
-        elif ub == need_lo:
-            # every still-intersecting variable must take a counted value
-            for v in undecided:
-                store.intersect(v, value_set)
+                if lb == need_hi:
+                    store.update(v, store.domain(v).difference(value_set))
+                else:
+                    store.intersect(v, value_set)
                 if store.failed:
                     return FAILED
         if lb == ub and (count_var is None or store.assigned(count_var)):
@@ -349,110 +353,59 @@ class ElementProp(Propagator):
         return OK
 
 
-class GlobalCardinalityProp(Propagator):
-    """One among-style counter per counted value, sharing one scan."""
-
-    def prune(self, store):
-        data = self.spec.data
-        vars_ = data["vars"]
-        all_done = all(store.assigned(v) for v in vars_)
-        satisfied = True
-        for value, occ in data["entries"]:
-            lb = ub = 0
-            undecided = []
-            for v in vars_:
-                d = store.domain(v)
-                if value not in d:
-                    continue
-                ub += 1
-                if d.is_singleton():
-                    lb += 1
-                else:
-                    undecided.append(v)
-            if occ[0] == "var":
-                store.clamp(occ[1], lo=lb, hi=ub)
-                if store.failed:
-                    return FAILED
-                need_lo = store.domain(occ[1]).min_value()
-                need_hi = store.domain(occ[1]).max_value()
-                if not store.assigned(occ[1]):
-                    satisfied = False
-            else:
-                need_lo = need_hi = occ[1]
-            if lb > need_hi or ub < need_lo:
-                return FAILED
-            if lb == need_hi:
-                for v in undecided:
-                    store.remove_value(v, value)
-                    if store.failed:
-                        return FAILED
-            elif ub == need_lo:
-                for v in undecided:
-                    store.assign(v, value)
-                    if store.failed:
-                        return FAILED
-            if lb != ub:
-                satisfied = False
-        if all_done and satisfied:
-            return SUBSUMED
-        return OK
-
-
 class CumulativeProp(Propagator):
-    """Time-table filtering over compulsory parts."""
+    """Time-table filtering over compulsory parts, swept into a profile of
+    `(start, end, load)` segments (Letort, Beldiceanu & Carlsson, CP 2012),
+    so that the work does not grow with the time horizon."""
 
     def prune(self, store):
         data = self.spec.data
         tasks = data["tasks"]
         capacity = data["capacity"]
 
-        profile: Dict[int, int] = {}
+        events = []
         parts: List[Optional[Tuple[int, int]]] = []
+        fixed = True
         for origin, duration, height in tasks:
             d = _term_domain(store, origin)
+            if duration > 0 and height > capacity:
+                return FAILED
+            fixed = fixed and d.is_singleton()
             lst, ect = d.max_value(), d.min_value() + duration
             if height > 0 and lst < ect:
                 parts.append((lst, ect))
-                for t in range(lst, ect):
-                    profile[t] = profile.get(t, 0) + height
+                events += [(lst, height), (ect, -height)]
             else:
                 parts.append(None)
-        if any(h > capacity for h in profile.values()):
-            return FAILED
+        events.sort()
+        segments = []
+        load = 0
+        for (t, delta), (following, _) in zip(events, events[1:]):
+            load += delta
+            if load > 0 and t < following:
+                if load > capacity:
+                    return FAILED
+                segments.append((t, following, load))
 
-        for i, (origin, duration, height) in enumerate(tasks):
+        for (origin, duration, height), own in zip(tasks, parts):
             if origin[0] != "var" or height == 0 or duration == 0:
                 continue
-            v = origin[1]
-            own = parts[i]
-            keep = []
-            for s in store.domain(v):
-                fits = True
-                for t in range(s, s + duration):
-                    others = profile.get(t, 0)
-                    if own is not None and own[0] <= t < own[1]:
-                        others -= height
-                    if others + height > capacity:
-                        fits = False
-                        break
-                if fits:
-                    keep.append(s)
-            store.update(v, IntegerSet.from_values(keep))
-            if store.failed:
-                return FAILED
-
-        if all(_term_domain(store, origin).is_singleton() for origin, _, _ in tasks):
-            # pruning above may have assigned variables after the profile
-            # was computed; re-check the now-complete schedule exactly
-            final: Dict[int, int] = {}
-            for origin, duration, height in tasks:
-                start = _term_min(store, origin)
-                for t in range(start, start + duration):
-                    final[t] = final.get(t, 0) + height
-            if any(h > capacity for h in final.values()):
-                return FAILED
-            return SUBSUMED
-        return OK
+            forbidden = []
+            for start, end, load in segments:
+                # own part boundaries are events: a segment is inside or apart
+                if own is not None and own[0] <= start < own[1]:
+                    load -= height
+                if load + height > capacity:
+                    forbidden.append((start - duration + 1, end - 1))
+            if forbidden:
+                v = origin[1]
+                store.update(v, store.domain(v).difference(
+                    IntegerSet.from_intervals(forbidden)))
+                if store.failed:
+                    return FAILED
+        # the engine runs this again after its own pruning, so only a
+        # schedule fixed on entry is known to fit
+        return SUBSUMED if fixed else OK
 
 
 class LexProp(Propagator):
@@ -541,17 +494,19 @@ class ExprCheckProp(Propagator):
             return OK
         u = unassigned[0]
         assignment = {v: store.value(v) for v in scope if v != u}
-        removals = []
+        domain = store.domain(u)
+        kept = []
         clean = True
-        for candidate in store.domain(u):
+        for candidate in domain:
             assignment[u] = candidate
             try:
                 if ex.evaluate(body, assignment) != 1:
-                    removals.append(candidate)
+                    continue
             except EvalError:
                 clean = False  # keep the value; the full-assignment check decides
-        for candidate in removals:
-            store.remove_value(u, candidate)
+            kept.append(candidate)
+        if len(kept) < domain.size():
+            store.update(u, IntegerSet.from_values(kept))
             if store.failed:
                 return FAILED
         return SUBSUMED if clean else OK
@@ -567,7 +522,7 @@ PROPAGATOR_CLASSES = {
     "AtLeast": CountingProp,
     "AtMost": CountingProp,
     "Element": ElementProp,
-    "GlobalCardinality": GlobalCardinalityProp,
+    "GlobalCardinality": CountingProp,
     "Cumulative": CumulativeProp,
     "LexLess": LexProp,
     "LexLessEq": LexLessEqProp,

@@ -20,7 +20,7 @@ from .compiler import (
     parse_gcc_params,
     parse_lex_params,
     parse_weighted_sum_params,
-    _scope_vars,
+    scope_vars,
 )
 from .model import (
     GlobalRef,
@@ -39,7 +39,7 @@ def _check_global(c: ResolvedConstraint, values: List[int],
                   element_base: int) -> bool:
     name = c.ref.name
     if name == "alldifferent":
-        vs = [values[v] for v in _scope_vars(c, "[x...]")]
+        vs = [values[v] for v in scope_vars(c, "[x...]")]
         return len(set(vs)) == len(vs)
     if name in ("among", "atleast", "atmost"):
         sig = parse_counting_params(c, name)
@@ -98,7 +98,7 @@ def _check_global(c: ResolvedConstraint, values: List[int],
         ys = tuple(_term_value(t, values) for t in sig.ys)
         return xs < ys if name == "lex_less" else xs <= ys
     if name == "not_all_equal":
-        vs = [values[v] for v in _scope_vars(c, "[x...]")]
+        vs = [values[v] for v in scope_vars(c, "[x...]")]
         return len(set(vs)) > 1
     if name == "weightedsum":
         sig = parse_weighted_sum_params(c)
@@ -122,7 +122,7 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
         if isinstance(c.ref, RelationRef):
             relation = c.ref.relation
             point = tuple(values[v] for v in c.scope)
-            member = point in set(map(tuple, relation.tuples))
+            member = point in relation.tuples
             ok = member if relation.semantics == "supports" else not member
         elif isinstance(c.ref, PredicateRef):
             predicate = c.ref.predicate

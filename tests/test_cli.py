@@ -15,7 +15,9 @@ from xcsolve.cli import (
     RunConfig,
 )
 
-from helpers import TINY_ALLDIFF, pigeonhole_xml
+from xcsolve.expr import MAX_DEPTH
+
+from helpers import TINY_ALLDIFF, instance_xml, pigeonhole_xml
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -127,6 +129,45 @@ def test_unknown_declared_encoding_is_input_error(tmp_path):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "no-such-codec" in err
+
+
+def nested_abs_xml(depth):
+    """eq(abs(abs(...abs(X)...)), 1): operators nested `depth` deep."""
+    body = "eq(%sX%s,1)" % ("abs(" * (depth - 1), ")" * (depth - 1))
+    return instance_xml([("X", [-1, 0, 1])],
+                        [{"name": "c0", "scope": ["X"], "reference": "p0",
+                          "parameters": "X"}],
+                        predicates=[{"name": "p0", "params": ["X"], "body": body}])
+
+
+def test_expression_at_the_nesting_limit_solves(tmp_path):
+    path = write(tmp_path, nested_abs_xml(MAX_DEPTH))
+    code, out, err = run_cli(RunConfig(path, mode="all", verify=True))
+    assert code == EXIT_OK
+    assert out == "s SATISFIABLE\nv -1\nv 1\n"
+    assert err == ""
+
+
+def test_expression_beyond_the_nesting_limit_is_input_error(tmp_path):
+    for depth in (MAX_DEPTH + 1, 5000):
+        path = write(tmp_path, nested_abs_xml(depth))
+        code, out, err = run_cli(RunConfig(path, mode="all", verify=True))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "nested deeper than %d" % MAX_DEPTH in err
+
+
+def test_wide_not_all_equal_stays_shallow(tmp_path):
+    # its disjunction of 999 `ne` must not nest 999 deep
+    names = ["X%d" % i for i in range(1000)]
+    xml = instance_xml([(v, [0, 1]) for v in names],
+                       [{"name": "c0", "scope": names,
+                         "reference": "global:not_all_equal"}])
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml), verify=True))
+    assert code == EXIT_OK
+    assert out == "s SATISFIABLE\nv %s 1\n" % " ".join(["0"] * 999)
+    assert err == ""
 
 
 def test_unsupported_extension_is_input_error():

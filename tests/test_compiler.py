@@ -5,6 +5,7 @@ import pytest
 from xcsolve import CompileError, compile_instance
 from xcsolve.compiler import CompileOptions, PropagatorSpec
 from xcsolve.intset import IntegerSet
+from xcsolve.search import search_all
 
 from helpers import TINY_ALLDIFF, brute_force, instance_xml, load
 
@@ -195,14 +196,23 @@ def test_weighted_sum_embedded_relop_element():
 
 
 def test_disjunctive_decomposes_pairwise():
+    # the tasks of positive duration share one unit resource; only a pair
+    # of a zero-duration and a positive-duration task is checked pairwise
+    domain = [0, 1, 2, 3, 4]
     xml = instance_xml(
-        [("A", [0, 1, 2]), ("B", [0, 1, 2]), ("C", [0, 1, 2])],
-        [{"name": "c0", "scope": ["A", "B", "C"],
+        [("A", domain), ("B", domain), ("C", domain), ("D", domain)],
+        [{"name": "c0", "scope": ["A", "B", "C", "D"],
           "reference": "global:disjunctive",
-          "parameters": "[ { A 1 } { B 1 } { C 1 } ]"}],
+          "parameters": "[ { A 1 } { B 2 } { C 0 } { D 0 } ]"}],
     )
-    _, problem = load(xml)
-    assert [s.kind for s in problem.propagators] == ["ExprCheck"] * 3
+    instance, problem = load(xml)
+    assert [s.kind for s in problem.propagators] == ["Cumulative"] + ["ExprCheck"] * 4
+    cumulative = problem.propagators[0]
+    assert cumulative.scope == (0, 1)
+    assert cumulative.data == {"tasks": [[["var", 0], 1, 1], [["var", 1], 2, 1]],
+                               "capacity": 1}
+    assert [s.scope for s in problem.propagators[1:]] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert sorted(search_all(problem).solutions) == brute_force(instance)
 
 
 def test_malformed_global_parameters_report_signature():

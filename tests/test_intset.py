@@ -62,3 +62,26 @@ def test_random_against_python_sets():
         assert a.subset_of(b) == (xs <= ys)
         # re-canonicalizing is the identity
         assert IntegerSet.from_intervals(a.ranges) == a
+
+
+def test_difference_over_wide_ranges():
+    # an interval sweep: the cost does not depend on how many values go
+    big = 10 ** 12
+    whole = IntegerSet.interval(0, big)
+    cut = IntegerSet.from_intervals([(5, big // 10), (big // 10 + 2, big - 3)])
+    assert whole.difference(cut).ranges == (
+        (0, 4), (big // 10 + 1, big // 10 + 1), (big - 2, big))
+    # one range of `other` spanning several of `self`
+    spaced = IntegerSet.from_intervals([(0, 10), (20, 30), (40, 50)])
+    assert spaced.difference(IntegerSet.interval(5, 45)).ranges == ((0, 4), (46, 50))
+    assert spaced.difference(IntegerSet.interval(-big, big)).is_empty()
+    assert spaced.difference(IntegerSet(())) == spaced
+
+
+def test_difference_is_canonical():
+    rng = random.Random(11)
+    for _ in range(200):
+        xs = set(rng.sample(range(-10, 20), rng.randint(0, 20)))
+        ys = set(rng.sample(range(-10, 20), rng.randint(0, 20)))
+        diff = IntegerSet.from_values(xs).difference(IntegerSet.from_values(ys))
+        assert diff == IntegerSet.from_values(xs - ys)

@@ -5,6 +5,8 @@ from xcsolve.intset import IntegerSet
 from xcsolve.propagators import FAILED, OK, SUBSUMED, build_propagator
 from xcsolve.store import DomainStore
 
+from helpers import instance_xml, load
+
 
 def iset(*values):
     return IntegerSet.from_values(values)
@@ -165,11 +167,22 @@ def test_element_out_of_range_index_fails():
 # -- global cardinality -------------------------------------------------------
 
 
+def gcc_root(domains, parameters):
+    """Root propagation of one global_cardinality, compiled from XML."""
+    names = ["V%d" % i for i in range(len(domains))]
+    xml = instance_xml(list(zip(names, domains)),
+                       [{"name": "c0", "scope": names,
+                         "reference": "global:global_cardinality",
+                         "parameters": parameters}])
+    _, problem = load(xml)
+    engine = Engine(problem)
+    return engine.propagate_fixpoint(), engine.store, problem
+
+
 def test_gcc_exact_counts():
-    spec = PropagatorSpec("GlobalCardinality", (0, 1, 2),
-                          {"vars": [0, 1, 2],
-                           "entries": [[1, ["const", 2]], [2, ["const", 1]]]})
-    ok, store = run_root(spec, [iset(1), iset(1, 2), iset(1, 2)])
+    ok, store, problem = gcc_root([[1], [1, 2], [1, 2]],
+                                  "[ V0 V1 V2 ] [ { 1 2 } { 2 1 } ]")
+    assert [s.kind for s in problem.propagators] == ["GlobalCardinality"] * 2
     assert ok
     # value 1 already appears once; exactly one of the others takes it,
     # and the remaining one must take 2: no immediate decision possible
@@ -177,17 +190,13 @@ def test_gcc_exact_counts():
 
 
 def test_gcc_saturation_prunes():
-    spec = PropagatorSpec("GlobalCardinality", (0, 1),
-                          {"vars": [0, 1], "entries": [[3, ["const", 1]]]})
-    ok, store = run_root(spec, [iset(3), iset(3, 4)])
+    ok, store, _ = gcc_root([[3], [3, 4]], "[ V0 V1 ] [ { 3 1 } ]")
     assert ok
     assert store.domain(1) == iset(4)
 
 
 def test_gcc_count_variable():
-    spec = PropagatorSpec("GlobalCardinality", (0, 1, 2),
-                          {"vars": [0, 1], "entries": [[3, ["var", 2]]]})
-    ok, store = run_root(spec, [iset(3), iset(3), iset(0, 1, 2, 3)])
+    ok, store, _ = gcc_root([[3], [3], [0, 1, 2, 3]], "[ V0 V1 ] [ { 3 V2 } ]")
     assert ok
     assert store.domain(2) == iset(2)
 
@@ -222,6 +231,32 @@ def test_cumulative_rechecks_after_own_pruning():
         "tasks": [[["var", 0], 2, 2], [["var", 1], 3, 1], [["var", 2], 1, 2]],
         "capacity": 2})
     ok, _ = run_root(spec, [iset(0, 1, 3, 4), iset(1, 3), iset(1, 3)])
+    assert not ok
+
+
+def test_cumulative_work_does_not_grow_with_the_horizon():
+    # horizon 10^6, capacity 2; V0 is fixed at full height on
+    # [500000, 501000), V3 has the compulsory part [100500, 101000) at full
+    # height, so V1 (d=10) and V2 (d=300000) may not overlap either
+    spec = PropagatorSpec("Cumulative", (0, 1, 2, 3), {
+        "tasks": [[["var", 0], 1000, 2], [["var", 1], 10, 1],
+                  [["var", 2], 300000, 1], [["var", 3], 1000, 2]],
+        "capacity": 2})
+    horizon = IntegerSet.interval(0, 10 ** 6)
+    ok, store = run_root(spec, [iset(500000), horizon, horizon,
+                                IntegerSet.interval(100000, 100500)])
+    assert ok
+    assert store.domain(1) == IntegerSet.from_intervals(
+        [(0, 100490), (101000, 499990), (501000, 10 ** 6)])
+    assert store.domain(2) == IntegerSet.from_intervals(
+        [(101000, 200000), (501000, 10 ** 6)])
+    assert store.domain(3) == IntegerSet.interval(100000, 100500)
+
+
+def test_cumulative_task_taller_than_capacity_fails():
+    spec = PropagatorSpec("Cumulative", (0,), {
+        "tasks": [[["var", 0], 1, 3]], "capacity": 2})
+    ok, _ = run_root(spec, [IntegerSet.interval(0, 10 ** 9)])
     assert not ok
 
 
@@ -323,3 +358,22 @@ def test_exprcheck_full_assignment_check():
     assert not ok
     ok, _ = run_root(spec, [iset(2), iset(3)])
     assert ok
+
+
+class CountingStore(DomainStore):
+    updates = 0
+
+    def update(self, i, new):
+        self.updates += 1
+        return super().update(i, new)
+
+
+def test_exprcheck_prunes_a_wide_domain_in_one_update():
+    # eq(mod(x, 7), y) with y fixed: one domain update, not one per removed
+    # value, whose cost grew with the square of the domain
+    body = Apply("eq", (Apply("mod", (VarRef(0), IntLiteral(7))), VarRef(1)))
+    spec = PropagatorSpec("ExprCheck", (0, 1), {"expr": body})
+    store = CountingStore([IntegerSet.interval(0, 20000), iset(3)])
+    assert build_propagator(spec).prune(store) == SUBSUMED
+    assert store.updates == 1
+    assert store.domain(0) == IntegerSet.from_values(range(3, 20001, 7))
