@@ -10,7 +10,8 @@ confined to the signed 64-bit range (overflow raises `EvalError`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .errors import EvalError, FormatError
 
@@ -201,6 +202,10 @@ def _trunc_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+def _mod(a: int, b: int) -> int:
+    return _check64(a - b * _trunc_div(a, b))
+
+
 def _int_pow(a: int, b: int) -> int:
     if b < 0:
         raise EvalError("pow with negative exponent")
@@ -253,7 +258,7 @@ def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:
     if op == "div":
         return _trunc_div(a, b)
     if op == "mod":
-        return _check64(a - b * _trunc_div(a, b))
+        return _mod(a, b)
     if op == "pow":
         return _int_pow(a, b)
     if op == "min":
@@ -281,6 +286,67 @@ def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:
     if op == "iff":
         return 1 if (a != 0) == (b != 0) else 0
     raise EvalError("unknown operator %r" % op)
+
+
+# -- lowering -----------------------------------------------------------------
+
+# operator -> factory that takes the closures of the arguments and returns
+# the closure of the node. Each closure mirrors its branch of `evaluate`,
+# argument order included. The 64-bit test is written inline, because a
+# call per node is what lowering saves; only an out-of-range result goes
+# on to `_check64`, for its error.
+_LOWERED: Dict[str, Callable[..., Callable[[List[int]], int]]] = {
+    "neg": lambda a: lambda v: (
+        r if INT64_MIN <= (r := -a(v)) <= INT64_MAX else _check64(r)),
+    "abs": lambda a: lambda v: (
+        r if INT64_MIN <= (r := abs(a(v))) <= INT64_MAX else _check64(r)),
+    "not": lambda a: lambda v: 0 if a(v) != 0 else 1,
+    "add": lambda a, b: lambda v: (
+        r if INT64_MIN <= (r := a(v) + b(v)) <= INT64_MAX else _check64(r)),
+    "sub": lambda a, b: lambda v: (
+        r if INT64_MIN <= (r := a(v) - b(v)) <= INT64_MAX else _check64(r)),
+    "mul": lambda a, b: lambda v: (
+        r if INT64_MIN <= (r := a(v) * b(v)) <= INT64_MAX else _check64(r)),
+    "div": lambda a, b: lambda v: _trunc_div(a(v), b(v)),
+    "mod": lambda a, b: lambda v: _mod(a(v), b(v)),
+    "pow": lambda a, b: lambda v: _int_pow(a(v), b(v)),
+    "min": lambda a, b: lambda v: min(a(v), b(v)),
+    "max": lambda a, b: lambda v: max(a(v), b(v)),
+    "eq": lambda a, b: lambda v: 1 if a(v) == b(v) else 0,
+    "ne": lambda a, b: lambda v: 1 if a(v) != b(v) else 0,
+    "ge": lambda a, b: lambda v: 1 if a(v) >= b(v) else 0,
+    "gt": lambda a, b: lambda v: 1 if a(v) > b(v) else 0,
+    "le": lambda a, b: lambda v: 1 if a(v) <= b(v) else 0,
+    "lt": lambda a, b: lambda v: 1 if a(v) < b(v) else 0,
+    # `&`, `|` and the comparisons of truth values evaluate both sides, as
+    # `evaluate` does, so `and(0,div(1,0))` still raises
+    "and": lambda a, b: lambda v: 1 if (a(v) != 0) & (b(v) != 0) else 0,
+    "or": lambda a, b: lambda v: 1 if (a(v) != 0) | (b(v) != 0) else 0,
+    "xor": lambda a, b: lambda v: 1 if (a(v) != 0) != (b(v) != 0) else 0,
+    "iff": lambda a, b: lambda v: 1 if (a(v) != 0) == (b(v) != 0) else 0,
+    "if": lambda c, t, e: lambda v: t(v) if c(v) != 0 else e(v),
+}
+
+
+def lower(expr: Expr, slots: Dict[int, int]) -> Callable[[List[int]], int]:
+    """Lower a ground expression to a closure over a list of values, where
+    variable `i` is read at position `slots[i]`.
+
+    Calling the closure gives what `evaluate` gives for the same values,
+    and raises EvalError in exactly the cases where `evaluate` does; the
+    tree walk and the operator dispatch are paid once, here. A tree that
+    is not ground, or has an operator outside `OPERATORS`, is an EvalError
+    at once."""
+    if isinstance(expr, IntLiteral):
+        value = expr.value
+        return lambda v: value
+    if isinstance(expr, VarRef):
+        return itemgetter(slots[expr.index])
+    if isinstance(expr, Param):
+        raise EvalError("unsubstituted parameter %r" % expr.name)
+    if expr.op not in _LOWERED:
+        raise EvalError("unknown operator %r" % expr.op)
+    return _LOWERED[expr.op](*[lower(a, slots) for a in expr.args])
 
 
 def satisfied(expr: Expr, assignment: Dict[int, int]) -> bool:

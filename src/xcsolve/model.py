@@ -407,7 +407,10 @@ def parse_instance(document) -> InstanceModel:
                 raise StructuralError(
                     "predicate %r is missing <expression><functional>" % name
                 )
-            body = ex.parse_functional(functional_el.text or "", formals)
+            try:
+                body = ex.parse_functional(functional_el.text or "", formals)
+            except FormatError as e:
+                raise FormatError("predicate %r: %s" % (name, e)) from None
             model.predicates.append(PredicateDef(name, formals, body))
         if model.nb_predicates is not None and model.nb_predicates != len(model.predicates):
             diag.append("warning: nbPredicates mismatch")

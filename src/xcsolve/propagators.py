@@ -44,6 +44,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class Propagator:
+    # True when a scope variable that shrinks without becoming fixed never
+    # gives `prune` more to do; the engine then wakes it only on fixing
+    fix_only = False
+
     def __init__(self, spec: PropagatorSpec):
         self.spec = spec
 
@@ -481,26 +485,46 @@ class LexLessEqProp(LexProp):
 class ExprCheckProp(Propagator):
     """Generic expression constraint: satisfied iff the expression
     evaluates to 1. Prunes only when at most one scope variable is
-    unassigned, and never prunes on an erroring evaluation."""
+    unassigned, and never prunes on an erroring evaluation.
+
+    Pruning the last free variable again after its domain shrank removes
+    nothing more, so the engine wakes it only when a scope variable is
+    fixed. The expression is lowered to a closure at the first call that
+    evaluates it, so a check that never gets that far costs nothing."""
+
+    fix_only = True
+    check = None  # the lowered expression, once a call has built it
 
     def prune(self, store):
         scope = self.spec.scope
-        body = self.spec.data["expr"]
-        unassigned = [v for v in scope if not store.assigned(v)]
-        if not unassigned:
-            assignment = {v: store.value(v) for v in scope}
-            return SUBSUMED if ex.satisfied(body, assignment) else FAILED
-        if len(unassigned) > 1:
-            return OK
-        u = unassigned[0]
-        assignment = {v: store.value(v) for v in scope if v != u}
+        values = []
+        free = None  # position of the one unassigned variable
+        for k, v in enumerate(scope):
+            d = store.domain(v)
+            if d.is_singleton():
+                values.append(d.min_value())
+            elif free is None:
+                free = k
+                values.append(None)
+            else:
+                return OK
+        check = self.check
+        if check is None:
+            check = self.check = ex.lower(
+                self.spec.data["expr"], {v: k for k, v in enumerate(scope)})
+        if free is None:
+            try:
+                return SUBSUMED if check(values) == 1 else FAILED
+            except EvalError:
+                return FAILED
+        u = scope[free]
         domain = store.domain(u)
         kept = []
         clean = True
         for candidate in domain:
-            assignment[u] = candidate
+            values[free] = candidate
             try:
-                if ex.evaluate(body, assignment) != 1:
+                if check(values) != 1:
                     continue
             except EvalError:
                 clean = False  # keep the value; the full-assignment check decides

@@ -69,11 +69,15 @@ class Engine:
         self.strategy = strategy or BranchStrategy()
         self.store = DomainStore(problem.domains)
         self.props = [build_propagator(spec) for spec in problem.propagators]
+        # a propagator watches each variable of its scope for any change, or
+        # only for becoming fixed when it is `fix_only`
         self.watchers: List[List[int]] = [[] for _ in problem.domains]
+        self.fix_watchers: List[List[int]] = [[] for _ in problem.domains]
         self.degrees = [0] * len(problem.domains)
         for k, p in enumerate(self.props):
+            lists = self.fix_watchers if p.fix_only else self.watchers
             for v in p.vars():
-                self.watchers[v].append(k)
+                lists[v].append(k)
                 self.degrees[v] += 1
         self.active = [True] * len(self.props)
         self.stats = SearchStats()
@@ -84,9 +88,11 @@ class Engine:
         """Run propagators until fixpoint; returns False exactly on failure.
 
         `seeds` are the propagators to run first; None wakes every active
-        one. A propagator runs again whenever a variable it watches changes.
+        one. A propagator runs again whenever a variable it watches changes,
+        or, for a fix watcher, becomes fixed.
         """
-        store, active, watchers = self.store, self.active, self.watchers
+        store, active = self.store, self.active
+        watchers, fix_watchers = self.watchers, self.fix_watchers
         if store.failed:
             self.stats.failures += 1
             return False
@@ -113,7 +119,10 @@ class Engine:
                 # subsumption is search state, trailed with the domains
                 store.save(active, k, False)
             for v in store.drain_changed():
-                for watcher in watchers[v]:
+                woken = watchers[v]
+                if fix_watchers[v] and store.assigned(v):
+                    woken = woken + fix_watchers[v]
+                for watcher in woken:
                     if active[watcher] and not queued[watcher]:
                         queue.append(watcher)
                         queued[watcher] = True
@@ -121,8 +130,13 @@ class Engine:
 
     def _decide(self) -> bool:
         """Propagate a decision: wake the watchers of what it changed."""
-        return self.propagate_fixpoint(
-            [k for v in self.store.changed for k in self.watchers[v]])
+        store, fix_watchers = self.store, self.fix_watchers
+        seeds = []
+        for v in store.changed:
+            seeds += self.watchers[v]
+            if fix_watchers[v] and store.assigned(v):
+                seeds += fix_watchers[v]
+        return self.propagate_fixpoint(seeds)
 
     # -- search -----------------------------------------------------------
 

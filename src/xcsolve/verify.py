@@ -8,6 +8,7 @@ is."""
 
 from __future__ import annotations
 
+import weakref
 from typing import List
 
 from . import expr as ex
@@ -111,6 +112,28 @@ def _check_global(c: ResolvedConstraint, values: List[int],
     raise ValueError("unknown global %r" % name)
 
 
+# a weak reference to the instance checked last, and its ground predicate
+# bodies by constraint position: a search checks many solutions of one
+# instance, and the cache must not keep a large one alive
+_grounded = (None, {})
+
+
+def _ground(instance: ResolvedInstance, k: int, c: ResolvedConstraint) -> ex.Expr:
+    global _grounded
+    last, bodies = _grounded
+    if last is None or last() is not instance:
+        bodies = {}
+        _grounded = (weakref.ref(instance), bodies)
+    if k not in bodies:
+        predicate = c.ref.predicate
+        if c.parameters is None:
+            effective = [ex.VarRef(i) for i in c.scope]
+        else:
+            effective = list(c.parameters)
+        bodies[k] = ex.substitute(predicate.body, predicate.formal_params, effective)
+    return bodies[k]
+
+
 def verify_solution(instance: ResolvedInstance, values: List[int],
                     element_base: int = 1) -> bool:
     """True iff `values` (in declaration order) satisfies every constraint."""
@@ -118,20 +141,15 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
         return False
     if any(v not in d for v, d in zip(values, instance.domains)):
         return False
-    for c in instance.constraints:
+    assignment = dict(enumerate(values))
+    for k, c in enumerate(instance.constraints):
         if isinstance(c.ref, RelationRef):
             relation = c.ref.relation
             point = tuple(values[v] for v in c.scope)
             member = point in relation.tuples
             ok = member if relation.semantics == "supports" else not member
         elif isinstance(c.ref, PredicateRef):
-            predicate = c.ref.predicate
-            if c.parameters is None:
-                effective = [ex.VarRef(i) for i in c.scope]
-            else:
-                effective = list(c.parameters)
-            ground = ex.substitute(predicate.body, predicate.formal_params, effective)
-            ok = ex.satisfied(ground, {i: values[i] for i in range(len(values))})
+            ok = ex.satisfied(_ground(instance, k, c), assignment)
         else:
             assert isinstance(c.ref, GlobalRef)
             ok = _check_global(c, values, element_base)

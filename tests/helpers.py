@@ -135,6 +135,18 @@ def pigeonhole_xml(n: int) -> str:
     }])
 
 
+def queens_xml(n: int) -> str:
+    """n-queens with one intension predicate per pair of rows."""
+    names = ["Q%d" % i for i in range(n)]
+    constraints = [{"name": "c%d_%d" % (i, j), "scope": [names[i], names[j]],
+                    "reference": "noattack",
+                    "parameters": "%s %s %d" % (names[i], names[j], j - i)}
+                   for i in range(n) for j in range(i + 1, n)]
+    return instance_xml([(name, list(range(n))) for name in names], constraints,
+                        predicates=[{"name": "noattack", "params": ["X", "Y", "D"],
+                                     "body": "and(ne(X,Y),ne(abs(sub(X,Y)),D))"}])
+
+
 # -- random single-constraint instances ---------------------------------------
 
 FAMILIES = (

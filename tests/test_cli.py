@@ -156,6 +156,18 @@ def test_expression_beyond_the_nesting_limit_is_input_error(tmp_path):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "nested deeper than %d" % MAX_DEPTH in err
+        assert "predicate 'p0'" in err
+
+
+def test_unknown_operator_names_its_predicate(tmp_path):
+    xml = instance_xml([("X", [0, 1])],
+                       [{"name": "c0", "scope": ["X"], "reference": "P",
+                         "parameters": "X"}],
+                       predicates=[{"name": "P", "params": ["A"], "body": "eq(foo(A),1)"}])
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: predicate 'P': unknown operator 'foo'\n"
 
 
 def test_wide_not_all_equal_stays_shallow(tmp_path):

@@ -1,12 +1,16 @@
 import time
 
-from xcsolve import BranchStrategy, Engine, search_all, search_first
+import pytest
+
+from xcsolve import BranchStrategy, Engine, search_all, search_first, verify_solution
+from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import FAILED, SUBSUMED, build_propagator
 from xcsolve.store import DomainStore
 
-from helpers import TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml
+from helpers import (TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml,
+                     queens_xml)
 
 
 def iset(*values):
@@ -298,6 +302,42 @@ def test_decision_wakes_only_watchers_of_the_changed_variable():
     # the root runs both; W=1 and Y=1 each wake one propagator, which is
     # then subsumed; X=2 and Z=2 wake none (waking every active one: 6)
     assert result.stats.propagations == 4
+
+
+@pytest.mark.parametrize("z_values, solutions, failures", [
+    ((0, 1, 2), [[0, 0, 1], [1, 1, 2]], 0),  # Y = 1 prunes Z to 2
+    ((0, 1), [[0, 0, 1]], 1),  # Y = 1 leaves Z nothing
+])
+def test_expr_check_wakes_when_a_propagator_fixes_its_variable(
+        z_values, solutions, failures):
+    # X decides, the table fixes Y = X, and only then can Z = Y + 1 act:
+    # the check must wake on a variable fixed by pruning, not only by a
+    # decision, or search would branch on Z
+    body = ex.parse_functional("eq(add(Y,1),Z)", ["Y", "Z"])
+    specs = [PropagatorSpec("ExprCheck", (1, 2), {
+                 "expr": ex.substitute(body, ["Y", "Z"], [ex.VarRef(1), ex.VarRef(2)])}),
+             PropagatorSpec("TableSupports", (0, 1), {"tuples": [(0, 0), (1, 1)]})]
+    problem = Problem(["X", "Y", "Z"], [iset(0, 1), iset(0, 1), iset(*z_values)], specs)
+    # a fix watcher still counts towards the degree
+    assert Engine(problem).degrees == [1, 2, 1]
+    result = search_all(problem)
+    assert result.solutions == solutions
+    assert (result.stats.nodes, result.stats.failures) == (2, failures)
+
+
+def test_expr_checks_wake_only_on_fixed_variables():
+    instance, problem = load(queens_xml(8))
+    engine = Engine(problem)
+    assert engine.degrees == [7] * 8
+    assert engine.watchers == [[]] * 8
+    result = engine.solve(find_all=True)
+    assert len(result.solutions) == len(set(map(tuple, result.solutions))) == 92
+    assert result.solutions[0] == [0, 4, 7, 5, 2, 6, 1, 3]
+    assert all(verify_solution(instance, values) for values in result.solutions)
+    # waking on every domain change: the same 830 nodes and 324 failures
+    # with 7,240 propagations
+    stats = result.stats
+    assert (stats.nodes, stats.failures, stats.propagations) == (830, 324, 3924)
 
 
 def test_table_work_is_bounded_by_the_table_not_the_domain_width():

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcsolve import expr as ex
 from xcsolve.errors import EvalError, FormatError
@@ -289,3 +291,75 @@ def test_obj_round_trip():
     tree = ex.parse_functional("if(gt(P0,0),P0,neg(P0))", ["P0"])
     tree = ex.substitute(tree, ["P0"], [ex.VarRef(2)])
     assert ex.from_obj(ex.to_obj(tree)) == tree
+
+
+# -- lowering -----------------------------------------------------------------
+
+# a literal may lie beyond 64 bits, as the parser does not bound it
+EDGES = [0, 1, -1, 2, -2, 63, 64, 2 ** 32, -2 ** 32, 2 ** 62, -2 ** 62,
+         ex.INT64_MAX, ex.INT64_MIN, ex.INT64_MAX - 1, ex.INT64_MIN + 1, 2 ** 64]
+
+
+def outcome(fn, *args):
+    """The value `fn` returns, or EvalError when it raises one."""
+    try:
+        return fn(*args)
+    except EvalError:
+        return EvalError
+
+
+def lowered_and_evaluated(tree, values):
+    """Both outcomes on `values`, with variable i at position 2 - i so that
+    the slot map is exercised."""
+    check = ex.lower(tree, {i: 2 - i for i in range(3)})
+    return (outcome(check, values[::-1]),
+            outcome(ex.evaluate, tree, dict(enumerate(values))))
+
+
+ground_trees = st.recursive(
+    st.one_of(st.builds(ex.VarRef, st.integers(0, 2)),
+              st.builds(ex.IntLiteral, st.sampled_from(EDGES))),
+    lambda children: st.sampled_from(sorted(ex.OPERATORS)).flatmap(
+        lambda op: st.builds(ex.Apply, st.just(op), st.tuples(
+            *[children] * ex.OPERATORS[op]))),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ground_trees, st.lists(st.sampled_from(EDGES), min_size=3, max_size=3))
+def test_lowered_expression_matches_evaluate(tree, values):
+    lowered, evaluated = lowered_and_evaluated(tree, values)
+    assert lowered == evaluated
+    assert type(lowered) is type(evaluated)
+
+
+def test_every_operator_lowers():
+    for op, arity in ex.OPERATORS.items():
+        tree = ex.Apply(op, tuple(ex.VarRef(i) for i in range(arity)))
+        for values in ([3, -2, 0], [0, 5, 7], [-7, 2, 1]):
+            lowered, evaluated = lowered_and_evaluated(tree, values)
+            assert lowered == evaluated, (op, values)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("if(1,5,div(1,0))", 5),
+    ("if(0,div(1,0),6)", 6),
+    ("and(0,div(1,0))", EvalError),
+    ("or(1,mod(1,0))", EvalError),
+    ("mul(4611686018427387904,2)", EvalError),
+    ("neg(-9223372036854775808)", EvalError),
+    ("abs(-9223372036854775808)", EvalError),
+    ("neg(18446744073709551616)", EvalError),
+    ("pow(2,-1)", EvalError),
+    ("div(-9223372036854775808,-1)", 2 ** 63),
+])
+def test_lowering_edge_cases(text, expected):
+    tree = ex.parse_functional(text, [])
+    assert lowered_and_evaluated(tree, [0, 0, 0]) == (expected, expected)
+
+
+def test_expression_at_the_nesting_limit_lowers():
+    text = "eq(%sX%s,1)" % ("abs(" * (ex.MAX_DEPTH - 1), ")" * (ex.MAX_DEPTH - 1))
+    tree = ex.substitute(ex.parse_functional(text, ["X"]), ["X"], [ex.VarRef(0)])
+    for x, expected in ((-1, 1), (0, 0), (1, 1)):
+        assert lowered_and_evaluated(tree, [x, 0, 0]) == (expected, expected)

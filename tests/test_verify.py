@@ -1,3 +1,4 @@
+from xcsolve import expr as ex
 from xcsolve import parse_instance, resolve_references, verify_solution
 
 from helpers import TINY_ALLDIFF, instance_xml
@@ -57,6 +58,29 @@ def test_predicate_with_constant_parameter():
     assert not verify_solution(instance, [0])
     assert not verify_solution(instance, [1])
     assert verify_solution(instance, [2])
+
+
+def test_predicates_are_ground_once_per_instance(monkeypatch):
+    calls = []
+    substitute = ex.substitute
+    monkeypatch.setattr(ex, "substitute",
+                        lambda *args: calls.append(1) or substitute(*args))
+
+    def threshold(k):
+        return resolve(instance_xml(
+            [("X", [0, 1, 2]), ("Y", [0, 1, 2])],
+            [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X %d" % k},
+             {"name": "c1", "scope": ["X", "Y"], "reference": "p0"}],
+            predicates=[{"name": "p0", "params": ["A", "B"], "body": "gt(A,B)"}],
+        ))
+
+    above0, above1 = threshold(0), threshold(1)
+    assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
+    assert len(calls) == 2
+    # another instance, then the first again: each is ground afresh
+    assert [verify_solution(above1, [x, 0]) for x in range(3)] == [False, False, True]
+    assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
+    assert len(calls) == 6
 
 
 def test_predicate_defaults_parameters_to_scope():
