@@ -174,6 +174,18 @@ def parse_tuples(text: str, arity: int) -> List[Tuple[int, ...]]:
     order, duplicates preserved."""
     if not text.strip():
         return []
+    # one pass over the whole list when its shape is exact: n groups of
+    # `arity` tokens, the n-1 separators at every (arity+1)-th position
+    tokens = text.replace("|", " | ").split()
+    separators = text.count("|")
+    if (arity > 0 and len(tokens) == (separators + 1) * (arity + 1) - 1
+            and tokens[arity::arity + 1].count("|") == separators):
+        del tokens[arity::arity + 1]
+        try:
+            return list(zip(*[map(int, tokens)] * arity))
+        except ValueError:
+            pass
+    # the per-tuple loop words every error
     tuples = []
     for i, group in enumerate(text.split("|")):
         try:
@@ -332,7 +344,10 @@ def parse_instance(document) -> InstanceModel:
             name = _require_attr(el, "name")
             _unique(name, seen, "domain")
             count = _int_attr(el, "nbValues", required=True)
-            values = parse_integer_set(el.text or "")
+            try:
+                values = parse_integer_set(el.text or "")
+            except FormatError as e:
+                raise FormatError("domain %r: %s" % (name, e)) from None
             if values.size() != count:
                 diag.append(
                     "warning: domain %r declares nbValues=%d but holds %d value(s)"
@@ -377,7 +392,10 @@ def parse_instance(document) -> InstanceModel:
                 raise StructuralError(
                     "relation %r has unknown semantics %r" % (name, semantics)
                 )
-            tuples = parse_tuples(el.text or "", arity)
+            try:
+                tuples = parse_tuples(el.text or "", arity)
+            except FormatError as e:
+                raise FormatError("relation %r: %s" % (name, e)) from None
             declared = _int_attr(el, "nbTuples", required=False)
             if declared is not None and declared != len(tuples):
                 diag.append(
@@ -436,7 +454,10 @@ def parse_instance(document) -> InstanceModel:
         params_el = _child(el, "parameters")
         parameters = None
         if params_el is not None:
-            parameters = _tokenize_params(_parameters_text(params_el))
+            try:
+                parameters = _tokenize_params(_parameters_text(params_el))
+            except FormatError as e:
+                raise FormatError("constraint %r: %s" % (name, e)) from None
         model.constraints.append(ConstraintDef(name, arity, scope, reference, parameters))
     if model.nb_constraints is not None and model.nb_constraints != len(model.constraints):
         diag.append("warning: nbConstraints mismatch")

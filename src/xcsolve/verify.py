@@ -36,15 +36,45 @@ def _term_value(term, values: List[int]) -> int:
     return values[term[1]] if term[0] == "var" else term[1]
 
 
-def _check_global(c: ResolvedConstraint, values: List[int],
-                  element_base: int) -> bool:
+def _prepare(c: ResolvedConstraint):
+    """What checking `c` needs beyond the values: a predicate's ground body,
+    or a global's parameters, parsed as its definition below reads them."""
+    if isinstance(c.ref, PredicateRef):
+        predicate = c.ref.predicate
+        if c.parameters is None:
+            effective = [ex.VarRef(i) for i in c.scope]
+        else:
+            effective = list(c.parameters)
+        return ex.substitute(predicate.body, predicate.formal_params, effective)
     name = c.ref.name
+    if name in ("alldifferent", "not_all_equal"):
+        return scope_vars(c, "[x...]")
+    if name in ("among", "atleast", "atmost"):
+        return parse_counting_params(c, name)
+    if name == "element":
+        return parse_element_params(c)
+    if name == "global_cardinality":
+        return parse_gcc_params(c)
+    if name == "cumulative":
+        return parse_cumulative_params(c)
+    if name == "disjunctive":
+        return parse_disjunctive_params(c)
+    if name == "diffn":
+        return parse_diffn_params(c)
+    if name in ("lex_less", "lex_lesseq"):
+        return parse_lex_params(c)
+    if name == "weightedsum":
+        return parse_weighted_sum_params(c)
+    raise ValueError("unknown global %r" % name)
+
+
+def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
     if name == "alldifferent":
-        vs = [values[v] for v in scope_vars(c, "[x...]")]
+        vs = [values[v] for v in sig]
         return len(set(vs)) == len(vs)
     if name in ("among", "atleast", "atmost"):
-        sig = parse_counting_params(c, name)
-        count = sum(1 for v in sig.vars if values[v] in set(sig.values))
+        counted = set(sig.values)
+        count = sum(1 for v in sig.vars if values[v] in counted)
         if sig.count_var is not None:
             return count == values[sig.count_var]
         if sig.lo is not None and count < sig.lo:
@@ -53,20 +83,17 @@ def _check_global(c: ResolvedConstraint, values: List[int],
             return False
         return True
     if name == "element":
-        sig = parse_element_params(c)
         i = _term_value(sig.index, values) - element_base
         if not (0 <= i < len(sig.table)):
             return False
         return _term_value(sig.table[i], values) == _term_value(sig.value, values)
     if name == "global_cardinality":
-        sig = parse_gcc_params(c)
         for counted, occ in sig.entries:
             count = sum(1 for v in sig.vars if values[v] == counted)
             if count != _term_value(occ, values):
                 return False
         return True
     if name == "cumulative":
-        sig = parse_cumulative_params(c)
         usage = {}
         for origin, duration, height in sig.tasks:
             start = _term_value(origin, values)
@@ -74,7 +101,6 @@ def _check_global(c: ResolvedConstraint, values: List[int],
                 usage[t] = usage.get(t, 0) + height
         return all(h <= sig.capacity for h in usage.values())
     if name == "disjunctive":
-        sig = parse_disjunctive_params(c)
         spans = [(_term_value(o, values), d) for o, d in sig.tasks]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
@@ -83,7 +109,6 @@ def _check_global(c: ResolvedConstraint, values: List[int],
                     return False
         return True
     if name == "diffn":
-        sig = parse_diffn_params(c)
         boxes = [tuple(_term_value(t, values) for t in box) for box in sig.boxes]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
@@ -94,44 +119,34 @@ def _check_global(c: ResolvedConstraint, values: List[int],
                     return False
         return True
     if name in ("lex_less", "lex_lesseq"):
-        sig = parse_lex_params(c)
         xs = tuple(_term_value(t, values) for t in sig.xs)
         ys = tuple(_term_value(t, values) for t in sig.ys)
         return xs < ys if name == "lex_less" else xs <= ys
     if name == "not_all_equal":
-        vs = [values[v] for v in scope_vars(c, "[x...]")]
+        vs = [values[v] for v in sig]
         return len(set(vs)) > 1
-    if name == "weightedsum":
-        sig = parse_weighted_sum_params(c)
-        total = sum(coeff * _term_value(t, values) for coeff, t in sig.terms)
-        return {
-            "eq": total == sig.rhs, "ne": total != sig.rhs,
-            "ge": total >= sig.rhs, "gt": total > sig.rhs,
-            "le": total <= sig.rhs, "lt": total < sig.rhs,
-        }[sig.op]
-    raise ValueError("unknown global %r" % name)
+    assert name == "weightedsum"
+    total = sum(coeff * _term_value(t, values) for coeff, t in sig.terms)
+    return {
+        "eq": total == sig.rhs, "ne": total != sig.rhs,
+        "ge": total >= sig.rhs, "gt": total > sig.rhs,
+        "le": total <= sig.rhs, "lt": total < sig.rhs,
+    }[sig.op]
 
 
-# a weak reference to the instance checked last, and its ground predicate
-# bodies by constraint position: a search checks many solutions of one
+# a weak reference to the instance checked last, and what `_prepare` made
+# for its constraints, by position: a search checks many solutions of one
 # instance, and the cache must not keep a large one alive
-_grounded = (None, {})
+_prepared = (None, {})
 
 
-def _ground(instance: ResolvedInstance, k: int, c: ResolvedConstraint) -> ex.Expr:
-    global _grounded
-    last, bodies = _grounded
+def _prepared_for(instance: ResolvedInstance) -> dict:
+    global _prepared
+    last, entries = _prepared
     if last is None or last() is not instance:
-        bodies = {}
-        _grounded = (weakref.ref(instance), bodies)
-    if k not in bodies:
-        predicate = c.ref.predicate
-        if c.parameters is None:
-            effective = [ex.VarRef(i) for i in c.scope]
-        else:
-            effective = list(c.parameters)
-        bodies[k] = ex.substitute(predicate.body, predicate.formal_params, effective)
-    return bodies[k]
+        entries = {}
+        _prepared = (weakref.ref(instance), entries)
+    return entries
 
 
 def verify_solution(instance: ResolvedInstance, values: List[int],
@@ -142,17 +157,21 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
     if any(v not in d for v, d in zip(values, instance.domains)):
         return False
     assignment = dict(enumerate(values))
+    prepared = _prepared_for(instance)
     for k, c in enumerate(instance.constraints):
         if isinstance(c.ref, RelationRef):
             relation = c.ref.relation
             point = tuple(values[v] for v in c.scope)
             member = point in relation.tuples
             ok = member if relation.semantics == "supports" else not member
-        elif isinstance(c.ref, PredicateRef):
-            ok = ex.satisfied(_ground(instance, k, c), assignment)
         else:
-            assert isinstance(c.ref, GlobalRef)
-            ok = _check_global(c, values, element_base)
+            if k not in prepared:
+                prepared[k] = _prepare(c)
+            if isinstance(c.ref, PredicateRef):
+                ok = ex.satisfied(prepared[k], assignment)
+            else:
+                assert isinstance(c.ref, GlobalRef)
+                ok = _check_global(c.ref.name, prepared[k], values, element_base)
         if not ok:
             return False
     return True

@@ -170,6 +170,33 @@ def test_unknown_operator_names_its_predicate(tmp_path):
     assert err == "error: predicate 'P': unknown operator 'foo'\n"
 
 
+def test_abridged_text_errors_name_their_element(tmp_path):
+    two_relations = instance_xml(
+        [("X", [1, 2]), ("Y", [1, 2])],
+        [{"name": "c0", "scope": ["X", "Y"], "reference": "R0"},
+         {"name": "c1", "scope": ["X", "Y"], "reference": "R1"}],
+        relations=[{"name": "R0", "arity": 2, "semantics": "supports",
+                    "tuples": [(1, 2), (2, 1)]},
+                   {"name": "R1", "arity": 2, "semantics": "supports",
+                    "tuples": [(1, 1), (2,)]}])
+    bad_domain = instance_xml([("X", [1, 2])], []).replace(
+        '"d0" nbValues="2">1 2<', '"D" nbValues="2">1 x<').replace('"d0"', '"D"')
+    bad_parameters = instance_xml(
+        [("X", [0, 1]), ("Y", [0, 1])],
+        [{"name": "sum", "scope": ["X", "Y"], "reference": "global:weightedSum",
+          "parameters": "[ { 1 X } { 1 Y } eq 1"}])
+    cases = [
+        (two_relations, "error: relation 'R1': tuple 1 has 1 value(s), expected arity 2\n"),
+        (bad_domain, "error: domain 'D': bad integer token 'x'\n"),
+        (bad_parameters, "error: constraint 'sum': unbalanced bracket in parameters\n"),
+    ]
+    for xml, message in cases:
+        code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == message
+
+
 def test_wide_not_all_equal_stays_shallow(tmp_path):
     # its disjunction of 999 `ne` must not nest 999 deep
     names = ["X%d" % i for i in range(1000)]

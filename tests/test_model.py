@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcsolve import (
     FormatError,
@@ -68,6 +70,100 @@ def test_tuples_order_and_negatives():
 def test_tuples_arity_mismatch_names_group():
     with pytest.raises(FormatError, match="tuple 1"):
         parse_tuples("1 2|3|4 5", 2)
+
+
+def per_tuple_reference(text, arity):
+    """The tuple-list parser as it was before the bulk pass: one group at a
+    time, which is also how every error is still worded."""
+    if not text.strip():
+        return []
+    tuples = []
+    for i, group in enumerate(text.split("|")):
+        try:
+            values = tuple(int(tok) for tok in group.split())
+        except ValueError:
+            raise FormatError("non-integer value in tuple %d" % i) from None
+        if len(values) != arity:
+            raise FormatError(
+                "tuple %d has %d value(s), expected arity %d" % (i, len(values), arity)
+            )
+        tuples.append(values)
+    return tuples
+
+
+GAPS = ["", " ", "\t", "\n", "\r", "\r\n", " \t "]
+OVER_DIGIT_LIMIT = "9" * 4301
+
+
+@st.composite
+def integer_tokens(draw):
+    value = draw(st.one_of(st.integers(-1000, 1000),
+                           st.sampled_from([2**63, -2**63 - 1, 10**99, -10**4000])))
+    text = str(value)
+    style = draw(st.sampled_from(["plain", "plus", "underscore"]))
+    if style == "plus" and value >= 0:
+        text = "+" + text
+    elif style == "underscore" and abs(value) >= 10:
+        text = text[:-1] + "_" + text[-1]
+    return text
+
+
+@st.composite
+def tuple_lists(draw):
+    """(text, arity): a well-formed list, or one with a single mutation."""
+    arity = draw(st.integers(1, 4))
+    groups = draw(st.lists(st.lists(integer_tokens(), min_size=arity,
+                                    max_size=arity), min_size=1, max_size=6))
+    mutation = draw(st.sampled_from(
+        [None, None, "drop", "extra", "empty group", "leading", "trailing",
+         "double bar", "non-integer", "over digit limit"]))
+    g = draw(st.integers(0, len(groups) - 1))
+    t = draw(st.integers(0, arity - 1))
+    if mutation == "drop":
+        del groups[g][t]
+    elif mutation == "extra":
+        groups[g].insert(t, "7")
+    elif mutation == "non-integer":
+        groups[g][t] = draw(st.sampled_from(["x", "1.5", "0x1", "--1", "1-"]))
+    elif mutation == "over digit limit":
+        groups[g][t] = OVER_DIGIT_LIMIT
+    elif mutation == "empty group":
+        groups.insert(g, [])
+    texts = [draw(st.sampled_from(GAPS[1:])).join(group) for group in groups]
+    if mutation == "double bar":
+        texts.insert(g, "")
+    if mutation == "leading":
+        texts.insert(0, "")
+    if mutation == "trailing":
+        texts.append("")
+    pieces = [draw(st.sampled_from(GAPS)) + text + draw(st.sampled_from(GAPS))
+              for text in texts]
+    return "|".join(pieces), arity
+
+
+def outcome(parse, text, arity):
+    try:
+        return parse(text, arity)
+    except FormatError as e:
+        return "FormatError: %s" % e
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(tuple_lists())
+def test_tuples_match_the_per_tuple_loop(case):
+    text, arity = case
+    got = outcome(parse_tuples, text, arity)
+    assert got == outcome(per_tuple_reference, text, arity)
+    if isinstance(got, list):
+        assert all(type(t) is tuple for t in got)
+
+
+def test_tuples_edge_cases_match_the_per_tuple_loop():
+    cases = [("1 2|3 4", 0), ("1|2", -1), ("|", 1), ("||", 2), ("1 2 3 4", 2),
+             ("1 2 | 3 4 |", 2), ("1 2 3|4", 2), ("1|2 3|4", 2), ("1|2 3 4", 2),
+             (OVER_DIGIT_LIMIT + " 1", 2), ("\u0663 1_0|+5 -0", 2)]
+    for text, arity in cases:
+        assert outcome(parse_tuples, text, arity) == outcome(per_tuple_reference, text, arity)
 
 
 # -- parse_instance -----------------------------------------------------------
@@ -190,6 +286,35 @@ def test_roundtrip_relations_and_predicates():
                      "body": "gt(add(P0,P1),0)"}],
     )
     _roundtrip(xml)
+
+
+def test_roundtrip_keeps_a_long_relation():
+    tuples = [(i % 40, (7 * i) % 40 - 20) for i in range(600)]
+    xml = instance_xml(
+        [("X", list(range(40))), ("Y", list(range(-20, 20)))],
+        [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
+        relations=[{"name": "r0", "arity": 2, "semantics": "supports",
+                    "tuples": tuples}],
+    )
+    model = parse_instance(xml)
+    assert model.relations[0].tuples == tuples
+    again = parse_instance(to_xml(model))
+    assert again == model
+    assert again.relations[0].tuples == tuples
+    assert all(type(t) is tuple for t in again.relations[0].tuples)
+
+
+def test_tuple_count_drift_is_diagnostic_not_error():
+    xml = instance_xml(
+        [("X", [1, 2]), ("Y", [1, 2])],
+        [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
+        relations=[{"name": "r0", "arity": 2, "semantics": "supports",
+                    "tuples": [(1, 2), (2, 1)]}],
+    ).replace('nbTuples="2"', 'nbTuples="3"')
+    model = parse_instance(xml)
+    assert model.diagnostics == [
+        "warning: relation 'r0' declares nbTuples=3 but holds 2"]
+    assert model.relations[0].tuples == [(1, 2), (2, 1)]
 
 
 # -- resolution ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 from xcsolve import expr as ex
+from xcsolve import verify
 from xcsolve import parse_instance, resolve_references, verify_solution
 
 from helpers import TINY_ALLDIFF, instance_xml
@@ -81,6 +82,33 @@ def test_predicates_are_ground_once_per_instance(monkeypatch):
     assert [verify_solution(above1, [x, 0]) for x in range(3)] == [False, False, True]
     assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
     assert len(calls) == 6
+
+
+def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
+    calls = []
+    for name in ("parse_gcc_params", "parse_weighted_sum_params"):
+        parse = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda c, parse=parse: calls.append(c.name) or parse(c))
+
+    def globals_with_rhs(rhs):
+        return resolve(instance_xml(
+            [("X", [1, 2]), ("Y", [1, 2])],
+            [{"name": "gcc", "scope": ["X", "Y"], "reference": "global:global_cardinality",
+              "parameters": "[ X Y ] [ { 1 1 } ]"},
+             {"name": "sum", "scope": ["X", "Y"], "reference": "global:weightedSum",
+              "parameters": "[ { 1 X } { 1 Y } ] eq %d" % rhs}],
+        ))
+
+    points = [[1, 1], [1, 2], [2, 1], [2, 2]]
+    three, four = globals_with_rhs(3), globals_with_rhs(4)
+    assert [verify_solution(three, p) for p in points] == [False, True, True, False]
+    assert calls == ["gcc", "sum"]
+    # the gcc fails [1, 1] and [2, 2] before the sum is reached, so the
+    # second instance's sum is parsed on its first point that passes the gcc
+    assert [verify_solution(four, p) for p in points] == [False, False, False, False]
+    assert [verify_solution(three, p) for p in points] == [False, True, True, False]
+    assert calls == ["gcc", "sum"] * 3
 
 
 def test_predicate_defaults_parameters_to_scope():
