@@ -1,12 +1,13 @@
 """Lower resolved constraints into propagator specifications.
 
 Each constraint becomes one or more `PropagatorSpec`s over dense variable
-indices. Intensional constraints are strength-upgraded when they have a
-recognizable linear shape. Each `{value occurrences}` pair of
-`global_cardinality` becomes an `among`-shaped counter, and `disjunctive`
-a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are decomposed
-into generic expression checks, the other globals get a dedicated
-propagator kind.
+indices. An intensional constraint of a recognizable linear shape, binary
+disequality `ne(X,Y)` included, compiles to a `LinearRel`, as `weightedSum`
+does; other predicates become expression checks. Each `{value occurrences}`
+pair of `global_cardinality` becomes an `among`-shaped counter, and
+`disjunctive` a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are
+decomposed into generic expression checks, the other globals get a
+dedicated propagator kind.
 
 Accepted <parameters> grammar per global (vars may be names, values ints;
 ``{ }`` and ``[ ]`` both group):
@@ -94,7 +95,6 @@ class Problem:
 @dataclass
 class CompileOptions:
     element_base: int = 1  # benchmark corpora index element tables from 1
-    decompose_alldifferent: bool = False  # pairwise-ne baseline, for comparisons
 
 
 # -- parameter shapes ---------------------------------------------------------
@@ -420,20 +420,9 @@ def _recognize_linear(ground: ex.Expr) -> Optional[PropagatorSpec]:
     right = _linear_terms(ground.args[1])
     if left is None or right is None:
         return None
-    coeffs = dict(left[0])
-    for v, c in right[0].items():
-        coeffs[v] = coeffs.get(v, 0) - c
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    rhs = right[1] - left[1]
-    if ground.op == "ne" and rhs == 0 and sorted(coeffs.values()) == [-1, 1]:
-        by_coeff = {c: v for v, c in coeffs.items()}
-        return PropagatorSpec("NotEqual", (by_coeff[1], by_coeff[-1]), {})
-    terms = sorted(coeffs.items())
-    return PropagatorSpec(
-        "LinearRel",
-        tuple(v for v, _ in terms),
-        {"terms": [[v, c] for v, c in terms], "op": ground.op, "rhs": rhs},
-    )
+    terms = [(c, var_term(v)) for v, c in left[0].items()]
+    terms += [(-c, var_term(v)) for v, c in right[0].items()]
+    return linear_spec(terms, ground.op, right[1] - left[1])
 
 
 def linear_spec(terms: Sequence[Tuple[int, Term]], op: str, rhs: int) -> PropagatorSpec:
@@ -507,9 +496,6 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
     name = c.ref.name
     if name == "alldifferent":
         vars_ = scope_vars(c, "(optional) [x1 ... xn]")
-        if options.decompose_alldifferent:
-            return [PropagatorSpec("NotEqual", (x, y), {})
-                    for i, x in enumerate(vars_) for y in vars_[i + 1:]]
         return [PropagatorSpec("AllDifferent", tuple(vars_), {})]
     if name in ("among", "atleast", "atmost"):
         sig = parse_counting_params(c, name)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .errors import EvalError, FormatError
+from .errors import EvalError, FormatError, clip, integer_error
 
 # operator -> arity; the closed XCSP 2.1 functional vocabulary
 OPERATORS: Dict[str, int] = {
@@ -107,19 +107,22 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
             raise FormatError("unexpected end of expression")
         tok = tokens[pos]
         if expected is not None and tok != expected:
-            raise FormatError("expected %r, found %r" % (expected, tok))
+            raise FormatError("expected %r, found %s" % (expected, clip(tok)))
         pos += 1
         return tok
 
     def parse_expr(depth: int) -> Expr:
         tok = take()
         if tok.lstrip("-").isdigit():
-            return IntLiteral(int(tok))
+            try:
+                return IntLiteral(int(tok))
+            except ValueError:
+                raise FormatError(integer_error(tok)) from None
         if tok in "(),":
             raise FormatError("unexpected token %r" % tok)
         if peek() == "(":
             if tok not in OPERATORS:
-                raise FormatError("unknown operator %r" % tok)
+                raise FormatError("unknown operator %s" % clip(tok))
             if depth == MAX_DEPTH:
                 raise FormatError("expression nested deeper than %d operators"
                                   % MAX_DEPTH)
@@ -136,12 +139,13 @@ def parse_functional(text: str, formal_params: Sequence[str]) -> Expr:
                 )
             return Apply(tok, tuple(args))
         if tok not in params:
-            raise FormatError("identifier %r is not a declared parameter" % tok)
+            raise FormatError("identifier %s is not a declared parameter" % clip(tok))
         return Param(tok)
 
     result = parse_expr(0)
     if pos != len(tokens):
-        raise FormatError("trailing tokens after expression: %r" % tokens[pos:])
+        raise FormatError("trailing tokens after expression: %s"
+                          % clip(" ".join(tokens[pos:])))
     return result
 
 

@@ -86,9 +86,6 @@ class IntegerSet:
         for lo, hi in self.ranges:
             yield from range(lo, hi + 1)
 
-    def subset_of(self, other: "IntegerSet") -> bool:
-        return all(v in other for v in self)
-
     def intersects(self, other: "IntegerSet") -> bool:
         return not self.intersect(other).is_empty()
 

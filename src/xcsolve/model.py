@@ -18,6 +18,9 @@ from .errors import (
     StructuralError,
     UnsupportedExtensionError,
     XmlError,
+    clip,
+    integer_error,
+    well_formed_integer,
 )
 from .intset import IntegerSet
 
@@ -156,15 +159,19 @@ def parse_integer_set(text: str) -> IntegerSet:
             try:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
-                raise FormatError("bad range token %r" % token) from None
+                if well_formed_integer(lo_text) and well_formed_integer(hi_text):
+                    raise FormatError("integer in range %s is too large"
+                                      % clip(token)) from None
+                raise FormatError("bad range token %s" % clip(token)) from None
             if lo > hi:
-                raise FormatError("empty range %r (lower bound exceeds upper)" % token)
+                raise FormatError("empty range %s (lower bound exceeds upper)"
+                                  % clip(token))
             intervals.append((lo, hi))
         else:
             try:
                 v = int(token)
             except ValueError:
-                raise FormatError("bad integer token %r" % token) from None
+                raise FormatError(integer_error(token)) from None
             intervals.append((v, v))
     return IntegerSet.from_intervals(intervals)
 
@@ -219,6 +226,8 @@ def _tokenize_params(text: str) -> List[ParamToken]:
             try:
                 stack[-1].append(int(tok))
             except ValueError:
+                if well_formed_integer(tok):
+                    raise FormatError(integer_error(tok)) from None
                 stack[-1].append(tok)
     if len(stack) != 1:
         raise FormatError("unbalanced bracket in parameters")
@@ -257,7 +266,8 @@ def _int_attr(el, attr: str, required: bool) -> Optional[int]:
     try:
         return int(value)
     except ValueError:
-        raise StructuralError("attribute %s=%r is not an integer" % (attr, value)) from None
+        problem = "is too large" if well_formed_integer(value) else "is not an integer"
+        raise StructuralError("attribute %s=%s %s" % (attr, clip(value), problem)) from None
 
 
 def _child(root, tag: str):
@@ -566,7 +576,8 @@ def _resolve_params(tokens: List[ParamToken], var_index: Dict[str, int],
                 out.append(tok)
             else:
                 raise ResolutionError(
-                    "%s: parameter token %r names no declared variable" % (context, tok)
+                    "%s: parameter token %s names no declared variable"
+                    % (context, clip(tok))
                 )
         else:
             out.append(tok)
@@ -601,7 +612,8 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
         for var_name in c.scope:
             if var_name not in var_index:
                 raise ResolutionError(
-                    "constraint %r references undeclared variable %r" % (c.name, var_name)
+                    "constraint %r references undeclared variable %s"
+                    % (c.name, clip(var_name))
                 )
             idx = var_index[var_name]
             if idx in scope:

@@ -51,9 +51,6 @@ class Propagator:
     def __init__(self, spec: PropagatorSpec):
         self.spec = spec
 
-    def vars(self) -> Tuple[int, ...]:
-        return self.spec.scope
-
     def prune(self, store: DomainStore) -> str:
         raise NotImplementedError
 
@@ -122,24 +119,9 @@ class TableConflictsProp(Propagator):
         return OK
 
 
-class NotEqualProp(Propagator):
-    def prune(self, store):
-        x, y = self.spec.scope
-        if store.assigned(x) and store.assigned(y):
-            return FAILED if store.value(x) == store.value(y) else SUBSUMED
-        if store.assigned(x):
-            store.remove_value(y, store.value(x))
-            return FAILED if store.failed else SUBSUMED
-        if store.assigned(y):
-            store.remove_value(x, store.value(y))
-            return FAILED if store.failed else SUBSUMED
-        if not store.domain(x).intersects(store.domain(y)):
-            return SUBSUMED
-        return OK
-
-
 class LinearRelProp(Propagator):
-    """Bounds-consistent filtering of sum(c_i * x_i) RELOP rhs."""
+    """sum(c_i * x_i) RELOP rhs: bounds consistency for `eq` and the
+    orderings; `ne`, binary disequality included, prunes its last free term."""
 
     def prune(self, store):
         terms = self.spec.data["terms"]
@@ -203,23 +185,25 @@ class LinearRelProp(Propagator):
             return SUBSUMED
         return OK
 
-    def _ne(self, store, terms, rhs):
-        smin, smax = self._bounds(store, terms)
-        if smin == smax:
-            return FAILED if smin == rhs else SUBSUMED
-        if rhs < smin or rhs > smax:
-            return SUBSUMED
-        unassigned = [(v, c) for v, c in terms if not store.assigned(v)]
-        if len(unassigned) == 1:
-            v, c = unassigned[0]
-            fixed = sum(c2 * store.value(v2) for v2, c2 in terms if v2 != v)
-            need = rhs - fixed
-            if need % c == 0:
-                store.remove_value(v, need // c)
-                if store.failed:
-                    return FAILED
-            return SUBSUMED
-        return OK
+    @staticmethod
+    def _ne(store, terms, rhs):
+        free = None  # the one unfixed term
+        for v, c in terms:
+            d = store.domain(v)
+            if d.is_singleton():
+                rhs -= c * d.min_value()
+            elif free is None:
+                free = v, c
+            else:
+                return OK
+        if free is None:
+            return FAILED if rhs == 0 else SUBSUMED
+        v, c = free
+        if rhs % c == 0:
+            store.remove_value(v, rhs // c)
+            if store.failed:
+                return FAILED
+        return SUBSUMED
 
 
 class AllDifferentProp(Propagator):
@@ -539,7 +523,6 @@ class ExprCheckProp(Propagator):
 PROPAGATOR_CLASSES = {
     "TableSupports": TableSupportsProp,
     "TableConflicts": TableConflictsProp,
-    "NotEqual": NotEqualProp,
     "LinearRel": LinearRelProp,
     "AllDifferent": AllDifferentProp,
     "Among": CountingProp,

@@ -76,7 +76,7 @@ class Engine:
         self.degrees = [0] * len(problem.domains)
         for k, p in enumerate(self.props):
             lists = self.fix_watchers if p.fix_only else self.watchers
-            for v in p.vars():
+            for v in p.spec.scope:
                 lists[v].append(k)
                 self.degrees[v] += 1
         self.active = [True] * len(self.props)
@@ -88,8 +88,9 @@ class Engine:
         """Run propagators until fixpoint; returns False exactly on failure.
 
         `seeds` are the propagators to run first; None wakes every active
-        one. A propagator runs again whenever a variable it watches changes,
-        or, for a fix watcher, becomes fixed.
+        one. A propagator runs whenever a variable it watches has changed
+        since the last call, a decision included, or, for a fix watcher,
+        has become fixed.
         """
         store, active = self.store, self.active
         watchers, fix_watchers = self.watchers, self.fix_watchers
@@ -104,8 +105,17 @@ class Engine:
             if active[k] and not queued[k]:
                 queue.append(k)
                 queued[k] = True
-        store.drain_changed()
-        while queue:
+        while True:
+            for v in store.drain_changed():
+                woken = watchers[v]
+                if fix_watchers[v] and store.assigned(v):
+                    woken = woken + fix_watchers[v]
+                for watcher in woken:
+                    if active[watcher] and not queued[watcher]:
+                        queue.append(watcher)
+                        queued[watcher] = True
+            if not queue:
+                return True
             k = queue.popleft()
             queued[k] = False
             if not active[k]:
@@ -118,25 +128,6 @@ class Engine:
             if outcome == SUBSUMED:
                 # subsumption is search state, trailed with the domains
                 store.save(active, k, False)
-            for v in store.drain_changed():
-                woken = watchers[v]
-                if fix_watchers[v] and store.assigned(v):
-                    woken = woken + fix_watchers[v]
-                for watcher in woken:
-                    if active[watcher] and not queued[watcher]:
-                        queue.append(watcher)
-                        queued[watcher] = True
-        return True
-
-    def _decide(self) -> bool:
-        """Propagate a decision: wake the watchers of what it changed."""
-        store, fix_watchers = self.store, self.fix_watchers
-        seeds = []
-        for v in store.changed:
-            seeds += self.watchers[v]
-            if fix_watchers[v] and store.assigned(v):
-                seeds += fix_watchers[v]
-        return self.propagate_fixpoint(seeds)
 
     # -- search -----------------------------------------------------------
 
@@ -190,7 +181,7 @@ class Engine:
                 stats.nodes += 1
                 stats.peak_depth = max(stats.peak_depth, len(decisions))
                 self.store.remove_value(var, value)
-                failed = not self._decide()
+                failed = not self.propagate_fixpoint(())
                 continue
             if budget_exceeded():
                 complete = False
@@ -201,7 +192,7 @@ class Engine:
             stats.nodes += 1
             stats.peak_depth = max(stats.peak_depth, len(decisions))
             self.store.assign(var, value)
-            failed = not self._decide()
+            failed = not self.propagate_fixpoint(())
 
         # unwind so the store returns to its root state
         while decisions:

@@ -10,7 +10,7 @@ of a table) goes on a second trail through `save`, restored by the same
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from .intset import IntegerSet
 
@@ -36,10 +36,6 @@ class DomainStore:
 
     def value(self, i: int) -> int:
         return self._domains[i].value()
-
-    def value_or_none(self, i: int) -> Optional[int]:
-        d = self._domains[i]
-        return d.value() if d.is_singleton() else None
 
     # -- updates ----------------------------------------------------------
 
@@ -79,7 +75,7 @@ class DomainStore:
 
     def save(self, owner, key, value):
         """Set `owner[key] = value` until the matching undo. `owner` is any
-        list or dict: the engine's active flags, a propagator's `vars()`."""
+        list or dict: the engine's active flags, `vars(propagator)`."""
         self._saved.append((owner, key, owner[key]))
         owner[key] = value
 

@@ -126,13 +126,20 @@ def summarize(xml_text: str, element_base: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pigeonhole_xml(n: int) -> str:
-    """n+1 variables over {1..n} under one alldifferent constraint."""
+def pigeonhole_xml(n: int, pairwise: bool = False) -> str:
+    """n+1 variables over {1..n} under one alldifferent constraint, or,
+    `pairwise`, under one `ne(A,B)` predicate per pair of variables."""
     variables = [("V%d" % i, list(range(1, n + 1))) for i in range(n + 1)]
     scope = [name for name, _ in variables]
-    return instance_xml(variables, [{
-        "name": "c0", "scope": scope, "reference": "global:alldifferent",
-    }])
+    if not pairwise:
+        return instance_xml(variables, [{
+            "name": "c0", "scope": scope, "reference": "global:alldifferent",
+        }])
+    constraints = [{"name": "c%d_%d" % (i, j), "scope": [x, y], "reference": "ne",
+                    "parameters": "%s %s" % (x, y)}
+                   for i, x in enumerate(scope) for j, y in enumerate(scope) if i < j]
+    return instance_xml(variables, constraints, predicates=[
+        {"name": "ne", "params": ["A", "B"], "body": "ne(A,B)"}])
 
 
 def queens_xml(n: int) -> str:

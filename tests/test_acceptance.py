@@ -10,7 +10,6 @@ import time
 
 from xcsolve import Engine, compile_instance, parse_instance, resolve_references
 from xcsolve.cli import EXIT_ERROR, EXIT_OK, RunConfig, run
-from xcsolve.compiler import CompileOptions
 from xcsolve.expr import OPERATORS
 from xcsolve.search import search_all
 
@@ -100,10 +99,8 @@ def test_criterion_4_pigeonhole():
         resolved = resolve_references(parse_instance(pigeonhole_xml(n)))
         result = search_all(compile_instance(resolved))
         ok = ok and result.complete and result.solutions == []
-    resolved = resolve_references(parse_instance(pigeonhole_xml(6)))
-    native = search_all(compile_instance(resolved))
-    decomposed = search_all(compile_instance(
-        resolved, CompileOptions(decompose_alldifferent=True)))
+    native = search_all(load(pigeonhole_xml(6))[1])
+    decomposed = search_all(load(pigeonhole_xml(6, pairwise=True))[1])
     ok = ok and decomposed.complete and decomposed.solutions == []
     ok = ok and native.stats.nodes < decomposed.stats.nodes
     report(4, "pigeonhole unsatisfiable, global beats decomposition", ok)

@@ -14,7 +14,7 @@ from xcsolve.cli import (
     EXIT_UNKNOWN,
     RunConfig,
 )
-
+from xcsolve.errors import CLIP
 from xcsolve.expr import MAX_DEPTH
 
 from helpers import TINY_ALLDIFF, instance_xml, pigeonhole_xml
@@ -195,6 +195,60 @@ def test_abridged_text_errors_name_their_element(tmp_path):
         assert code == EXIT_ERROR
         assert out == ""
         assert err == message
+
+
+HUGE = "9" * 5000  # over the interpreter's 4,300-digit limit for int()
+ONE_VARIABLE = instance_xml([("X", [0, 1])], [])
+CLIPPED = "'%s'... (5000 characters)" % HUGE[:CLIP]
+
+
+@pytest.mark.parametrize("xml, message", [
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X"}],
+                  predicates=[{"name": "p0", "params": ["A"], "body": "eq(A,%s)" % HUGE}]),
+     "predicate 'p0': integer %s is too large" % CLIPPED),
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": ["X"], "reference": "global:atmost",
+                    "parameters": "%s [ X ] 1" % HUGE}]),
+     "constraint 'c0': integer %s is too large" % CLIPPED),
+    (ONE_VARIABLE.replace(">0 1<", ">1 %s<" % HUGE),
+     "domain 'd0': integer %s is too large" % CLIPPED),
+    (ONE_VARIABLE.replace(">0 1<", ">0..%s<" % HUGE),
+     "domain 'd0': integer in range '0..%s'... (5003 characters) is too large"
+     % HUGE[:CLIP - 3]),
+    (ONE_VARIABLE.replace('nbValues="2"', 'nbValues="%s"' % HUGE),
+     "attribute nbValues=%s is too large" % CLIPPED),
+], ids=["predicate", "parameters", "domain", "range", "attribute"])
+def test_too_large_integer_is_one_short_error_line(tmp_path, xml, message):
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: %s\n" % message
+    assert len(err) < 2 * CLIP + 80
+
+
+LONG = "N" * 5000
+LONG_CLIPPED = "'%s'... (5000 characters)" % LONG[:CLIP]
+
+
+@pytest.mark.parametrize("xml, message", [
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": ["X"], "reference": "global:atmost",
+                    "parameters": "1 [ %s ] 1" % LONG}]),
+     "constraint 'c0': parameter token %s names no declared variable" % LONG_CLIPPED),
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": [LONG], "reference": "global:alldifferent"}]),
+     "constraint 'c0' references undeclared variable %s" % LONG_CLIPPED),
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X"}],
+                  predicates=[{"name": "p0", "params": ["A"], "body": "eq(A,%s)" % LONG}]),
+     "predicate 'p0': identifier %s is not a declared parameter" % LONG_CLIPPED),
+], ids=["parameters", "scope", "predicate"])
+def test_long_names_are_clipped_in_errors(tmp_path, xml, message):
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_wide_not_all_equal_stays_shallow(tmp_path):

@@ -1,10 +1,12 @@
+import pathlib
 import random
 
 import pytest
 
 from xcsolve import CompileError, compile_instance
-from xcsolve.compiler import CompileOptions, PropagatorSpec
+from xcsolve.compiler import PropagatorSpec
 from xcsolve.intset import IntegerSet
+from xcsolve.propagators import PROPAGATOR_CLASSES
 from xcsolve.search import search_all
 
 from helpers import TINY_ALLDIFF, brute_force, instance_xml, load
@@ -17,6 +19,16 @@ def test_tiny_alldiff_instance_compiles_to_one_alldifferent():
     [spec] = problem.propagators
     assert spec.kind == "AllDifferent"
     assert spec.scope == (0, 1)
+
+
+def test_corpus_reaches_every_propagator_kind():
+    # a kind that no input compiles to is dead code
+    emitted = set()
+    for path in (pathlib.Path(__file__).parent / "corpus").glob("*.xml"):
+        if not path.name.startswith("reject_"):
+            _, problem = load(path.read_text())
+            emitted.update(spec.kind for spec in problem.propagators)
+    assert emitted == set(PROPAGATOR_CLASSES)
 
 
 def test_zero_constraints():
@@ -91,13 +103,14 @@ def _intension(body, params, variables, scope, effective):
     )
 
 
-def test_ne_upgrades_to_notequal():
+def test_ne_upgrades_to_linearrel():
     xml = _intension("ne(P0,P1)", ["P0", "P1"],
-                     [("X", [1, 2]), ("Y", [1, 2])], ["X", "Y"], "X Y")
+                     [("X", [1, 2]), ("Y", [1, 2])], ["X", "Y"], "Y X")
     _, problem = load(xml)
     [spec] = problem.propagators
-    assert spec.kind == "NotEqual"
-    assert set(spec.scope) == {0, 1}
+    assert spec.kind == "LinearRel"
+    assert spec.scope == (0, 1)
+    assert spec.data == {"terms": [[0, -1], [1, 1]], "op": "ne", "rhs": 0}
 
 
 def test_linear_sum_upgrades_to_linearrel():
@@ -147,16 +160,6 @@ def test_predicate_arity_mismatch_is_compile_error():
 
 
 # -- globals ------------------------------------------------------------------
-
-
-def test_alldifferent_decomposition_option():
-    _, problem = load(TINY_ALLDIFF)
-    from xcsolve import parse_instance, resolve_references
-    resolved = resolve_references(parse_instance(TINY_ALLDIFF))
-    decomposed = compile_instance(
-        resolved, CompileOptions(decompose_alldifferent=True))
-    assert [s.kind for s in decomposed.propagators] == ["NotEqual"]
-    assert problem.propagators[0].kind == "AllDifferent"
 
 
 def test_not_all_equal_single_variable_rejected():

@@ -1,7 +1,7 @@
-"""Differential test on random multi-constraint instances: supports tables,
-predicates and alldifferent over overlapping scopes, so that one
-propagator's pruning wakes another and table reductions are undone on
-backtracking. The engine must find exactly the brute-force solution set,
+"""Differential test on random multi-constraint instances: supports and
+conflicts tables, predicates and alldifferent over overlapping scopes, so
+that one propagator's pruning wakes another and table reductions are undone
+on backtracking. The engine must find exactly the brute-force solution set,
 and every solution must pass the oracle."""
 
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from helpers import brute_force, instance_xml, load
 VALUES = range(4)
 
 PREDICATES = {
-    2: ["lt(P0,P1)", "ne(add(P0,1),P1)", "eq(abs(sub(P0,P1)),1)",
+    2: ["ne(P0,P1)", "lt(P0,P1)", "ne(add(P0,1),P1)", "eq(abs(sub(P0,P1)),1)",
         "or(eq(P0,P1),gt(P0,2))", "ne(mod(add(P0,P1),3),0)"],
     3: ["le(add(P0,P1),P2)", "ne(mul(P0,P1),P2)",
         "or(lt(P0,P1),eq(P1,P2))", "eq(max(P0,P1),P2)"],
@@ -36,18 +36,20 @@ def instances(draw):
 
     constraints, relations, predicates = [], [], []
     for c in range(draw(st.integers(2, 5))):
-        family = draw(st.sampled_from(["supports", "predicate", "alldifferent"]))
+        family = draw(st.sampled_from(
+            ["supports", "conflicts", "predicate", "alldifferent"]))
         name = "c%d" % c
-        if family == "supports":
+        if family in ("supports", "conflicts"):
             vs = scope(2, 3)
-            same_arity = [r for r in relations if r["arity"] == len(vs)]
-            if same_arity and draw(st.booleans()):
-                relation = draw(st.sampled_from(same_arity))
+            same_shape = [r for r in relations
+                          if r["arity"] == len(vs) and r["semantics"] == family]
+            if same_shape and draw(st.booleans()):
+                relation = draw(st.sampled_from(same_shape))
             else:
                 tuples = draw(st.lists(
                     st.tuples(*[st.sampled_from(VALUES)] * len(vs)), max_size=20))
                 relation = {"name": "r%d" % len(relations), "arity": len(vs),
-                            "semantics": "supports", "tuples": tuples}
+                            "semantics": family, "tuples": tuples}
                 relations.append(relation)
             constraints.append({"name": name, "scope": vs,
                                 "reference": relation["name"]})

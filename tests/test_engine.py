@@ -4,7 +4,7 @@ import pytest
 
 from xcsolve import BranchStrategy, Engine, search_all, search_first, verify_solution
 from xcsolve import expr as ex
-from xcsolve.compiler import Problem, PropagatorSpec
+from xcsolve.compiler import Problem, PropagatorSpec, linear_spec, var_term
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import FAILED, SUBSUMED, build_propagator
 from xcsolve.store import DomainStore
@@ -15,6 +15,10 @@ from helpers import (TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_x
 
 def iset(*values):
     return IntegerSet.from_values(values)
+
+
+def not_equal(x, y):
+    return linear_spec([(1, var_term(x)), (-1, var_term(y))], "ne", 0)
 
 
 # -- domain store -------------------------------------------------------------
@@ -115,7 +119,7 @@ def test_fixpoint_idempotent():
     specs = [
         PropagatorSpec("LinearRel", (0, 1),
                        {"terms": [[0, 1], [1, 1]], "op": "eq", "rhs": 5}),
-        PropagatorSpec("NotEqual", (1, 2), {}),
+        not_equal(1, 2),
     ]
     problem = Problem(["X", "Y", "Z"],
                       [iset(0, 1, 2, 3), iset(0, 1, 2, 3), iset(3)], specs)
@@ -127,7 +131,7 @@ def test_fixpoint_idempotent():
 
 
 def test_subsumed_propagator_reactivates_on_backtrack():
-    spec = PropagatorSpec("NotEqual", (0, 1), {})
+    spec = not_equal(0, 1)
     problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
     engine = Engine(problem)
     engine.store.push()
@@ -218,8 +222,7 @@ def test_min_dom_heuristic_picks_smallest_domain():
 
 
 def test_max_deg_heuristic_prefers_constrained_variable():
-    specs = [PropagatorSpec("NotEqual", (1, 2), {}),
-             PropagatorSpec("NotEqual", (1, 0), {})]
+    specs = [not_equal(1, 2), not_equal(1, 0)]
     problem = Problem(["X", "Y", "Z"],
                       [iset(1, 2), iset(1, 2), iset(1, 2)], specs)
     engine = Engine(problem, BranchStrategy(var_heuristic="max-deg"))
@@ -294,8 +297,7 @@ def test_table_reduction_is_undone_on_backtrack():
 
 
 def test_decision_wakes_only_watchers_of_the_changed_variable():
-    specs = [PropagatorSpec("NotEqual", (0, 1), {}),
-             PropagatorSpec("NotEqual", (2, 3), {})]
+    specs = [not_equal(0, 1), not_equal(2, 3)]
     problem = Problem(["W", "X", "Y", "Z"], [iset(1, 2, 3)] * 4, specs)
     result = search_first(problem)
     assert result.solutions == [[1, 2, 1, 2]]

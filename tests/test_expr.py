@@ -42,6 +42,15 @@ def test_parse_unknown_operator():
         ex.parse_functional("frob(X0,X1)", ["X0", "X1"])
 
 
+def test_parse_digit_tokens_that_int_refuses():
+    # a superscript counts as a digit to the tokenizer but not to int()
+    with pytest.raises(FormatError, match=r"^bad integer token '²'$"):
+        ex.parse_functional("eq(X0,²)", ["X0"])
+    with pytest.raises(FormatError, match=r"^integer '-9{39}'\.\.\. \(5000 characters\) "
+                                          r"is too large$"):
+        ex.parse_functional("eq(X0,-%s)" % ("9" * 4999), ["X0"])
+
+
 def test_parse_wrong_arity():
     with pytest.raises(FormatError, match="expects 2"):
         ex.parse_functional("add(X0)", ["X0"])

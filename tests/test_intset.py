@@ -59,7 +59,6 @@ def test_random_against_python_sets():
         assert set(a.intersect(b)) == xs & ys
         assert set(a.union(b)) == xs | ys
         assert set(a.difference(b)) == xs - ys
-        assert a.subset_of(b) == (xs <= ys)
         # re-canonicalizing is the identity
         assert IntegerSet.from_intervals(a.ranges) == a
 
