@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
-from .errors import CompileError
+from .errors import CompileError, clip
 from .intset import IntegerSet
 from .model import (
     GlobalRef,
@@ -102,8 +102,8 @@ class CompileOptions:
 
 def _fail(c: ResolvedConstraint, message: str, signature: str):
     raise CompileError(
-        "constraint %r (%s): %s; expected parameters: %s"
-        % (c.name, _ref_name(c), message, signature)
+        "constraint %s (%s): %s; expected parameters: %s"
+        % (clip(c.name), _ref_name(c), message, signature)
     )
 
 
@@ -111,8 +111,8 @@ def _ref_name(c: ResolvedConstraint) -> str:
     if isinstance(c.ref, GlobalRef):
         return "global:" + c.ref.name
     if isinstance(c.ref, RelationRef):
-        return c.ref.relation.name
-    return c.ref.predicate.name
+        return clip(c.ref.relation.name)
+    return clip(c.ref.predicate.name)
 
 
 def _as_term(tok: ParamToken) -> Optional[Term]:
@@ -465,7 +465,7 @@ def compile_intension(c: ResolvedConstraint, predicate) -> PropagatorSpec:
     try:
         ground = ex.substitute(predicate.body, predicate.formal_params, effective)
     except ex.EvalError as e:
-        raise CompileError("constraint %r: %s" % (c.name, e)) from None
+        raise CompileError("constraint %s: %s" % (clip(c.name), e)) from None
     upgraded = _recognize_linear(ground)
     if upgraded is not None:
         return upgraded
@@ -563,8 +563,8 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
         vars_ = scope_vars(c, "(optional) [x1 ... xn]")
         if len(vars_) < 2:
             raise CompileError(
-                "constraint %r: not_all_equal needs at least 2 variables, got %d"
-                % (c.name, len(vars_))
+                "constraint %s: not_all_equal needs at least 2 variables, got %d"
+                % (clip(c.name), len(vars_))
             )
         parts = [ex.Apply("ne", (ex.VarRef(vars_[0]), ex.VarRef(v)))
                  for v in vars_[1:]]
@@ -572,7 +572,7 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
     if name == "weightedsum":
         sig = parse_weighted_sum_params(c)
         return [linear_spec(sig.terms, sig.op, sig.rhs)]
-    raise CompileError("unsupported global constraint %r" % name)
+    raise CompileError("unsupported global constraint %s" % clip(name))
 
 
 def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
@@ -608,10 +608,10 @@ def compile_instance(instance: ResolvedInstance,
         except CompileError:
             raise
         except Exception as e:  # surface the constraint name on any lowering bug
-            raise CompileError("constraint %r: %s" % (c.name, e)) from e
+            raise CompileError("constraint %s: %s" % (clip(c.name), e)) from e
         n = len(problem.domains)
         for spec in specs:
             if any(not (0 <= v < n) for v in spec.scope):
-                raise CompileError("constraint %r: scope index out of range" % c.name)
+                raise CompileError("constraint %s: scope index out of range" % clip(c.name))
         problem.propagators.extend(specs)
     return problem

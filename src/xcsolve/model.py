@@ -195,15 +195,17 @@ def parse_tuples(text: str, arity: int) -> List[Tuple[int, ...]]:
     # the per-tuple loop words every error
     tuples = []
     for i, group in enumerate(text.split("|")):
-        try:
-            values = tuple(int(tok) for tok in group.split())
-        except ValueError:
-            raise FormatError("non-integer value in tuple %d" % i) from None
+        values = []
+        for tok in group.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise FormatError("tuple %d: %s" % (i, integer_error(tok))) from None
         if len(values) != arity:
             raise FormatError(
                 "tuple %d has %d value(s), expected arity %d" % (i, len(values), arity)
             )
-        tuples.append(values)
+        tuples.append(tuple(values))
     return tuples
 
 
@@ -248,7 +250,7 @@ def _check_attrs(el, diagnostics: List[str]):
     for attr in el.attrib:
         if attr not in known:
             diagnostics.append(
-                "warning: ignoring unknown attribute %r on <%s>" % (attr, _local(el.tag))
+                "warning: ignoring unknown attribute %s on <%s>" % (clip(attr), _local(el.tag))
             )
 
 
@@ -296,7 +298,7 @@ def _reject_extensions(root):
         kind = presentation.get("type")
         if kind is not None and kind.upper() != "CSP":
             raise UnsupportedExtensionError(
-                "unsupported extension: instance type %r (only CSP is supported)" % kind
+                "unsupported extension: instance type %s (only CSP is supported)" % clip(kind)
             )
     for el in root.iter():
         tag = _local(el.tag)
@@ -306,13 +308,13 @@ def _reject_extensions(root):
             )
         if tag == "relation" and el.get("semantics") == "soft":
             raise UnsupportedExtensionError(
-                "unsupported extension: soft relation %r" % el.get("name")
+                "unsupported extension: soft relation %s" % clip(el.get("name", ""))
             )
 
 
 def _unique(name: str, seen: set, section: str):
     if name in seen:
-        raise StructuralError("duplicate %s name %r" % (section, name))
+        raise StructuralError("duplicate %s name %s" % (section, clip(name)))
     seen.add(name)
 
 
@@ -357,11 +359,11 @@ def parse_instance(document) -> InstanceModel:
             try:
                 values = parse_integer_set(el.text or "")
             except FormatError as e:
-                raise FormatError("domain %r: %s" % (name, e)) from None
+                raise FormatError("domain %s: %s" % (clip(name), e)) from None
             if values.size() != count:
                 diag.append(
-                    "warning: domain %r declares nbValues=%d but holds %d value(s)"
-                    % (name, count, values.size())
+                    "warning: domain %s declares nbValues=%d but holds %d value(s)"
+                    % (clip(name), count, values.size())
                 )
             model.domains.append(DomainDef(name, values, count))
         if model.nb_domains != len(model.domains):
@@ -400,17 +402,17 @@ def parse_instance(document) -> InstanceModel:
             semantics = _require_attr(el, "semantics")
             if semantics not in ("supports", "conflicts"):
                 raise StructuralError(
-                    "relation %r has unknown semantics %r" % (name, semantics)
+                    "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
                 )
             try:
                 tuples = parse_tuples(el.text or "", arity)
             except FormatError as e:
-                raise FormatError("relation %r: %s" % (name, e)) from None
+                raise FormatError("relation %s: %s" % (clip(name), e)) from None
             declared = _int_attr(el, "nbTuples", required=False)
             if declared is not None and declared != len(tuples):
                 diag.append(
-                    "warning: relation %r declares nbTuples=%d but holds %d"
-                    % (name, declared, len(tuples))
+                    "warning: relation %s declares nbTuples=%d but holds %d"
+                    % (clip(name), declared, len(tuples))
                 )
             model.relations.append(RelationDef(name, arity, semantics, tuples))
         if model.nb_relations is not None and model.nb_relations != len(model.relations):
@@ -427,18 +429,18 @@ def parse_instance(document) -> InstanceModel:
             _unique(name, seen, "predicate")
             params_el = _child(el, "parameters")
             if params_el is None:
-                raise StructuralError("predicate %r is missing <parameters>" % name)
+                raise StructuralError("predicate %s is missing <parameters>" % clip(name))
             formals = _parse_formal_params(name, params_el.text or "")
             expression_el = _child(el, "expression")
             functional_el = _child(expression_el, "functional") if expression_el is not None else None
             if functional_el is None:
                 raise StructuralError(
-                    "predicate %r is missing <expression><functional>" % name
+                    "predicate %s is missing <expression><functional>" % clip(name)
                 )
             try:
                 body = ex.parse_functional(functional_el.text or "", formals)
             except FormatError as e:
-                raise FormatError("predicate %r: %s" % (name, e)) from None
+                raise FormatError("predicate %s: %s" % (clip(name), e)) from None
             model.predicates.append(PredicateDef(name, formals, body))
         if model.nb_predicates is not None and model.nb_predicates != len(model.predicates):
             diag.append("warning: nbPredicates mismatch")
@@ -457,8 +459,8 @@ def parse_instance(document) -> InstanceModel:
         scope = _require_attr(el, "scope").split()
         if len(scope) != arity:
             raise StructuralError(
-                "constraint %r: scope has %d variable(s) but arity=%d"
-                % (name, len(scope), arity)
+                "constraint %s: scope has %d variable(s) but arity=%d"
+                % (clip(name), len(scope), arity)
             )
         reference = _require_attr(el, "reference")
         params_el = _child(el, "parameters")
@@ -467,7 +469,7 @@ def parse_instance(document) -> InstanceModel:
             try:
                 parameters = _tokenize_params(_parameters_text(params_el))
             except FormatError as e:
-                raise FormatError("constraint %r: %s" % (name, e)) from None
+                raise FormatError("constraint %s: %s" % (clip(name), e)) from None
         model.constraints.append(ConstraintDef(name, arity, scope, reference, parameters))
     if model.nb_constraints is not None and model.nb_constraints != len(model.constraints):
         diag.append("warning: nbConstraints mismatch")
@@ -478,16 +480,16 @@ def parse_instance(document) -> InstanceModel:
 def _parse_formal_params(pred_name: str, text: str) -> List[str]:
     tokens = text.split()
     if len(tokens) % 2 != 0:
-        raise StructuralError("predicate %r: malformed formal parameter list" % pred_name)
+        raise StructuralError("predicate %s: malformed formal parameter list" % clip(pred_name))
     formals = []
     for type_name, param in zip(tokens[::2], tokens[1::2]):
         if type_name != "int":
             raise StructuralError(
-                "predicate %r: unsupported parameter type %r" % (pred_name, type_name)
+                "predicate %s: unsupported parameter type %s" % (clip(pred_name), clip(type_name))
             )
         if param in formals:
             raise StructuralError(
-                "predicate %r: duplicate formal parameter %r" % (pred_name, param)
+                "predicate %s: duplicate formal parameter %s" % (clip(pred_name), clip(param))
             )
         formals.append(param)
     return formals
@@ -599,7 +601,7 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
     for i, v in enumerate(model.variables):
         if v.domain_ref not in domain_by_name:
             raise ResolutionError(
-                "variable %r references undeclared domain %r" % (v.name, v.domain_ref)
+                "variable %s references undeclared domain %s" % (clip(v.name), clip(v.domain_ref))
             )
         var_index[v.name] = i
         names.append(v.name)
@@ -612,13 +614,14 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
         for var_name in c.scope:
             if var_name not in var_index:
                 raise ResolutionError(
-                    "constraint %r references undeclared variable %s"
-                    % (c.name, clip(var_name))
+                    "constraint %s references undeclared variable %s"
+                    % (clip(c.name), clip(var_name))
                 )
             idx = var_index[var_name]
             if idx in scope:
                 raise ResolutionError(
-                    "constraint %r repeats variable %r in its scope" % (c.name, var_name)
+                    "constraint %s repeats variable %s in its scope"
+                    % (clip(c.name), clip(var_name))
                 )
             scope.append(idx)
 
@@ -627,30 +630,30 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
             global_name = c.reference[len("global:"):].strip().lower()
             if global_name not in SUPPORTED_GLOBALS:
                 raise ResolutionError(
-                    "unsupported global constraint %r; supported: %s"
-                    % (global_name, ", ".join(SUPPORTED_GLOBALS))
+                    "unsupported global constraint %s; supported: %s"
+                    % (clip(global_name), ", ".join(SUPPORTED_GLOBALS))
                 )
             ref = GlobalRef(global_name)
         elif c.reference in relation_by_name:
             relation = relation_by_name[c.reference]
             if relation.arity != c.arity:
                 raise ResolutionError(
-                    "constraint %r has arity %d but relation %r has arity %d"
-                    % (c.name, c.arity, relation.name, relation.arity)
+                    "constraint %s has arity %d but relation %s has arity %d"
+                    % (clip(c.name), c.arity, clip(relation.name), relation.arity)
                 )
             ref = RelationRef(relation)
         elif c.reference in predicate_by_name:
             ref = PredicateRef(predicate_by_name[c.reference])
         else:
             raise ResolutionError(
-                "constraint %r references unknown relation/predicate %r"
-                % (c.name, c.reference)
+                "constraint %s references unknown relation/predicate %s"
+                % (clip(c.name), clip(c.reference))
             )
 
         parameters = None
         if c.parameters is not None:
             parameters = _resolve_params(c.parameters, var_index,
-                                         "constraint %r" % c.name)
+                                         "constraint %s" % clip(c.name))
         constraints.append(ResolvedConstraint(c.name, scope, ref, parameters))
 
     return ResolvedInstance(names, domains, constraints,

@@ -342,9 +342,10 @@ class ElementProp(Propagator):
 
 
 class CumulativeProp(Propagator):
-    """Time-table filtering over compulsory parts, swept into a profile of
-    `(start, end, load)` segments (Letort, Beldiceanu & Carlsson, CP 2012),
-    so that the work does not grow with the time horizon."""
+    """Energetic overload checking (Wolf & Schrader, INAP 2005), then
+    time-table filtering over compulsory parts, swept into a profile of
+    `(start, end, load)` segments (Letort, Beldiceanu & Carlsson, CP 2012).
+    Neither does work that grows with the time horizon."""
 
     def prune(self, store):
         data = self.spec.data
@@ -353,18 +354,34 @@ class CumulativeProp(Propagator):
 
         events = []
         parts: List[Optional[Tuple[int, int]]] = []
+        windows = []
         fixed = True
         for origin, duration, height in tasks:
             d = _term_domain(store, origin)
             if duration > 0 and height > capacity:
                 return FAILED
             fixed = fixed and d.is_singleton()
-            lst, ect = d.max_value(), d.min_value() + duration
+            est, lst = d.min_value(), d.max_value()
+            ect = est + duration
             if height > 0 and lst < ect:
                 parts.append((lst, ect))
                 events += [(lst, height), (ect, -height)]
             else:
                 parts.append(None)
+            if duration > 0 and height > 0:
+                windows.append((lst + duration, est, duration * height))
+
+        # the tasks whose windows lie inside [est, lct] must fit in
+        # capacity * (lct - est)
+        windows.sort()
+        for est in {w[1] for w in windows}:
+            energy = 0
+            for lct, task_est, task_energy in windows:
+                if task_est >= est:
+                    energy += task_energy
+                    if energy > capacity * (lct - est):
+                        return FAILED
+
         events.sort()
         segments = []
         load = 0

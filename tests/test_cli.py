@@ -218,7 +218,12 @@ CLIPPED = "'%s'... (5000 characters)" % HUGE[:CLIP]
      % HUGE[:CLIP - 3]),
     (ONE_VARIABLE.replace('nbValues="2"', 'nbValues="%s"' % HUGE),
      "attribute nbValues=%s is too large" % CLIPPED),
-], ids=["predicate", "parameters", "domain", "range", "attribute"])
+    (instance_xml([("X", [0, 1]), ("Y", [0, 1])],
+                  [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
+                  relations=[{"name": "r0", "arity": 2, "semantics": "supports",
+                              "tuples": [(0, 1), (1, HUGE)]}]),
+     "relation 'r0': tuple 1: integer %s is too large" % CLIPPED),
+], ids=["predicate", "parameters", "domain", "range", "attribute", "tuple"])
 def test_too_large_integer_is_one_short_error_line(tmp_path, xml, message):
     code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
     assert code == EXIT_ERROR
@@ -243,12 +248,32 @@ LONG_CLIPPED = "'%s'... (5000 characters)" % LONG[:CLIP]
                   [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X"}],
                   predicates=[{"name": "p0", "params": ["A"], "body": "eq(A,%s)" % LONG}]),
      "predicate 'p0': identifier %s is not a declared parameter" % LONG_CLIPPED),
-], ids=["parameters", "scope", "predicate"])
+    (instance_xml([("X", [0, 1])],
+                  [{"name": LONG, "scope": ["X", "X"], "reference": "global:alldifferent"}]),
+     "constraint %s repeats variable 'X' in its scope" % LONG_CLIPPED),
+    (instance_xml([("X", [0, 1]), ("Y", [0, 1])],
+                  [{"name": "c0", "scope": ["X", "Y"], "reference": LONG}],
+                  relations=[{"name": LONG, "arity": 2, "semantics": "supports",
+                              "tuples": [(1, 1), (2,)]}]),
+     "relation %s: tuple 1 has 1 value(s), expected arity 2" % LONG_CLIPPED),
+    (instance_xml([("X", [0, 1])],
+                  [{"name": LONG, "scope": ["X"], "reference": "global:atmost",
+                    "parameters": "[ X ] 1"}]),
+     "constraint %s (global:atmost): atmost takes: count, variable list, value; "
+     "expected parameters: k [x1 ... xn] v" % LONG_CLIPPED),
+    (instance_xml([("X", [0, 1])],
+                  [{"name": "c0", "scope": ["X"], "reference": LONG, "parameters": "[ X ]"}],
+                  predicates=[{"name": LONG, "params": ["A"], "body": "eq(A,1)"}]),
+     "constraint 'c0' (%s): predicate parameters must be variables or integers; "
+     "expected parameters: v-or-int per formal parameter" % LONG_CLIPPED),
+], ids=["parameters", "scope", "predicate", "repeated", "relation", "compile",
+        "reference"])
 def test_long_names_are_clipped_in_errors(tmp_path, xml, message):
     code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
     assert code == EXIT_ERROR
     assert out == ""
     assert err == "error: %s\n" % message
+    assert len(err) < 200
 
 
 def test_wide_not_all_equal_stays_shallow(tmp_path):

@@ -1,8 +1,8 @@
 """Differential test on random multi-constraint instances: supports and
-conflicts tables, predicates and alldifferent over overlapping scopes, so
-that one propagator's pruning wakes another and table reductions are undone
-on backtracking. The engine must find exactly the brute-force solution set,
-and every solution must pass the oracle."""
+conflicts tables, predicates, alldifferent, cumulative and disjunctive over
+overlapping scopes, so that one propagator's pruning wakes another and table
+reductions are undone on backtracking. The engine must find exactly the
+brute-force solution set, and every solution must pass the oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +37,8 @@ def instances(draw):
     constraints, relations, predicates = [], [], []
     for c in range(draw(st.integers(2, 5))):
         family = draw(st.sampled_from(
-            ["supports", "conflicts", "predicate", "alldifferent"]))
+            ["supports", "conflicts", "predicate", "alldifferent",
+             "cumulative", "disjunctive"]))
         name = "c%d" % c
         if family in ("supports", "conflicts"):
             vs = scope(2, 3)
@@ -62,9 +63,22 @@ def instances(draw):
             constraints.append({"name": name, "scope": vs,
                                 "reference": predicates[-1]["name"],
                                 "parameters": " ".join(vs)})
-        else:
+        elif family == "alldifferent":
             constraints.append({"name": name, "scope": scope(2, 4),
                                 "reference": "global:alldifferent"})
+        else:
+            vs = scope(2, 4)
+            durations = [draw(st.integers(0, 3)) for _ in vs]
+            if family == "cumulative":
+                tasks = ["{ %s %d %d }" % (v, d, draw(st.integers(0, 2)))
+                         for v, d in zip(vs, durations)]
+                params = "[ %s ] %d" % (" ".join(tasks), draw(st.integers(1, 3)))
+            else:
+                params = "[ %s ]" % " ".join(
+                    "{ %s %d }" % (v, d) for v, d in zip(vs, durations))
+            constraints.append({"name": name, "scope": vs,
+                                "reference": "global:" + family,
+                                "parameters": params})
     return instance_xml(variables, constraints, relations, predicates)
 
 

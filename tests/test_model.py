@@ -13,6 +13,7 @@ from xcsolve import (
     parse_tuples,
     resolve_references,
 )
+from xcsolve.errors import integer_error
 from xcsolve.expr import VarRef
 from xcsolve.intset import IntegerSet
 from xcsolve.model import GlobalRef, PredicateRef, RelationRef, to_xml
@@ -73,21 +74,23 @@ def test_tuples_arity_mismatch_names_group():
 
 
 def per_tuple_reference(text, arity):
-    """The tuple-list parser as it was before the bulk pass: one group at a
-    time, which is also how every error is still worded."""
+    """The tuple-list parser without the bulk pass: one group at a time,
+    which is also how every error is worded."""
     if not text.strip():
         return []
     tuples = []
     for i, group in enumerate(text.split("|")):
-        try:
-            values = tuple(int(tok) for tok in group.split())
-        except ValueError:
-            raise FormatError("non-integer value in tuple %d" % i) from None
+        values = []
+        for tok in group.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise FormatError("tuple %d: %s" % (i, integer_error(tok))) from None
         if len(values) != arity:
             raise FormatError(
                 "tuple %d has %d value(s), expected arity %d" % (i, len(values), arity)
             )
-        tuples.append(values)
+        tuples.append(tuple(values))
     return tuples
 
 

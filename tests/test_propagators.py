@@ -1,4 +1,4 @@
-from xcsolve import Engine
+from xcsolve import Engine, search_all
 from xcsolve.compiler import Problem, PropagatorSpec
 from xcsolve.expr import Apply, IntLiteral, VarRef
 from xcsolve.intset import IntegerSet
@@ -267,6 +267,57 @@ def test_cumulative_zero_height_is_free():
     ok, store = run_root(spec, [iset(0, 1), iset(0, 1)])
     assert ok
     assert store.domain(0) == iset(0, 1)
+
+
+def unit_tasks(count, duration=2, height=1):
+    return [[["var", i], duration, height] for i in range(count)]
+
+
+def test_cumulative_energy_overload_without_compulsory_parts_fails():
+    # starts in 0..2 with d=2 leave no compulsory part for the profile, but
+    # all four tasks lie in [0, 4]: energy 8 > capacity 1 x 4
+    spec = PropagatorSpec("Cumulative", (0, 1, 2, 3), {
+        "tasks": unit_tasks(4), "capacity": 1})
+    store = DomainStore([iset(0, 1, 2)] * 4)
+    assert build_propagator(spec).prune(store) == FAILED
+
+
+def test_cumulative_energy_at_capacity_does_not_fail():
+    # energy 4 = capacity 1 x window [0, 4]: V0=0, V1=2 fits exactly
+    spec = PropagatorSpec("Cumulative", (0, 1), {
+        "tasks": unit_tasks(2), "capacity": 1})
+    ok, store = run_root(spec, [iset(0, 1, 2)] * 2)
+    assert ok
+    assert [store.domain(v) for v in (0, 1)] == [iset(0, 1, 2)] * 2
+
+
+def test_cumulative_zero_duration_and_zero_height_add_no_energy():
+    # the two unit tasks fill [0, 4] exactly; V2 (d=0, h=1) and V3 (d=2,
+    # h=0) take no energy, so the window must not be reported as overloaded
+    spec = PropagatorSpec("Cumulative", (0, 1, 2, 3), {
+        "tasks": unit_tasks(2) + [[["var", 2], 0, 1], [["var", 3], 2, 0]],
+        "capacity": 1})
+    domains = [iset(0, 1, 2), iset(0, 1, 2), iset(0, 2, 4), iset(0, 1, 2)]
+    ok, store = run_root(spec, domains)
+    assert ok
+    assert [store.domain(v) for v in range(4)] == domains
+
+
+def test_cumulative_energy_unsat_schedule_fails_at_the_root():
+    # twelve tasks of energy 56 on capacity 3 over the horizon [0, 18],
+    # which holds 54: no compulsory part exists, and the time-table alone
+    # searches more than the node limit without proving it
+    tasks = [(3, 2), (2, 1), (4, 3), (1, 2), (3, 1), (2, 2),
+             (4, 1), (2, 3), (3, 2), (1, 3), (2, 1), (3, 2)]
+    spec = PropagatorSpec("Cumulative", tuple(range(12)), {
+        "tasks": [[["var", i], d, h] for i, (d, h) in enumerate(tasks)],
+        "capacity": 3})
+    problem = Problem(["S%d" % i for i in range(12)],
+                      [IntegerSet.interval(0, 18 - d) for d, _ in tasks], [spec])
+    result = search_all(problem, node_limit=1000)
+    assert result.complete
+    assert result.solutions == []
+    assert (result.stats.nodes, result.stats.failures) == (0, 1)
 
 
 # -- lex ----------------------------------------------------------------------
