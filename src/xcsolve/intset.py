@@ -132,19 +132,25 @@ class IntegerSet:
         return IntegerSet.from_intervals(list(self.ranges) + list(other.ranges))
 
     def difference(self, other: "IntegerSet") -> "IntegerSet":
-        out = []
         b = other.ranges
+        if not b:
+            return self
+        out = []
+        n = len(b)
         j = 0
         for lo, hi in self.ranges:
             # skip the ranges of `other` wholly below this one; the rest cut
             # it into pieces, left to right
-            while j < len(b) and b[j][1] < lo:
+            while j < n and b[j][1] < lo:
                 j += 1
             k = j
-            while k < len(b) and b[k][0] <= hi:
-                if b[k][0] > lo:
-                    out.append((lo, b[k][0] - 1))
-                lo = b[k][1] + 1
+            while k < n:
+                cut_lo, cut_hi = b[k]
+                if cut_lo > hi:
+                    break
+                if cut_lo > lo:
+                    out.append((lo, cut_lo - 1))
+                lo = cut_hi + 1
                 k += 1
             if lo <= hi:
                 out.append((lo, hi))

@@ -20,6 +20,13 @@ OK = "ok"
 SUBSUMED = "subsumed"
 FAILED = "failed"
 
+# the widest domain an expression check evaluates, value by value, in one call
+MAX_CHECK_VALUES = 1 << 16
+# the most ranges one expression check's memo holds before it is cleared
+MEMO_RANGES = 1 << 12
+# a memo entry for a key no call has evaluated: (tested, rejected, erring)
+_UNTESTED = (IntegerSet(()),) * 3
+
 
 def _term_domain(store: DomainStore, term) -> IntegerSet:
     if term[0] == "var":
@@ -111,11 +118,9 @@ class TableConflictsProp(Propagator):
             return FAILED
         if len(unassigned) == 1:
             k = unassigned[0]
-            for t in active:
-                store.remove_value(scope[k], t[k])
-                if store.failed:
-                    return FAILED
-            return SUBSUMED
+            store.update(scope[k], doms[k].difference(
+                IntegerSet.from_values(t[k] for t in active)))
+            return FAILED if store.failed else SUBSUMED
         return OK
 
 
@@ -219,15 +224,15 @@ class AllDifferentProp(Propagator):
                 if value in taken:
                     return FAILED
                 taken[value] = v
-        for v in scope:
-            if not store.assigned(v):
-                for value in taken:
-                    store.remove_value(v, value)
+        if taken:
+            taken_set = IntegerSet.from_values(taken)
+            for v in scope:
+                if not store.assigned(v):
+                    store.update(v, store.domain(v).difference(taken_set))
                     if store.failed:
                         return FAILED
-        union = IntegerSet(())
-        for v in scope:
-            union = union.union(store.domain(v))
+        union = IntegerSet.from_intervals(
+            r for v in scope for r in store.domain(v).ranges)
         if union.size() < len(scope):
             return FAILED
         if len(taken) == len(scope):
@@ -491,10 +496,18 @@ class ExprCheckProp(Propagator):
     Pruning the last free variable again after its domain shrank removes
     nothing more, so the engine wakes it only when a scope variable is
     fixed. The expression is lowered to a closure at the first call that
-    evaluates it, so a check that never gets that far costs nothing."""
+    evaluates it, so a check that never gets that far costs nothing.
+
+    What an evaluation gives depends only on the values, so each value of
+    the free variable is evaluated once per set of fixed values (the memo's
+    key) and the verdict is kept in `memo`; the memo is no search state and
+    is not trailed. A free variable with more than MAX_CHECK_VALUES values
+    is left to the full-assignment check."""
 
     fix_only = True
     check = None  # the lowered expression, once a call has built it
+    memo = None  # key -> (tested, rejected, erring), built with `check`
+    memo_ranges = 0  # ranges the memo's sets hold together
 
     def prune(self, store):
         scope = self.spec.scope
@@ -509,32 +522,59 @@ class ExprCheckProp(Propagator):
                 values.append(None)
             else:
                 return OK
+        if free is not None:
+            u = scope[free]
+            domain = store.domain(u)
+            if (domain.max_value() - domain.min_value() >= MAX_CHECK_VALUES
+                    and domain.size() > MAX_CHECK_VALUES):
+                return OK
         check = self.check
         if check is None:
             check = self.check = ex.lower(
                 self.spec.data["expr"], {v: k for k, v in enumerate(scope)})
+            self.memo = {}
         if free is None:
             try:
                 return SUBSUMED if check(values) == 1 else FAILED
             except EvalError:
                 return FAILED
-        u = scope[free]
-        domain = store.domain(u)
-        kept = []
-        clean = True
-        for candidate in domain:
-            values[free] = candidate
-            try:
-                if check(values) != 1:
-                    continue
-            except EvalError:
-                clean = False  # keep the value; the full-assignment check decides
-            kept.append(candidate)
-        if len(kept) < domain.size():
-            store.update(u, IntegerSet.from_values(kept))
+        key = tuple(values)
+        old = self.memo.get(key, _UNTESTED)
+        tested, rejected, erring = old
+        untested = domain.difference(tested)
+        if untested.ranges:
+            new_rejected, new_erring = [], []
+            for candidate in untested:
+                values[free] = candidate
+                try:
+                    if check(values) != 1:
+                        new_rejected.append(candidate)
+                except EvalError:
+                    # keep the value; the full-assignment check decides
+                    new_erring.append(candidate)
+            tested = tested.union(untested)
+            if tested.size() > MAX_CHECK_VALUES:
+                # keep only what this domain needs, so no entry outgrows it
+                tested = domain
+                rejected = rejected.intersect(domain)
+                erring = erring.intersect(domain)
+            if new_rejected:
+                rejected = rejected.union(IntegerSet.from_values(new_rejected))
+            if new_erring:
+                erring = erring.union(IntegerSet.from_values(new_erring))
+            self.memo[key] = new = (tested, rejected, erring)
+            self.memo_ranges += sum(len(s.ranges) for s in new) - sum(
+                len(s.ranges) for s in old)
+            if self.memo_ranges > MEMO_RANGES:
+                self.memo.clear()
+                self.memo_ranges = 0
+        if rejected.ranges:
+            store.update(u, domain.difference(rejected))
             if store.failed:
                 return FAILED
-        return SUBSUMED if clean else OK
+        if erring.ranges and domain.intersects(erring):
+            return OK
+        return SUBSUMED
 
 
 PROPAGATOR_CLASSES = {

@@ -37,15 +37,17 @@ def _term_value(term, values: List[int]) -> int:
 
 
 def _prepare(c: ResolvedConstraint):
-    """What checking `c` needs beyond the values: a predicate's ground body,
-    or a global's parameters, parsed as its definition below reads them."""
+    """What checking `c` needs beyond the values: a predicate's ground body
+    with the variables it reads and an empty verdict cache, or a global's
+    parameters, parsed as its definition below reads them."""
     if isinstance(c.ref, PredicateRef):
         predicate = c.ref.predicate
         if c.parameters is None:
             effective = [ex.VarRef(i) for i in c.scope]
         else:
             effective = list(c.parameters)
-        return ex.substitute(predicate.body, predicate.formal_params, effective)
+        body = ex.substitute(predicate.body, predicate.formal_params, effective)
+        return body, ex.var_refs(body), {}
     name = c.ref.name
     if name in ("alldifferent", "not_all_equal"):
         return scope_vars(c, "[x...]")
@@ -138,6 +140,8 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
 # for its constraints, by position: a search checks many solutions of one
 # instance, and the cache must not keep a large one alive
 _prepared = (None, {})
+# the most verdicts one predicate keeps before its cache is cleared
+MAX_VERDICTS = 1 << 16
 
 
 def _prepared_for(instance: ResolvedInstance) -> dict:
@@ -156,7 +160,6 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
         return False
     if any(v not in d for v, d in zip(values, instance.domains)):
         return False
-    assignment = dict(enumerate(values))
     prepared = _prepared_for(instance)
     for k, c in enumerate(instance.constraints):
         if isinstance(c.ref, RelationRef):
@@ -168,7 +171,15 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
             if k not in prepared:
                 prepared[k] = _prepare(c)
             if isinstance(c.ref, PredicateRef):
-                ok = ex.satisfied(prepared[k], assignment)
+                # the body reads only `refs`, which `<parameters>` may take
+                # from outside the scope, so their values decide the verdict
+                body, refs, verdicts = prepared[k]
+                point = tuple(values[v] for v in refs)
+                ok = verdicts.get(point)
+                if ok is None:
+                    if len(verdicts) >= MAX_VERDICTS:
+                        verdicts.clear()
+                    ok = verdicts[point] = ex.satisfied(body, dict(zip(refs, point)))
             else:
                 assert isinstance(c.ref, GlobalRef)
                 ok = _check_global(c.ref.name, prepared[k], values, element_base)

@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -305,6 +306,39 @@ def test_zero_time_budget_is_unknown(tmp_path):
     code, out, _ = run_cli(RunConfig(path, time_limit=0.0))
     assert code == EXIT_UNKNOWN
     assert check_grammar(out) == "s UNKNOWN"
+
+
+WIDE_MOD = """<instance>
+<presentation format="XCSP 2.1"/>
+<domains nbDomains="2">
+<domain name="dx" nbValues="10000001">0..10000000</domain>
+<domain name="dy" nbValues="1">3</domain>
+</domains>
+<variables nbVariables="2">
+<variable name="X" domain="dx"/>
+<variable name="Y" domain="dy"/>
+</variables>
+<predicates nbPredicates="1">
+<predicate name="p0"><parameters>int A int B</parameters>
+<expression><functional>eq(mod(A,7),B)</functional></expression></predicate>
+</predicates>
+<constraints nbConstraints="1">
+<constraint name="c0" arity="2" scope="X Y" reference="p0"/>
+</constraints>
+</instance>
+"""
+
+
+def test_wide_expression_check_honours_the_time_limit(tmp_path):
+    # X has ten million values: the check leaves them to the full-assignment
+    # check instead of evaluating each one at the root
+    path = write(tmp_path, WIDE_MOD)
+    start = time.monotonic()
+    code, out, _ = run_cli(RunConfig(path, time_limit=0.05))
+    assert time.monotonic() - start < 1.0
+    assert code in (EXIT_OK, EXIT_UNKNOWN)
+    if code == EXIT_OK:
+        assert "v 3 3" in out.splitlines()
 
 
 def test_node_budget_is_unknown(tmp_path):

@@ -1,8 +1,20 @@
-from xcsolve import Engine, search_all
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xcsolve import Engine, propagators, search_all
+from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec
 from xcsolve.expr import Apply, IntLiteral, VarRef
 from xcsolve.intset import IntegerSet
-from xcsolve.propagators import FAILED, OK, SUBSUMED, build_propagator
+from xcsolve.propagators import (
+    FAILED,
+    MAX_CHECK_VALUES,
+    MEMO_RANGES,
+    OK,
+    SUBSUMED,
+    build_propagator,
+)
 from xcsolve.store import DomainStore
 
 from helpers import instance_xml, load
@@ -428,3 +440,202 @@ def test_exprcheck_prunes_a_wide_domain_in_one_update():
     assert build_propagator(spec).prune(store) == SUBSUMED
     assert store.updates == 1
     assert store.domain(0) == IntegerSet.from_values(range(3, 20001, 7))
+
+
+def test_alldifferent_updates_each_free_variable_at_most_once():
+    # two taken values leave one update per free variable, not one per value
+    spec = PropagatorSpec("AllDifferent", tuple(range(5)), {})
+    store = CountingStore([iset(1), iset(2)] + [IntegerSet.interval(0, 9)] * 3)
+    assert build_propagator(spec).prune(store) == OK
+    assert store.updates <= 3
+    assert [store.domain(v) for v in (2, 3, 4)] == [iset(0, 3, 4, 5, 6, 7, 8, 9)] * 3
+
+
+def test_alldifferent_pigeonhole_over_many_ranges():
+    # four variables over three scattered values fail; over four they do not
+    spec = PropagatorSpec("AllDifferent", tuple(range(4)), {})
+    domains = [iset(0, 10), iset(10, 20), iset(0, 20), iset(0, 20)]
+    assert build_propagator(spec).prune(DomainStore(domains)) == FAILED
+    domains[3] = iset(0, 30)
+    assert build_propagator(spec).prune(DomainStore(domains)) == OK
+
+
+def test_conflicts_prune_the_last_variable_in_one_update():
+    tuples = [(4, v) for v in range(0, 100, 2)]
+    spec = PropagatorSpec("TableConflicts", (0, 1), {"tuples": tuples})
+    store = CountingStore([iset(4), IntegerSet.interval(0, 99)])
+    assert build_propagator(spec).prune(store) == SUBSUMED
+    assert store.updates == 1
+    assert store.domain(1) == IntegerSet.from_values(range(1, 100, 2))
+    # a conflict on every value left empties the domain
+    store = CountingStore([iset(4), iset(0, 2)])
+    assert build_propagator(spec).prune(store) == FAILED
+    assert store.updates == 1
+
+
+# -- expression-check memo ----------------------------------------------------
+
+
+def _mod_expr():
+    # eq(mod(x, 3), y)
+    return Apply("eq", (Apply("mod", (VarRef(0), IntLiteral(3))), VarRef(1)))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The values of every evaluation of a lowered check, as tuples."""
+    seen = []
+    lower = ex.lower
+    depth = []
+
+    def counted(expr, slots):
+        # `lower` recurses through this name too; wrap only the whole tree
+        depth.append(expr)
+        try:
+            check = lower(expr, slots)
+        finally:
+            depth.pop()
+        if depth:
+            return check
+
+        def counting(values):
+            seen.append(tuple(values))
+            return check(values)
+        return counting
+
+    monkeypatch.setattr(ex, "lower", counted)
+    return seen
+
+
+def test_exprcheck_evaluates_each_value_once_per_key(evaluations):
+    prop = build_propagator(PropagatorSpec("ExprCheck", (0, 1), {"expr": _mod_expr()}))
+    x09 = IntegerSet.interval(0, 9)
+    states = [  # (x, y, free position, evaluations, x or y afterwards)
+        (x09, iset(1), 0, 10, iset(1, 4, 7)),
+        (x09, iset(1), 0, 0, iset(1, 4, 7)),
+        (IntegerSet.interval(5, 14), iset(1), 0, 5, iset(7, 10, 13)),
+        (iset(2, 4), iset(1), 0, 0, iset(4)),
+        (iset(4), IntegerSet.interval(0, 2), 1, 3, iset(1)),
+        (x09, iset(2), 0, 10, iset(2, 5, 8)),
+    ]
+    pairs = set()
+    for x, y, free, count, after in states:
+        evaluations.clear()
+        store = DomainStore([x, y])
+        assert prop.prune(store) == SUBSUMED
+        assert store.domain(free) == after
+        assert len(evaluations) == count
+        domain = (x, y)[free]
+        for values in evaluations:
+            assert values[free] in domain
+            key = values[:free] + (None,) + values[free + 1:]
+            assert (key, values[free]) not in pairs
+            pairs.add((key, values[free]))
+
+
+def test_exprcheck_memo_keeps_erring_values_apart():
+    # eq(div(6, x), y) with y = 3: x = 0 errs, so it stays and the check is
+    # not subsumed while 0 is in the domain, and is once 0 has gone
+    body = Apply("eq", (Apply("div", (IntLiteral(6), VarRef(0))), VarRef(1)))
+    prop = build_propagator(PropagatorSpec("ExprCheck", (0, 1), {"expr": body}))
+    for x, outcome, after in [(iset(0, 1, 2), OK, iset(0, 2)),
+                              (iset(2, 3), SUBSUMED, iset(2)),
+                              (iset(0, 2, 3), OK, iset(0, 2))]:
+        store = DomainStore([x, iset(3)])
+        assert prop.prune(store) == outcome
+        assert store.domain(0) == after
+
+
+def test_exprcheck_memo_is_cleared_past_its_bound():
+    # eq(mod(sub(x, z), 2), y): one key per value of z, each entry about 50
+    # ranges, so that 200 keys exceed the bound
+    body = Apply("eq", (Apply("mod", (Apply("sub", (VarRef(0), VarRef(2))),
+                                      IntLiteral(2))), VarRef(1)))
+    prop = build_propagator(PropagatorSpec("ExprCheck", (0, 1, 2), {"expr": body}))
+    x = IntegerSet.interval(0, 99)
+    for z in list(range(200)) + [0, 1]:
+        store = DomainStore([x, iset(0), iset(z)])
+        assert prop.prune(store) == SUBSUMED
+        assert store.domain(0) == IntegerSet.from_values(range(z % 2, 100, 2))
+        held = sum(len(s.ranges) for entry in prop.memo.values() for s in entry)
+        assert prop.memo_ranges == held <= MEMO_RANGES
+    assert len(prop.memo) < 200
+
+
+def test_exprcheck_leaves_a_domain_over_the_bound_to_the_full_check():
+    spec = PropagatorSpec("ExprCheck", (0, 1), {"expr": _mod_expr()})
+    prop = build_propagator(spec)
+    wide = IntegerSet.interval(0, MAX_CHECK_VALUES)
+    store = CountingStore([wide, iset(1)])
+    assert prop.prune(store) == OK
+    assert store.updates == 0 and store.domain(0) == wide
+    assert prop.check is None  # nothing was evaluated
+    # a domain that spans more values than the bound but holds few is checked
+    store = DomainStore([iset(0, 4, 10 ** 6), iset(1)])
+    assert prop.prune(store) == SUBSUMED
+    assert store.domain(0) == iset(4, 10 ** 6)
+    # and the full-assignment check still decides
+    ok, _ = run_root(spec, [iset(10 ** 6 + 1), iset(1)])
+    assert not ok
+
+
+def test_exprcheck_memo_entry_stays_within_the_bound(monkeypatch):
+    monkeypatch.setattr(propagators, "MAX_CHECK_VALUES", 8)
+    prop = build_propagator(PropagatorSpec("ExprCheck", (0, 1), {"expr": _mod_expr()}))
+    for lo in (0, 8, 4, 0):
+        store = DomainStore([IntegerSet.interval(lo, lo + 7), iset(1)])
+        assert prop.prune(store) == SUBSUMED
+        assert store.domain(0) == IntegerSet.from_values(
+            v for v in range(lo, lo + 8) if v % 3 == 1)
+        (tested, rejected, erring), = prop.memo.values()
+        assert tested.size() <= 8
+        assert rejected.size() < tested.size()
+
+
+_OPERANDS = st.one_of(st.sampled_from([VarRef(0), VarRef(1), VarRef(2)]),
+                      st.integers(-1, 2).map(IntLiteral))
+_EXPRS = st.recursive(_OPERANDS, lambda kids: st.one_of(
+    st.builds(lambda op, a, b: Apply(op, (a, b)),
+              st.sampled_from(["add", "sub", "mul", "div", "mod", "pow", "min",
+                               "eq", "lt", "or"]), kids, kids),
+    st.builds(lambda op, a: Apply(op, (a,)), st.sampled_from(["abs", "not"]), kids),
+), max_leaves=6)
+_CHECKS = st.builds(lambda op, a, b: Apply(op, (a, b)),
+                    st.sampled_from(["eq", "ne", "le", "gt"]), _EXPRS, _EXPRS)
+# a variable divisor errs wherever it is 0
+_DIVISIONS = st.builds(lambda op, a, v, b: Apply("eq", (Apply(op, (a, v)), b)),
+                       st.sampled_from(["div", "mod"]), _EXPRS,
+                       st.sampled_from([VarRef(0), VarRef(1), VarRef(2)]), _EXPRS)
+
+
+@st.composite
+def _store_states(draw):
+    """Up to 12 states of three domains, in each of which the variables but
+    one are fixed to 0 or 1, so that the same fixed values come back with
+    another domain of the free one."""
+    states = []
+    for _ in range(draw(st.integers(1, 12))):
+        domains = [{draw(st.integers(0, 1))} for _ in range(3)]
+        domains[draw(st.integers(0, 2))] = draw(st.sets(st.integers(-1, 2), min_size=2))
+        states.append(domains)
+    return states
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_CHECKS, _DIVISIONS), _store_states(), st.booleans())
+def test_memoized_exprcheck_matches_a_fresh_one(body, states, tight):
+    """One propagator kept across calls against a new one per call, through
+    the same store states; division and modulo by zero make some values
+    err. `tight` shrinks both bounds so that entries are cut and the memo is
+    cleared."""
+    spec = PropagatorSpec("ExprCheck", (0, 1, 2), {"expr": body})
+    with pytest.MonkeyPatch.context() as mp:
+        if tight:
+            mp.setattr(propagators, "MAX_CHECK_VALUES", 3)
+            mp.setattr(propagators, "MEMO_RANGES", 4)
+        memoized = build_propagator(spec)
+        for domains in states:
+            kept = DomainStore([IntegerSet.from_values(d) for d in domains])
+            fresh = DomainStore([IntegerSet.from_values(d) for d in domains])
+            assert memoized.prune(kept) == build_propagator(spec).prune(fresh)
+            assert kept.snapshot() == fresh.snapshot()

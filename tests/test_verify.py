@@ -1,3 +1,5 @@
+import random
+
 from xcsolve import expr as ex
 from xcsolve import verify
 from xcsolve import parse_instance, resolve_references, verify_solution
@@ -82,6 +84,95 @@ def test_predicates_are_ground_once_per_instance(monkeypatch):
     assert [verify_solution(above1, [x, 0]) for x in range(3)] == [False, False, True]
     assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
     assert len(calls) == 6
+
+
+def count_evaluations(monkeypatch):
+    """The assignments the oracle judges a predicate on, in call order."""
+    points = []
+    satisfied = ex.satisfied
+    monkeypatch.setattr(ex, "satisfied", lambda e, assignment: points.append(
+        tuple(sorted(assignment.items()))) or satisfied(e, assignment))
+    return points
+
+
+def test_predicate_verdicts_follow_parameters_outside_the_scope(monkeypatch):
+    # the scope is X alone, but the body reads Y through <parameters>
+    instance = resolve(instance_xml(
+        [("X", [0, 1, 2]), ("Y", [0, 1, 2])],
+        [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X Y"}],
+        predicates=[{"name": "p0", "params": ["A", "B"], "body": "gt(A,B)"}],
+    ))
+    points = count_evaluations(monkeypatch)
+    answers = [verify_solution(instance, [2, y]) for y in (1, 2, 1, 0, 2)]
+    assert answers == [True, False, True, True, False]
+    assert points == [((0, 2), (1, 1)), ((0, 2), (1, 2)), ((0, 2), (1, 0))]
+
+
+def test_predicate_verdicts_start_fresh_for_another_instance(monkeypatch):
+    def above(k):
+        return resolve(instance_xml(
+            [("X", [0, 1, 2])],
+            [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X %d" % k}],
+            predicates=[{"name": "p0", "params": ["A", "B"], "body": "gt(A,B)"}],
+        ))
+
+    above0, above1 = above(0), above(1)
+    points = count_evaluations(monkeypatch)
+    for _ in range(2):
+        assert verify_solution(above0, [1]) and verify_solution(above0, [1])
+        assert not verify_solution(above1, [1]) and not verify_solution(above1, [1])
+    # one evaluation per instance each time the other came in between
+    assert len(points) == 4
+
+
+def test_predicate_verdicts_equal_plain_evaluation(monkeypatch):
+    rng = random.Random(7)
+    instance = resolve(instance_xml(
+        [("V%d" % i, list(range(-2, 3))) for i in range(5)],
+        [{"name": "c0", "scope": ["V0", "V1", "V2"], "reference": "p0",
+          "parameters": "V0 V1 V2 V4"},
+         {"name": "c1", "scope": ["V1", "V3"], "reference": "p0",
+          "parameters": "V3 V1 2 V1"},
+         {"name": "c2", "scope": ["V1", "V2", "V3", "V4"], "reference": "p0"}],
+        predicates=[{"name": "p0", "params": ["A", "B", "C", "D"],
+                     "body": "and(ne(div(A,B),C),or(eq(mod(C,B),0),lt(A,D)))"}],
+    ))
+    satisfied = ex.satisfied
+    grounded = []
+    for c in instance.constraints:
+        predicate = c.ref.predicate
+        effective = (c.parameters if c.parameters is not None
+                     else [ex.VarRef(i) for i in c.scope])
+        grounded.append(ex.substitute(predicate.body, predicate.formal_params,
+                                      list(effective)))
+    refs = [ex.var_refs(b) for b in grounded]
+    keys, answers = set(), set()
+    points = count_evaluations(monkeypatch)
+    for _ in range(600):
+        values = [rng.randint(-1, 1) for _ in range(5)]
+        assignment = dict(enumerate(values))
+        expected = all(satisfied(b, assignment) for b in grounded)
+        assert verify_solution(instance, values) == expected
+        answers.add(expected)
+        keys.update((k, tuple(values[v] for v in r)) for k, r in enumerate(refs))
+    # at most one evaluation per constraint and values of the variables it
+    # reads, where evaluating c0 on every call would take 600 alone
+    assert len(points) <= len(keys)
+    assert len(points) < 600
+    assert answers == {True, False}
+
+
+def test_predicate_verdicts_are_bounded(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_VERDICTS", 2)
+    instance = resolve(instance_xml(
+        [("X", list(range(6)))],
+        [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "X 2"}],
+        predicates=[{"name": "p0", "params": ["A", "B"], "body": "gt(A,B)"}],
+    ))
+    for _ in range(2):
+        assert [verify_solution(instance, [x]) for x in range(6)] == [x > 2 for x in range(6)]
+    (_, _, verdicts), = verify._prepared[1].values()
+    assert len(verdicts) <= 2
 
 
 def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
