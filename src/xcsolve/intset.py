@@ -7,6 +7,8 @@ structural equality is set equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Iterator, Tuple
 
 
@@ -87,7 +89,14 @@ class IntegerSet:
             yield from range(lo, hi + 1)
 
     def intersects(self, other: "IntegerSet") -> bool:
-        return not self.intersect(other).is_empty()
+        # look each range of the shorter set up in the longer one: the first
+        # range there that ends at or after `lo` is the only candidate
+        shorter, longer = sorted((self.ranges, other.ranges), key=len)
+        for lo, hi in shorter:
+            k = bisect_left(longer, lo, key=itemgetter(1))
+            if k < len(longer) and longer[k][0] <= hi:
+                return True
+        return False
 
     # -- derivations ------------------------------------------------------
 

@@ -1,4 +1,6 @@
-"""XCSP 2.1 instance model: XML parsing, canonical serialization, resolution.
+"""XCSP 2.1 instance model: XML parsing, canonical serialization, and
+resolution, which also parses each global's parameters and grounds each
+predicate.
 
 Supports the fully-tagged XML representation with abridged text content
 inside tags (``1..2`` integer sets, ``1 2|2 1`` tuple lists, functional
@@ -9,10 +11,11 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from . import expr as ex
 from .errors import (
+    EvalError,
     FormatError,
     ResolutionError,
     StructuralError,
@@ -24,14 +27,8 @@ from .errors import (
 )
 from .intset import IntegerSet
 
-SUPPORTED_GLOBALS = (
-    "alldifferent", "among", "atleast", "atmost", "cumulative", "diffn",
-    "disjunctive", "element", "global_cardinality", "lex_less", "lex_lesseq",
-    "not_all_equal", "weightedsum",
-)
-
 # relational keywords that may appear as bare tokens in <parameters>
-_RELOP_TOKENS = {"eq", "ne", "ge", "gt", "le", "lt"}
+RELOPS = ("eq", "ne", "ge", "gt", "le", "lt")
 
 # attributes we understand, per element; anything else draws a diagnostic
 _KNOWN_ATTRS = {
@@ -114,17 +111,26 @@ class InstanceModel:
 
 @dataclass
 class RelationRef:
+    """One per relation, shared by the constraints that use it."""
     relation: RelationDef
+    # the oracle's set of the tuples, built at its first check
+    members: Optional[FrozenSet[Tuple[int, ...]]] = field(default=None, compare=False)
 
 
 @dataclass
 class PredicateRef:
+    """One per constraint: the predicate ground on its parameters."""
     predicate: PredicateDef
+    body: Optional[ex.Expr] = None
+    refs: List[int] = field(default_factory=list)  # the variables `body` reads
+    # the oracle's verdicts, keyed on the values of `refs`
+    verdicts: Dict[Tuple[int, ...], bool] = field(default_factory=dict, compare=False)
 
 
 @dataclass
 class GlobalRef:
     name: str
+    sig: object = None  # the parsed parameters, as GLOBAL_PARSERS returns them
 
 
 ConstraintRef = Union[RelationRef, PredicateRef, GlobalRef]
@@ -562,6 +568,352 @@ def to_xml(model: InstanceModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- parameter shapes ---------------------------------------------------------
+#
+# Accepted <parameters> grammar per global (vars may be names, values ints;
+# ``{ }`` and ``[ ]`` both group):
+#
+#     alldifferent        (none) | [x1 ... xn]
+#     among               N [x1 ... xn] [v1 ... vk]        (N int or variable)
+#     atleast             k [x1 ... xn] v
+#     atmost              k [x1 ... xn] v
+#     element             i [t1 ... tn] v                  (t, v var or int)
+#     global_cardinality  [x1 ... xn] [ {v1 o1} ... ]      (o int or variable)
+#     cumulative          [ {o d h} ... ] C                (o var or int; d, h, C ints)
+#     disjunctive         [ {o d} ... ]
+#     diffn               [ {x y w h} ... ]                (2-dimensional boxes)
+#     lex_less/lex_lesseq [x1 ... xn] [y1 ... yn]
+#     not_all_equal       (none) | [x1 ... xn]
+#     weightedSum         [ {c1 x1} ... ] <relop/> K
+
+
+# ("var", index) or ("const", value); list-shaped so JSON round-trips cleanly
+Term = List
+
+
+def var_term(i: int) -> Term:
+    return ["var", i]
+
+
+def const_term(v: int) -> Term:
+    return ["const", v]
+
+
+def term_vars(term: Term) -> List[int]:
+    return [term[1]] if term[0] == "var" else []
+
+
+def term_expr(term: Term) -> ex.Expr:
+    return ex.VarRef(term[1]) if term[0] == "var" else ex.IntLiteral(term[1])
+
+
+def _fail(c: ResolvedConstraint, message: str, signature: str):
+    if isinstance(c.ref, GlobalRef):
+        reference = "global:" + c.ref.name
+    else:
+        reference = clip(c.ref.predicate.name)
+    raise ResolutionError(
+        "constraint %s (%s): %s; expected parameters: %s"
+        % (clip(c.name), reference, message, signature)
+    )
+
+
+def _as_term(tok: ParamToken) -> Optional[Term]:
+    if isinstance(tok, ex.VarRef):
+        return var_term(tok.index)
+    if isinstance(tok, int):
+        return const_term(tok)
+    return None
+
+
+def _as_var(tok: ParamToken) -> Optional[int]:
+    return tok.index if isinstance(tok, ex.VarRef) else None
+
+
+def _var_list(tok: ParamToken) -> Optional[List[int]]:
+    if not isinstance(tok, list):
+        return None
+    out = []
+    for item in tok:
+        v = _as_var(item)
+        if v is None:
+            return None
+        out.append(v)
+    return out
+
+
+def _int_list(tok: ParamToken) -> Optional[List[int]]:
+    if not isinstance(tok, list) or not all(isinstance(i, int) for i in tok):
+        return None
+    return list(tok)
+
+
+def _term_list(tok: ParamToken) -> Optional[List[Term]]:
+    if not isinstance(tok, list):
+        return None
+    out = []
+    for item in tok:
+        t = _as_term(item)
+        if t is None:
+            return None
+        out.append(t)
+    return out
+
+
+def _group_list(tok: ParamToken, width: int) -> Optional[List[List[ParamToken]]]:
+    if not isinstance(tok, list):
+        return None
+    groups = []
+    for item in tok:
+        if not isinstance(item, list) or len(item) != width:
+            return None
+        groups.append(item)
+    return groups
+
+
+@dataclass
+class CountingSig:
+    vars: List[int]
+    values: List[int]
+    lo: Optional[int]
+    hi: Optional[int]
+    count_var: Optional[int]
+
+
+@dataclass
+class ElementSig:
+    index: Term
+    table: List[Term]
+    value: Term
+
+
+@dataclass
+class GccSig:
+    vars: List[int]
+    entries: List[Tuple[int, Term]]  # (counted value, occurrence term)
+
+
+@dataclass
+class CumulativeSig:
+    tasks: List[Tuple[Term, int, int]]  # (origin, duration, height)
+    capacity: int
+
+
+@dataclass
+class DisjunctiveSig:
+    tasks: List[Tuple[Term, int]]  # (origin, duration)
+
+
+@dataclass
+class DiffnSig:
+    boxes: List[Tuple[Term, Term, Term, Term]]  # (x, y, width, height)
+
+
+@dataclass
+class LexSig:
+    xs: List[Term]
+    ys: List[Term]
+
+
+@dataclass
+class WeightedSumSig:
+    terms: List[Tuple[int, Term]]  # (coefficient, variable-or-constant)
+    op: str
+    rhs: int
+
+
+def scope_vars(c: ResolvedConstraint) -> List[int]:
+    sig = "(optional) [x1 ... xn]"
+    p = c.parameters
+    if p is None or p == []:
+        return list(c.scope)
+    if len(p) == 1:
+        vs = _var_list(p[0])
+        if vs is not None:
+            return vs
+    _fail(c, "malformed parameters", sig)
+
+
+def parse_counting_params(c: ResolvedConstraint) -> CountingSig:
+    name = c.ref.name
+    p = c.parameters
+    if name == "among":
+        sig = "N [x1 ... xn] [v1 ... vk]"
+        if p is None or len(p) != 3:
+            _fail(c, "among takes 3 parameters", sig)
+        vars_ = _var_list(p[1])
+        values = _int_list(p[2])
+        if vars_ is None or values is None:
+            _fail(c, "malformed variable or value list", sig)
+        if isinstance(p[0], int):
+            return CountingSig(vars_, values, p[0], p[0], None)
+        count = _as_var(p[0])
+        if count is None:
+            _fail(c, "count must be an integer or a variable", sig)
+        return CountingSig(vars_, values, None, None, count)
+    # atleast / atmost: k [x...] v
+    sig = "k [x1 ... xn] v"
+    if p is None or len(p) != 3 or not isinstance(p[0], int) or not isinstance(p[2], int):
+        _fail(c, "%s takes: count, variable list, value" % name, sig)
+    vars_ = _var_list(p[1])
+    if vars_ is None:
+        _fail(c, "malformed variable list", sig)
+    if name == "atleast":
+        return CountingSig(vars_, [p[2]], p[0], None, None)
+    return CountingSig(vars_, [p[2]], None, p[0], None)
+
+
+def parse_element_params(c: ResolvedConstraint) -> ElementSig:
+    sig = "i [t1 ... tn] v"
+    p = c.parameters
+    if p is None or len(p) != 3:
+        _fail(c, "element takes: index, table, value", sig)
+    index = _as_term(p[0])
+    table = _term_list(p[1])
+    value = _as_term(p[2])
+    if index is None or table is None or value is None or not table:
+        _fail(c, "malformed index, table, or value", sig)
+    return ElementSig(index, table, value)
+
+
+def parse_gcc_params(c: ResolvedConstraint) -> GccSig:
+    sig = "[x1 ... xn] [ {v1 o1} {v2 o2} ... ]"
+    p = c.parameters
+    if p is None or len(p) != 2:
+        _fail(c, "global_cardinality takes: variable list, value/count pairs", sig)
+    vars_ = _var_list(p[0])
+    pairs = _group_list(p[1], 2)
+    if vars_ is None or pairs is None:
+        _fail(c, "malformed variable list or pairs", sig)
+    entries = []
+    for value, occ in pairs:
+        occ_term = _as_term(occ)
+        if not isinstance(value, int) or occ_term is None:
+            _fail(c, "each pair is {value occurrences}", sig)
+        entries.append((value, occ_term))
+    return GccSig(vars_, entries)
+
+
+def parse_cumulative_params(c: ResolvedConstraint) -> CumulativeSig:
+    sig = "[ {origin duration height} ... ] capacity"
+    p = c.parameters
+    if p is None or len(p) != 2 or not isinstance(p[1], int):
+        _fail(c, "cumulative takes: task list, capacity", sig)
+    groups = _group_list(p[0], 3)
+    if groups is None:
+        _fail(c, "each task is {origin duration height}", sig)
+    tasks = []
+    for origin, duration, height in groups:
+        origin_term = _as_term(origin)
+        if origin_term is None or not isinstance(duration, int) or not isinstance(height, int):
+            _fail(c, "task fields must be origin (var/int), duration int, height int", sig)
+        if duration < 0 or height < 0:
+            _fail(c, "duration and height must be nonnegative", sig)
+        tasks.append((origin_term, duration, height))
+    return CumulativeSig(tasks, p[1])
+
+
+def parse_disjunctive_params(c: ResolvedConstraint) -> DisjunctiveSig:
+    sig = "[ {origin duration} ... ]"
+    p = c.parameters
+    if p is None or len(p) != 1:
+        _fail(c, "disjunctive takes a task list", sig)
+    groups = _group_list(p[0], 2)
+    if groups is None:
+        _fail(c, "each task is {origin duration}", sig)
+    tasks = []
+    for origin, duration in groups:
+        origin_term = _as_term(origin)
+        if origin_term is None or not isinstance(duration, int) or duration < 0:
+            _fail(c, "task fields must be origin (var/int) and nonnegative duration", sig)
+        tasks.append((origin_term, duration))
+    return DisjunctiveSig(tasks)
+
+
+def parse_diffn_params(c: ResolvedConstraint) -> DiffnSig:
+    sig = "[ {x y width height} ... ]"
+    p = c.parameters
+    if p is None or len(p) != 1:
+        _fail(c, "diffn takes a box list", sig)
+    groups = _group_list(p[0], 4)
+    if groups is None:
+        _fail(c, "each box is {x y width height}", sig)
+    boxes = []
+    for group in groups:
+        terms = [_as_term(tok) for tok in group]
+        if any(t is None for t in terms):
+            _fail(c, "box fields must be variables or integers", sig)
+        boxes.append(tuple(terms))
+    return DiffnSig(boxes)
+
+
+def parse_lex_params(c: ResolvedConstraint) -> LexSig:
+    sig = "[x1 ... xn] [y1 ... yn]"
+    p = c.parameters
+    if p is None or len(p) != 2:
+        _fail(c, "lex takes two vectors", sig)
+    xs = _term_list(p[0])
+    ys = _term_list(p[1])
+    if xs is None or ys is None or len(xs) != len(ys) or not xs:
+        _fail(c, "vectors must be nonempty and of equal length", sig)
+    return LexSig(xs, ys)
+
+
+def parse_weighted_sum_params(c: ResolvedConstraint) -> WeightedSumSig:
+    sig = "[ {c1 x1} {c2 x2} ... ] <relop/> K"
+    p = c.parameters
+    if p is None or len(p) != 3 or p[1] not in RELOPS or not isinstance(p[2], int):
+        _fail(c, "weightedSum takes: weighted terms, relational operator, constant", sig)
+    groups = _group_list(p[0], 2)
+    if groups is None:
+        _fail(c, "each term is {coefficient variable}", sig)
+    terms = []
+    for coeff, tok in groups:
+        term = _as_term(tok)
+        if not isinstance(coeff, int) or term is None:
+            _fail(c, "each term is {coefficient variable}", sig)
+        terms.append((coeff, term))
+    return WeightedSumSig(terms, p[1], p[2])
+
+
+# what each supported global's parameters parse into; the order is that of
+# the "supported:" list in the error for any other name
+GLOBAL_PARSERS = {
+    "alldifferent": scope_vars,
+    "among": parse_counting_params,
+    "atleast": parse_counting_params,
+    "atmost": parse_counting_params,
+    "cumulative": parse_cumulative_params,
+    "diffn": parse_diffn_params,
+    "disjunctive": parse_disjunctive_params,
+    "element": parse_element_params,
+    "global_cardinality": parse_gcc_params,
+    "lex_less": parse_lex_params,
+    "lex_lesseq": parse_lex_params,
+    "not_all_equal": scope_vars,
+    "weightedsum": parse_weighted_sum_params,
+}
+SUPPORTED_GLOBALS = tuple(GLOBAL_PARSERS)
+
+
+def _ground(c: ResolvedConstraint) -> None:
+    """Substitute `c`'s parameters, or else its scope, into its predicate's
+    body, and note the variables the result reads."""
+    ref = c.ref
+    if c.parameters is None:
+        effective: List = [ex.VarRef(i) for i in c.scope]
+    else:
+        effective = c.parameters
+        if not all(isinstance(tok, (ex.VarRef, int)) for tok in effective):
+            _fail(c, "predicate parameters must be variables or integers",
+                  "v-or-int per formal parameter")
+    try:
+        ref.body = ex.substitute(ref.predicate.body, ref.predicate.formal_params, effective)
+    except EvalError as e:
+        raise ResolutionError("constraint %s: %s" % (clip(c.name), e)) from None
+    ref.refs = ex.var_refs(ref.body)
+
+
 # -- resolution ---------------------------------------------------------------
 
 
@@ -574,7 +926,7 @@ def _resolve_params(tokens: List[ParamToken], var_index: Dict[str, int],
         elif isinstance(tok, str):
             if tok in var_index:
                 out.append(ex.VarRef(var_index[tok]))
-            elif tok in _RELOP_TOKENS:
+            elif tok in RELOPS:
                 out.append(tok)
             else:
                 raise ResolutionError(
@@ -587,13 +939,16 @@ def _resolve_params(tokens: List[ParamToken], var_index: Dict[str, int],
 
 
 def resolve_references(model: InstanceModel) -> ResolvedInstance:
-    """Map all by-name references to dense 0-based variable indices.
+    """Map all by-name references to dense 0-based variable indices, parse
+    each global's parameters and ground each predicate on its parameters.
 
     Raises ResolutionError for dangling names, repeated scope variables,
-    relation/constraint arity mismatches, and unsupported globals.
+    relation/constraint arity mismatches, unsupported globals, and
+    parameters that do not fit their global or predicate; the first
+    constraint in declaration order with a fault is the one reported.
     """
     domain_by_name = {d.name: d for d in model.domains}
-    relation_by_name = {r.name: r for r in model.relations}
+    relation_refs = {r.name: RelationRef(r) for r in model.relations}
     predicate_by_name = {p.name: p for p in model.predicates}
     var_index: Dict[str, int] = {}
     domains: List[IntegerSet] = []
@@ -634,14 +989,14 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
                     % (clip(global_name), ", ".join(SUPPORTED_GLOBALS))
                 )
             ref = GlobalRef(global_name)
-        elif c.reference in relation_by_name:
-            relation = relation_by_name[c.reference]
+        elif c.reference in relation_refs:
+            ref = relation_refs[c.reference]
+            relation = ref.relation
             if relation.arity != c.arity:
                 raise ResolutionError(
                     "constraint %s has arity %d but relation %s has arity %d"
                     % (clip(c.name), c.arity, clip(relation.name), relation.arity)
                 )
-            ref = RelationRef(relation)
         elif c.reference in predicate_by_name:
             ref = PredicateRef(predicate_by_name[c.reference])
         else:
@@ -654,7 +1009,12 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
         if c.parameters is not None:
             parameters = _resolve_params(c.parameters, var_index,
                                          "constraint %s" % clip(c.name))
-        constraints.append(ResolvedConstraint(c.name, scope, ref, parameters))
+        resolved = ResolvedConstraint(c.name, scope, ref, parameters)
+        if isinstance(ref, GlobalRef):
+            ref.sig = GLOBAL_PARSERS[ref.name](resolved)
+        elif isinstance(ref, PredicateRef):
+            _ground(resolved)
+        constraints.append(resolved)
 
     return ResolvedInstance(names, domains, constraints,
                             diagnostics=list(model.diagnostics))

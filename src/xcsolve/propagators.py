@@ -318,9 +318,8 @@ class ElementProp(Propagator):
             store.update(index[1], IntegerSet.from_values(j + base for j in valid))
             if store.failed:
                 return FAILED
-        reachable = IntegerSet(())
-        for j in valid:
-            reachable = reachable.union(_term_domain(store, table[j]))
+        reachable = IntegerSet.from_intervals(
+            r for j in valid for r in _term_domain(store, table[j]).ranges)
         if value[0] == "var":
             store.intersect(value[1], reachable)
             if store.failed:

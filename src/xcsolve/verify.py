@@ -3,71 +3,23 @@ definitions, never against propagators.
 
 Relations are checked by tuple membership, predicates by expression
 evaluation, globals by their catalog definitions written out directly.
-The compiler's parameter-shape parsers are reused, but no filtering code
-is."""
+The oracle reads each predicate's ground body and each global's parsed
+parameters from the reference `resolve_references` made for it; it
+imports nothing from the compiler or the propagators."""
 
 from __future__ import annotations
 
-import weakref
 from typing import List
 
 from . import expr as ex
-from .compiler import (
-    parse_counting_params,
-    parse_cumulative_params,
-    parse_diffn_params,
-    parse_disjunctive_params,
-    parse_element_params,
-    parse_gcc_params,
-    parse_lex_params,
-    parse_weighted_sum_params,
-    scope_vars,
-)
-from .model import (
-    GlobalRef,
-    PredicateRef,
-    RelationRef,
-    ResolvedConstraint,
-    ResolvedInstance,
-)
+from .model import PredicateRef, RelationRef, ResolvedInstance
+
+# the most verdicts one predicate keeps before its cache is cleared
+MAX_VERDICTS = 1 << 16
 
 
 def _term_value(term, values: List[int]) -> int:
     return values[term[1]] if term[0] == "var" else term[1]
-
-
-def _prepare(c: ResolvedConstraint):
-    """What checking `c` needs beyond the values: a predicate's ground body
-    with the variables it reads and an empty verdict cache, or a global's
-    parameters, parsed as its definition below reads them."""
-    if isinstance(c.ref, PredicateRef):
-        predicate = c.ref.predicate
-        if c.parameters is None:
-            effective = [ex.VarRef(i) for i in c.scope]
-        else:
-            effective = list(c.parameters)
-        body = ex.substitute(predicate.body, predicate.formal_params, effective)
-        return body, ex.var_refs(body), {}
-    name = c.ref.name
-    if name in ("alldifferent", "not_all_equal"):
-        return scope_vars(c, "[x...]")
-    if name in ("among", "atleast", "atmost"):
-        return parse_counting_params(c, name)
-    if name == "element":
-        return parse_element_params(c)
-    if name == "global_cardinality":
-        return parse_gcc_params(c)
-    if name == "cumulative":
-        return parse_cumulative_params(c)
-    if name == "disjunctive":
-        return parse_disjunctive_params(c)
-    if name == "diffn":
-        return parse_diffn_params(c)
-    if name in ("lex_less", "lex_lesseq"):
-        return parse_lex_params(c)
-    if name == "weightedsum":
-        return parse_weighted_sum_params(c)
-    raise ValueError("unknown global %r" % name)
 
 
 def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
@@ -136,23 +88,6 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
     }[sig.op]
 
 
-# a weak reference to the instance checked last, and what `_prepare` made
-# for its constraints, by position: a search checks many solutions of one
-# instance, and the cache must not keep a large one alive
-_prepared = (None, {})
-# the most verdicts one predicate keeps before its cache is cleared
-MAX_VERDICTS = 1 << 16
-
-
-def _prepared_for(instance: ResolvedInstance) -> dict:
-    global _prepared
-    last, entries = _prepared
-    if last is None or last() is not instance:
-        entries = {}
-        _prepared = (weakref.ref(instance), entries)
-    return entries
-
-
 def verify_solution(instance: ResolvedInstance, values: List[int],
                     element_base: int = 1) -> bool:
     """True iff `values` (in declaration order) satisfies every constraint."""
@@ -160,29 +95,25 @@ def verify_solution(instance: ResolvedInstance, values: List[int],
         return False
     if any(v not in d for v, d in zip(values, instance.domains)):
         return False
-    prepared = _prepared_for(instance)
-    for k, c in enumerate(instance.constraints):
-        if isinstance(c.ref, RelationRef):
-            relation = c.ref.relation
-            point = tuple(values[v] for v in c.scope)
-            member = point in relation.tuples
-            ok = member if relation.semantics == "supports" else not member
+    for c in instance.constraints:
+        ref = c.ref
+        if isinstance(ref, RelationRef):
+            if ref.members is None:
+                ref.members = frozenset(ref.relation.tuples)
+            member = tuple(values[v] for v in c.scope) in ref.members
+            ok = member if ref.relation.semantics == "supports" else not member
+        elif isinstance(ref, PredicateRef):
+            # the body reads only `refs`, which `<parameters>` may take
+            # from outside the scope, so their values decide the verdict
+            point = tuple(values[v] for v in ref.refs)
+            verdicts = ref.verdicts
+            ok = verdicts.get(point)
+            if ok is None:
+                if len(verdicts) >= MAX_VERDICTS:
+                    verdicts.clear()
+                ok = verdicts[point] = ex.satisfied(ref.body, dict(zip(ref.refs, point)))
         else:
-            if k not in prepared:
-                prepared[k] = _prepare(c)
-            if isinstance(c.ref, PredicateRef):
-                # the body reads only `refs`, which `<parameters>` may take
-                # from outside the scope, so their values decide the verdict
-                body, refs, verdicts = prepared[k]
-                point = tuple(values[v] for v in refs)
-                ok = verdicts.get(point)
-                if ok is None:
-                    if len(verdicts) >= MAX_VERDICTS:
-                        verdicts.clear()
-                    ok = verdicts[point] = ex.satisfied(body, dict(zip(refs, point)))
-            else:
-                assert isinstance(c.ref, GlobalRef)
-                ok = _check_global(c.ref.name, prepared[k], values, element_base)
+            ok = _check_global(ref.name, ref.sig, values, element_base)
         if not ok:
             return False
     return True

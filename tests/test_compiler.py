@@ -150,13 +150,14 @@ def test_mul_by_variable_not_linear():
     assert problem.propagators[0].kind == "ExprCheck"
 
 
-def test_predicate_arity_mismatch_is_compile_error():
+def test_predicate_arity_mismatch_is_resolution_error():
     xml = _intension("ne(P0,P1)", ["P0", "P1"],
                      [("X", [1, 2])], ["X"], "X")
-    from xcsolve import parse_instance, resolve_references
-    resolved = resolve_references(parse_instance(xml))
-    with pytest.raises(CompileError):
-        compile_instance(resolved)
+    from xcsolve import ResolutionError, parse_instance, resolve_references
+    message = "constraint 'c0': predicate expects 2 parameter(s), got 1"
+    with pytest.raises(ResolutionError) as caught:
+        resolve_references(parse_instance(xml))
+    assert str(caught.value) == message
 
 
 # -- globals ------------------------------------------------------------------
@@ -224,10 +225,9 @@ def test_malformed_global_parameters_report_signature():
         [{"name": "c0", "scope": ["X"], "reference": "global:among",
           "parameters": "[ X ]"}],
     )
-    from xcsolve import parse_instance, resolve_references
-    resolved = resolve_references(parse_instance(xml))
-    with pytest.raises(CompileError, match=r"N \[x1 \.\.\. xn\]"):
-        compile_instance(resolved)
+    from xcsolve import ResolutionError, parse_instance, resolve_references
+    with pytest.raises(ResolutionError, match=r"N \[x1 \.\.\. xn\]"):
+        resolve_references(parse_instance(xml))
 
 
 def test_element_base_override():

@@ -59,6 +59,7 @@ def test_random_against_python_sets():
         assert set(a.intersect(b)) == xs & ys
         assert set(a.union(b)) == xs | ys
         assert set(a.difference(b)) == xs - ys
+        assert a.intersects(b) == b.intersects(a) == bool(xs & ys)
         # re-canonicalizing is the identity
         assert IntegerSet.from_intervals(a.ranges) == a
 

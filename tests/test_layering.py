@@ -1,0 +1,42 @@
+"""The import graph of the package, read with `ast`: the oracle stays
+independent of the compiler and the solver, and the model below both."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xcsolve"
+
+
+def package_imports(path: pathlib.Path) -> set:
+    """The modules of the package that the file at `path` imports."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["xcsolve" if node.level else "", node.module]))
+            if module == "xcsolve":  # `from . import expr` names modules
+                dotted += ["xcsolve." + alias.name for alias in node.names]
+            else:
+                dotted.append(module)
+    return {name.split(".")[1] for name in dotted if name.startswith("xcsolve.")}
+
+
+GRAPH = {path.stem: package_imports(path) for path in SRC.glob("*.py")}
+
+
+def test_graph_sees_the_imports_of_the_driver():
+    assert {"compiler", "model", "search", "verify"} <= GRAPH["cli"]
+
+
+def test_oracle_imports_only_the_model_layer():
+    assert GRAPH["verify"] <= {"expr", "model", "errors", "intset"}
+
+
+def test_model_imports_neither_compiler_nor_oracle():
+    assert not GRAPH["model"] & {"compiler", "verify"}
+
+
+def test_solver_does_not_import_the_oracle():
+    assert "verify" not in GRAPH["propagators"]
+    assert "verify" not in GRAPH["search"]

@@ -14,7 +14,7 @@ from xcsolve import (
     resolve_references,
 )
 from xcsolve.errors import integer_error
-from xcsolve.expr import VarRef
+from xcsolve.expr import Apply, VarRef
 from xcsolve.intset import IntegerSet
 from xcsolve.model import GlobalRef, PredicateRef, RelationRef, to_xml
 
@@ -379,6 +379,53 @@ def test_resolve_unsupported_global_lists_supported():
                          "reference": "global:circuit"}])
     with pytest.raises(ResolutionError, match="alldifferent"):
         resolve_references(parse_instance(xml))
+
+
+def test_resolve_rejects_a_predicate_parameter_group():
+    xml = instance_xml(
+        [("X", [0, 1])],
+        [{"name": "c0", "scope": ["X"], "reference": "p0", "parameters": "[ X ]"}],
+        predicates=[{"name": "p0", "params": ["A"], "body": "eq(A,1)"}],
+    )
+    with pytest.raises(ResolutionError) as caught:
+        resolve_references(parse_instance(xml))
+    assert str(caught.value) == (
+        "constraint 'c0' ('p0'): predicate parameters must be variables or "
+        "integers; expected parameters: v-or-int per formal parameter")
+
+
+def test_resolve_reports_malformed_alldifferent_with_its_signature():
+    xml = instance_xml(
+        [("X", [0, 1]), ("Y", [0, 1])],
+        [{"name": "c0", "scope": ["X", "Y"], "reference": "global:alldifferent",
+          "parameters": "X Y"}],
+    )
+    with pytest.raises(ResolutionError) as caught:
+        resolve_references(parse_instance(xml))
+    assert str(caught.value) == (
+        "constraint 'c0' (global:alldifferent): malformed parameters; "
+        "expected parameters: (optional) [x1 ... xn]")
+
+
+def test_resolve_binds_parameters_once():
+    xml = instance_xml(
+        [("X", [0, 1]), ("Y", [0, 1])],
+        [
+            {"name": "c0", "scope": ["X", "Y"], "reference": "r0"},
+            {"name": "c1", "scope": ["Y", "X"], "reference": "r0"},
+            {"name": "c2", "scope": ["X"], "reference": "p0", "parameters": "Y X"},
+            {"name": "c3", "scope": ["X", "Y"], "reference": "global:alldifferent"},
+        ],
+        relations=[{"name": "r0", "arity": 2, "semantics": "supports",
+                    "tuples": [(0, 1)]}],
+        predicates=[{"name": "p0", "params": ["P0", "P1"], "body": "ne(P0,P1)"}],
+    )
+    c0, c1, c2, c3 = resolve_references(parse_instance(xml)).constraints
+    # constraints on one relation share its reference
+    assert c0.ref is c1.ref
+    assert c2.ref.body == Apply("ne", (VarRef(1), VarRef(0)))
+    assert c2.ref.refs == [1, 0]
+    assert c3.ref.sig == [0, 1]
 
 
 def test_resolve_indices_dense_and_in_range():

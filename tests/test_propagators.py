@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +177,24 @@ def test_element_out_of_range_index_fails():
     spec = _element_spec(["const", 9], [["const", 5]], ["var", 0])
     ok, _ = run_root(spec, [iset(5)])
     assert not ok
+
+
+def test_element_root_call_on_a_wide_table_is_fast():
+    # 2,000 variable cells of two scattered values each, every index valid:
+    # the reachable values come from one sort, not from one union per cell
+    rng = random.Random(3)
+    n = 2000
+    cells = [iset(*rng.sample(range(10 ** 6), 2)) for _ in range(n)]
+    domains = [IntegerSet.interval(1, n)] + cells + [IntegerSet.interval(0, 10 ** 6)]
+    spec = _element_spec(["var", 0], [["var", j + 1] for j in range(n)], ["var", n + 1])
+    engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
+    started = time.monotonic()
+    assert engine.propagate_fixpoint()
+    assert time.monotonic() - started < 0.2
+    store = engine.store
+    assert store.domain(0) == IntegerSet.interval(1, n)
+    assert [store.domain(j + 1) for j in range(n)] == cells
+    assert store.domain(n + 1) == IntegerSet.from_values(v for c in cells for v in c)
 
 
 # -- global cardinality -------------------------------------------------------

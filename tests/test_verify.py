@@ -1,7 +1,7 @@
 import random
 
 from xcsolve import expr as ex
-from xcsolve import verify
+from xcsolve import model, verify
 from xcsolve import parse_instance, resolve_references, verify_solution
 
 from helpers import TINY_ALLDIFF, instance_xml
@@ -36,12 +36,12 @@ def test_zero_constraints_vacuously_true():
 
 
 def test_relation_semantics():
-    def with_semantics(semantics):
+    def with_semantics(semantics, tuples=((1, 2),)):
         return resolve(instance_xml(
             [("X", [1, 2]), ("Y", [1, 2])],
             [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
             relations=[{"name": "r0", "arity": 2, "semantics": semantics,
-                        "tuples": [(1, 2)]}],
+                        "tuples": list(tuples)}],
         ))
 
     supports = with_semantics("supports")
@@ -50,6 +50,11 @@ def test_relation_semantics():
     assert not verify_solution(supports, [2, 1])
     assert not verify_solution(conflicts, [1, 2])
     assert verify_solution(conflicts, [2, 1])
+    # a tuple listed twice forbids the same point, and nothing else
+    twice = with_semantics("conflicts", [(1, 2), (2, 2), (1, 2)])
+    points = [[1, 1], [1, 2], [2, 1], [2, 2]]
+    assert [verify_solution(twice, p) for p in points] == [True, False, True, False]
+    assert twice.constraints[0].ref.members == {(1, 2), (2, 2)}
 
 
 def test_predicate_with_constant_parameter():
@@ -78,12 +83,12 @@ def test_predicates_are_ground_once_per_instance(monkeypatch):
         ))
 
     above0, above1 = threshold(0), threshold(1)
+    # resolving grounds each constraint once, and checking grounds nothing
+    assert len(calls) == 4
     assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
-    assert len(calls) == 2
-    # another instance, then the first again: each is ground afresh
     assert [verify_solution(above1, [x, 0]) for x in range(3)] == [False, False, True]
     assert [verify_solution(above0, [x, 0]) for x in range(3)] == [False, True, True]
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def count_evaluations(monkeypatch):
@@ -121,8 +126,8 @@ def test_predicate_verdicts_start_fresh_for_another_instance(monkeypatch):
     for _ in range(2):
         assert verify_solution(above0, [1]) and verify_solution(above0, [1])
         assert not verify_solution(above1, [1]) and not verify_solution(above1, [1])
-    # one evaluation per instance each time the other came in between
-    assert len(points) == 4
+    # each instance keeps its own verdicts, however the checks alternate
+    assert len(points) == 2
 
 
 def test_predicate_verdicts_equal_plain_evaluation(monkeypatch):
@@ -171,15 +176,14 @@ def test_predicate_verdicts_are_bounded(monkeypatch):
     ))
     for _ in range(2):
         assert [verify_solution(instance, [x]) for x in range(6)] == [x > 2 for x in range(6)]
-    (_, _, verdicts), = verify._prepared[1].values()
-    assert len(verdicts) <= 2
+    assert len(instance.constraints[0].ref.verdicts) <= 2
 
 
 def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
     calls = []
-    for name in ("parse_gcc_params", "parse_weighted_sum_params"):
-        parse = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
+    for name in ("global_cardinality", "weightedsum"):
+        parse = model.GLOBAL_PARSERS[name]
+        monkeypatch.setitem(model.GLOBAL_PARSERS, name,
                             lambda c, parse=parse: calls.append(c.name) or parse(c))
 
     def globals_with_rhs(rhs):
@@ -193,13 +197,12 @@ def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
 
     points = [[1, 1], [1, 2], [2, 1], [2, 2]]
     three, four = globals_with_rhs(3), globals_with_rhs(4)
+    # resolving parses each global once, and checking parses nothing
+    assert calls == ["gcc", "sum"] * 2
     assert [verify_solution(three, p) for p in points] == [False, True, True, False]
-    assert calls == ["gcc", "sum"]
-    # the gcc fails [1, 1] and [2, 2] before the sum is reached, so the
-    # second instance's sum is parsed on its first point that passes the gcc
     assert [verify_solution(four, p) for p in points] == [False, False, False, False]
     assert [verify_solution(three, p) for p in points] == [False, True, True, False]
-    assert calls == ["gcc", "sum"] * 3
+    assert calls == ["gcc", "sum"] * 2
 
 
 def test_predicate_defaults_parameters_to_scope():
