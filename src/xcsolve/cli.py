@@ -114,8 +114,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
     strategy = BranchStrategy(config.var_heuristic, config.val_heuristic)
     engine = Engine(problem, strategy)
     result = engine.solve(
-        find_all=config.mode == "all",
-        limit=config.limit,
+        limit=config.limit if config.mode == "all" else 1,
         node_limit=config.node_limit,
         time_limit=config.time_limit,
     )

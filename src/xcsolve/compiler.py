@@ -41,19 +41,6 @@ class PropagatorSpec:
     scope: Tuple[int, ...]
     data: dict
 
-    def to_obj(self) -> dict:
-        data = dict(self.data)
-        if "expr" in data:
-            data["expr"] = ex.to_obj(data["expr"])
-        return {"kind": self.kind, "scope": list(self.scope), "data": data}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "PropagatorSpec":
-        data = dict(obj["data"])
-        if "expr" in data:
-            data["expr"] = ex.from_obj(data["expr"])
-        return cls(obj["kind"], tuple(obj["scope"]), data)
-
 
 @dataclass
 class Problem:

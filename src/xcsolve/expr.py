@@ -364,33 +364,6 @@ def satisfied(expr: Expr, assignment: Dict[int, int]) -> bool:
         return False
 
 
-# -- debug serialization ------------------------------------------------------
-
-
-def to_obj(e: Expr):
-    """Plain-list encoding for debug dumps; `from_obj` inverts it."""
-    if isinstance(e, IntLiteral):
-        return ["int", e.value]
-    if isinstance(e, Param):
-        return ["param", e.name]
-    if isinstance(e, VarRef):
-        return ["var", e.index]
-    return ["apply", e.op, [to_obj(a) for a in e.args]]
-
-
-def from_obj(obj) -> Expr:
-    tag = obj[0]
-    if tag == "int":
-        return IntLiteral(obj[1])
-    if tag == "param":
-        return Param(obj[1])
-    if tag == "var":
-        return VarRef(obj[1])
-    if tag == "apply":
-        return Apply(obj[1], tuple(from_obj(a) for a in obj[2]))
-    raise ValueError("bad expression encoding: %r" % (obj,))
-
-
 def to_text(e: Expr) -> str:
     """Render back to functional notation (VarRef as ``var<i>``)."""
     if isinstance(e, IntLiteral):

@@ -100,20 +100,6 @@ class IntegerSet:
 
     # -- derivations ------------------------------------------------------
 
-    def remove(self, v: int) -> "IntegerSet":
-        if v not in self:
-            return self
-        out = []
-        for lo, hi in self.ranges:
-            if lo <= v <= hi:
-                if lo <= v - 1:
-                    out.append((lo, v - 1))
-                if v + 1 <= hi:
-                    out.append((v + 1, hi))
-            else:
-                out.append((lo, hi))
-        return IntegerSet(tuple(out))
-
     def intersect(self, other: "IntegerSet") -> "IntegerSet":
         out = []
         a, b = self.ranges, other.ranges

@@ -587,7 +587,7 @@ def to_xml(model: InstanceModel) -> str:
 #     weightedSum         [ {c1 x1} ... ] <relop/> K
 
 
-# ("var", index) or ("const", value); list-shaped so JSON round-trips cleanly
+# ("var", index) or ("const", value), as a two-item list
 Term = List
 
 

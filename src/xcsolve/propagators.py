@@ -310,8 +310,9 @@ class ElementProp(Propagator):
         idom = _term_domain(store, index)
         vdom = _term_domain(store, value)
 
-        valid = [j for j in range(len(table))
-                 if (j + base) in idom and _term_domain(store, table[j]).intersects(vdom)]
+        cells = idom.intersect(IntegerSet.interval(base, base + len(table) - 1))
+        valid = [i - base for i in cells
+                 if _term_domain(store, table[i - base]).intersects(vdom)]
         if not valid:
             return FAILED
         if index[0] == "var":

@@ -118,8 +118,6 @@ class Engine:
                 return True
             k = queue.popleft()
             queued[k] = False
-            if not active[k]:
-                continue
             self.stats.propagations += 1
             outcome = self.props[k].prune(store)
             if outcome == FAILED or store.failed:
@@ -131,9 +129,12 @@ class Engine:
 
     # -- search -----------------------------------------------------------
 
-    def solve(self, find_all: bool = False, limit: Optional[int] = None,
+    def solve(self, limit: Optional[int] = 1,
               node_limit: Optional[int] = None,
               time_limit: Optional[float] = None) -> SearchResult:
+        """Search until `limit` solutions are found (1 by default; None
+        enumerates them all), the tree is exhausted, or a node or time
+        budget runs out."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         solutions: List[List[int]] = []
         stats = self.stats
@@ -159,8 +160,6 @@ class Engine:
             if not failed and self.store.all_assigned():
                 solutions.append(self.store.solution_values())
                 stats.solutions += 1
-                if not find_all and limit is None:
-                    break
                 if limit is not None and len(solutions) >= limit:
                     break
                 failed = True  # exhaust this branch and keep enumerating
@@ -173,25 +172,21 @@ class Engine:
                     break
                 var, value, _ = decisions.pop()
                 self.store.undo()
-                if budget_exceeded():
-                    complete = False
-                    break
-                self.store.push()
-                decisions.append((var, value, True))
-                stats.nodes += 1
-                stats.peak_depth = max(stats.peak_depth, len(decisions))
-                self.store.remove_value(var, value)
-                failed = not self.propagate_fixpoint(())
-                continue
             if budget_exceeded():
                 complete = False
                 break
-            var, value = self.strategy.select(self.store, self.degrees)
+            # one decision step: after a failure, the right branch x!=v of
+            # the decision just undone; otherwise a new left branch x=v
+            if not failed:
+                var, value = self.strategy.select(self.store, self.degrees)
             self.store.push()
-            decisions.append((var, value, False))
+            decisions.append((var, value, failed))
             stats.nodes += 1
             stats.peak_depth = max(stats.peak_depth, len(decisions))
-            self.store.assign(var, value)
+            if failed:
+                self.store.remove_value(var, value)
+            else:
+                self.store.assign(var, value)
             failed = not self.propagate_fixpoint(())
 
         # unwind so the store returns to its root state
@@ -215,6 +210,5 @@ def search_all(problem: Problem, strategy: Optional[BranchStrategy] = None,
                node_limit: Optional[int] = None,
                time_limit: Optional[float] = None) -> SearchResult:
     """All solutions (up to `limit`) in deterministic DFS order."""
-    return Engine(problem, strategy).solve(find_all=True, limit=limit,
-                                           node_limit=node_limit,
+    return Engine(problem, strategy).solve(limit=limit, node_limit=node_limit,
                                            time_limit=time_limit)

@@ -1,11 +1,11 @@
 """Trail-based mutable domain store for depth-first search.
 
-Domains are immutable IntegerSets replaced wholesale on update; the trail
-records the previous set so backtracking restores choice-point state
-exactly. `failed` is set precisely when some domain became empty.
-Search state outside the domains (subsumed propagators, the valid tuples
-of a table) goes on a second trail through `save`, restored by the same
-`push`/`undo` marks.
+Domains are immutable IntegerSets replaced wholesale on update. One trail
+of `(owner, key, old)` entries records every change to search state, the
+domains (`owner` is the domain list) and whatever goes through `save`
+(subsumed propagators, the valid tuples of a table), so backtracking
+restores each choice point exactly. `failed` is set precisely when some
+domain became empty.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ class DomainStore:
     def __init__(self, domains: List[IntegerSet]):
         self._domains = list(domains)
         self.failed = any(d.is_empty() for d in domains)
-        self._trail: List[Tuple[int, IntegerSet]] = []
-        self._saved: List[Tuple[Any, Any, Any]] = []
-        self._marks: List[Tuple[int, int]] = []
+        self._trail: List[Tuple[Any, Any, Any]] = []
+        self._marks: List[int] = []
         # variables updated since the engine last drained this list
         self.changed: List[int] = []
 
@@ -44,7 +43,7 @@ class DomainStore:
         old = self._domains[i]
         if new == old:
             return False
-        self._trail.append((i, old))
+        self._trail.append((self._domains, i, old))
         self._domains[i] = new
         self.changed.append(i)
         if new.is_empty():
@@ -52,13 +51,10 @@ class DomainStore:
         return True
 
     def assign(self, i: int, v: int) -> bool:
-        d = self._domains[i]
-        if v in d:
-            return self.update(i, IntegerSet.interval(v, v))
-        return self.update(i, IntegerSet(()))
+        return self.intersect(i, IntegerSet.interval(v, v))
 
     def remove_value(self, i: int, v: int) -> bool:
-        return self.update(i, self._domains[i].remove(v))
+        return self.update(i, self._domains[i].difference(IntegerSet.interval(v, v)))
 
     def clamp(self, i: int, lo=None, hi=None) -> bool:
         return self.update(i, self._domains[i].clamp(lo, hi))
@@ -76,19 +72,17 @@ class DomainStore:
     def save(self, owner, key, value):
         """Set `owner[key] = value` until the matching undo. `owner` is any
         list or dict: the engine's active flags, `vars(propagator)`."""
-        self._saved.append((owner, key, owner[key]))
+        self._trail.append((owner, key, owner[key]))
         owner[key] = value
 
     def push(self):
-        self._marks.append((len(self._trail), len(self._saved)))
+        self._marks.append(len(self._trail))
 
     def undo(self):
-        mark, saved_mark = self._marks.pop()
-        while len(self._trail) > mark:
-            i, old = self._trail.pop()
-            self._domains[i] = old
-        while len(self._saved) > saved_mark:
-            owner, key, old = self._saved.pop()
+        trail = self._trail
+        mark = self._marks.pop()
+        while len(trail) > mark:
+            owner, key, old = trail.pop()
             owner[key] = old
         self.failed = False
         self.changed = []

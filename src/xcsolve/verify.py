@@ -48,12 +48,11 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
                 return False
         return True
     if name == "cumulative":
-        usage = {}
-        for origin, duration, height in sig.tasks:
-            start = _term_value(origin, values)
-            for t in range(start, start + duration):
-                usage[t] = usage.get(t, 0) + height
-        return all(h <= sig.capacity for h in usage.values())
+        # heights are nonnegative, so the load can only rise where a task
+        # starts: checking it at every start checks it everywhere
+        tasks = [(_term_value(o, values), d, h) for o, d, h in sig.tasks if d > 0]
+        return all(sum(h for s, d, h in tasks if s <= start < s + d) <= sig.capacity
+                   for start, _, _ in tasks)
     if name == "disjunctive":
         spans = [(_term_value(o, values), d) for o, d in sig.tasks]
         for i in range(len(spans)):

@@ -150,9 +150,9 @@ def test_criterion_7_determinism_and_backtrack_integrity(tmp_path):
             _, problem = load(random_instance(family, rng))
             engine = Engine(problem)
             before = engine.store.snapshot()
-            r1 = engine.solve(find_all=True)
+            r1 = engine.solve(limit=None)
             ok = ok and engine.store.snapshot() == before
             ok = ok and engine.store.depth() == 0
-            r2 = engine.solve(find_all=True)  # engine is reusable
+            r2 = engine.solve(limit=None)  # engine is reusable
             ok = ok and r1.solutions == r2.solutions
     report(7, "deterministic output, search restores the store", ok)

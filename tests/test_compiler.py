@@ -1,10 +1,8 @@
 import pathlib
-import random
 
 import pytest
 
 from xcsolve import CompileError, compile_instance
-from xcsolve.compiler import PropagatorSpec
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import PROPAGATOR_CLASSES
 from xcsolve.search import search_all
@@ -243,16 +241,3 @@ def test_element_base_override():
     assert solutions(1) == [[1, 5], [2, 6], [3, 7]]
     assert solutions(0) == [[0, 5], [1, 6], [2, 7]]
 
-
-# -- debug serialization ------------------------------------------------------
-
-
-def test_specs_round_trip_through_debug_serialization():
-    rng = random.Random(3)
-    from helpers import FAMILIES, random_instance
-    for family in FAMILIES:
-        for _ in range(5):
-            _, problem = load(random_instance(family, rng))
-            for spec in problem.propagators:
-                again = PropagatorSpec.from_obj(spec.to_obj())
-                assert again == spec

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -59,6 +60,50 @@ def test_store_empty_domain_sets_failed():
     store.undo()
     assert not store.failed
     assert store.domain(0) == iset(7)
+
+
+def test_one_trail_restores_every_frame():
+    # domain updates and `save`s on a list and on `vars(obj)` share one
+    # trail; each undo must give back exactly the state of its push
+    class Holder:
+        pass
+
+    rng = random.Random(5)
+    for _ in range(40):
+        store = DomainStore([IntegerSet.interval(0, 5) for _ in range(4)])
+        flags = [True] * 3
+        holder = Holder()
+        holder.valid, holder.count = (0, 1, 2), 0
+
+        def state():
+            return store.snapshot(), list(flags), dict(vars(holder)), store.failed
+
+        frames = []
+        for _ in range(300):
+            if not frames or (not store.failed and rng.random() < 0.2):
+                frames.append(state())
+                store.push()
+            elif store.failed or rng.random() < 0.2:
+                store.undo()
+                assert state() == frames.pop()
+            else:
+                i, v = rng.randrange(4), rng.randint(-1, 6)
+                op = rng.randrange(5)
+                if op == 0:
+                    store.update(i, store.domain(i).clamp(lo=v))
+                elif op == 1:
+                    store.remove_value(i, v)
+                elif op == 2:
+                    store.assign(i, v)
+                elif op == 3:
+                    store.save(flags, rng.randrange(3), rng.random() < 0.5)
+                else:
+                    key = rng.choice(("valid", "count"))
+                    store.save(vars(holder), key, (v,) if key == "valid" else v)
+        while frames:
+            store.undo()
+            assert state() == frames.pop()
+        assert store.depth() == 0
 
 
 # -- propagation --------------------------------------------------------------
@@ -189,7 +234,7 @@ def test_store_restored_after_search():
     _, problem = load(pigeonhole_xml(3))
     engine = Engine(problem)
     before = engine.store.snapshot()
-    engine.solve(find_all=True)
+    engine.solve(limit=None)
     assert engine.store.snapshot() == before
     assert engine.store.depth() == 0
 
@@ -262,9 +307,9 @@ def test_constraints_sharing_a_relation_share_its_tuples():
     assert second.data["tuples"] is relation.tuples
     engine = Engine(problem)
     root = engine.store.snapshot()
-    r1 = engine.solve(find_all=True)
+    r1 = engine.solve(limit=None)
     assert engine.store.snapshot() == root
-    r2 = engine.solve(find_all=True)
+    r2 = engine.solve(limit=None)
     assert engine.store.snapshot() == root
     assert engine.store.depth() == 0
     assert relation.tuples == parsed
@@ -332,7 +377,7 @@ def test_expr_checks_wake_only_on_fixed_variables():
     engine = Engine(problem)
     assert engine.degrees == [7] * 8
     assert engine.watchers == [[]] * 8
-    result = engine.solve(find_all=True)
+    result = engine.solve(limit=None)
     assert len(result.solutions) == len(set(map(tuple, result.solutions))) == 92
     assert result.solutions[0] == [0, 4, 7, 5, 2, 6, 1, 3]
     assert all(verify_solution(instance, values) for values in result.solutions)

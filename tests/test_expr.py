@@ -296,12 +296,6 @@ def test_evaluate_is_pure():
     assert all(ex.evaluate(tree, assignment) == first for _ in range(5))
 
 
-def test_obj_round_trip():
-    tree = ex.parse_functional("if(gt(P0,0),P0,neg(P0))", ["P0"])
-    tree = ex.substitute(tree, ["P0"], [ex.VarRef(2)])
-    assert ex.from_obj(ex.to_obj(tree)) == tree
-
-
 # -- lowering -----------------------------------------------------------------
 
 # a literal may lie beyond 64 bits, as the parser does not bound it

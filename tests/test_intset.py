@@ -27,9 +27,9 @@ def test_membership_and_bounds():
 
 def test_remove_splits_interval():
     s = IntegerSet.from_intervals([(1, 5)])
-    assert s.remove(3).ranges == ((1, 2), (4, 5))
-    assert s.remove(1).ranges == ((2, 5),)
-    assert s.remove(9) is s
+    assert s.difference(IntegerSet.interval(3, 3)).ranges == ((1, 2), (4, 5))
+    assert s.difference(IntegerSet.interval(1, 1)).ranges == ((2, 5),)
+    assert s.difference(IntegerSet.interval(9, 9)) == s
 
 
 def test_intersect_clamp_union():

@@ -197,6 +197,26 @@ def test_element_root_call_on_a_wide_table_is_fast():
     assert store.domain(n + 1) == IntegerSet.from_values(v for c in cells for v in c)
 
 
+def test_element_root_call_on_a_fragmented_index_is_fast():
+    # an index over every other one of 8,000 cells: the cells come from one
+    # intersection with the table's index range, not a membership scan each
+    rng = random.Random(5)
+    n = 8000
+    cells = [iset(*rng.sample(range(10 ** 6), 2)) for _ in range(n)]
+    index = IntegerSet.from_values(range(1, n + 1, 2))
+    domains = [index] + cells + [IntegerSet.interval(0, 10 ** 6)]
+    spec = _element_spec(["var", 0], [["var", j + 1] for j in range(n)], ["var", n + 1])
+    engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
+    started = time.monotonic()
+    assert engine.propagate_fixpoint()
+    assert time.monotonic() - started < 0.2
+    store = engine.store
+    assert store.domain(0) == index
+    assert [store.domain(j + 1) for j in range(n)] == cells
+    assert store.domain(n + 1) == IntegerSet.from_values(
+        v for c in cells[::2] for v in c)
+
+
 # -- global cardinality -------------------------------------------------------
 
 

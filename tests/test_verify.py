@@ -1,4 +1,5 @@
 import random
+import time
 
 from xcsolve import expr as ex
 from xcsolve import model, verify
@@ -289,6 +290,37 @@ def test_cumulative_definition():
         "[ { A 2 2 } { B 2 2 } ] 3")
     assert verify_solution(instance, [0, 2])
     assert not verify_solution(instance, [0, 1])
+
+
+def test_cumulative_check_does_not_walk_the_durations():
+    instance = _single_global(
+        "global:cumulative",
+        [("A", [0, 1]), ("B", [0, 1])],
+        "[ { A 1000000000 1 } { B 1000000000 1 } ] 2")
+    started = time.monotonic()
+    assert verify_solution(instance, [0, 1])
+    assert time.monotonic() - started < 0.1
+    tight = _single_global(
+        "global:cumulative",
+        [("A", [0, 1]), ("B", [0, 1])],
+        "[ { A 1000000000 1 } { B 1000000000 1 } ] 1")
+    assert not verify_solution(tight, [1, 0])
+
+
+def test_cumulative_check_matches_the_load_at_every_time_unit():
+    rng = random.Random(11)
+    names = ["T%d" % k for k in range(4)]
+    for _ in range(200):
+        tasks = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in names]
+        capacity = rng.randint(0, 4)
+        instance = _single_global(
+            "global:cumulative", [(name, [0, 1, 2, 3]) for name in names],
+            "[ %s ] %d" % (" ".join("{ %s %d %d }" % (name, d, h)
+                                    for name, (d, h) in zip(names, tasks)), capacity))
+        starts = [rng.randint(0, 3) for _ in names]
+        load = [sum(h for s, (d, h) in zip(starts, tasks) if s <= t < s + d)
+                for t in range(6)]
+        assert verify_solution(instance, starts) == (max(load) <= capacity)
 
 
 def test_disjunctive_definition():
