@@ -1,6 +1,6 @@
 """XCSP 2.1 toolchain: parser, constraint compiler, finite-domain solver."""
 
-from .compiler import CompileOptions, Problem, PropagatorSpec, compile_instance
+from .compiler import Problem, PropagatorSpec, compile_instance
 from .errors import (
     CompileError,
     EvalError,
@@ -19,15 +19,13 @@ from .model import (
     parse_integer_set,
     parse_tuples,
     resolve_references,
-    to_xml,
 )
-from .search import BranchStrategy, Engine, SearchStats, search_all, search_first
+from .search import BranchStrategy, Engine, SearchStats
 from .verify import verify_solution
 
 __all__ = [
     "BranchStrategy",
     "CompileError",
-    "CompileOptions",
     "Engine",
     "EvalError",
     "FormatError",
@@ -47,9 +45,6 @@ __all__ = [
     "parse_integer_set",
     "parse_tuples",
     "resolve_references",
-    "search_all",
-    "search_first",
-    "to_xml",
     "verify_solution",
 ]
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .compiler import CompileOptions, compile_instance
+from .compiler import compile_instance
 from .errors import XcspError
 from .model import parse_instance, resolve_references
 from .search import VAL_HEURISTICS, VAR_HEURISTICS, BranchStrategy, Engine
@@ -102,8 +102,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
             document = handle.read()
         model = parse_instance(document)
         instance = resolve_references(model)
-        problem = compile_instance(
-            instance, CompileOptions(element_base=config.element_base))
+        problem = compile_instance(instance, element_base=config.element_base)
     except (OSError, XcspError) as e:
         print("error: %s" % e, file=err)
         return EXIT_ERROR

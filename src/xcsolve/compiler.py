@@ -49,11 +49,6 @@ class Problem:
     propagators: List[PropagatorSpec] = field(default_factory=list)
 
 
-@dataclass
-class CompileOptions:
-    element_base: int = 1  # benchmark corpora index element tables from 1
-
-
 # -- linear-shape recognition -------------------------------------------------
 
 
@@ -162,7 +157,7 @@ def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
     ]
 
 
-def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[PropagatorSpec]:
+def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorSpec]:
     name, sig = c.ref.name, c.ref.sig
     if name == "alldifferent":
         return [PropagatorSpec("AllDifferent", tuple(sig), {})]
@@ -177,7 +172,7 @@ def compile_global(c: ResolvedConstraint, options: CompileOptions) -> List[Propa
         scope = _unique_vars([sig.index] + sig.table + [sig.value])
         return [PropagatorSpec("Element", tuple(scope), {
             "index": sig.index, "table": sig.table, "value": sig.value,
-            "base": options.element_base,
+            "base": element_base,
         })]
     if name == "global_cardinality":
         specs = []
@@ -249,22 +244,24 @@ def _unique_vars(terms: List[Term]) -> List[int]:
 
 
 def compile_constraint(c: ResolvedConstraint,
-                       options: CompileOptions) -> List[PropagatorSpec]:
+                       element_base: int) -> List[PropagatorSpec]:
     if isinstance(c.ref, RelationRef):
         return [compile_extension(c, c.ref.relation)]
     if isinstance(c.ref, PredicateRef):
         return [compile_intension(c)]
-    return compile_global(c, options)
+    return compile_global(c, element_base)
 
 
-def compile_instance(instance: ResolvedInstance,
-                     options: Optional[CompileOptions] = None) -> Problem:
-    """Compile every resolved constraint, in declaration order."""
-    options = options or CompileOptions()
+def compile_instance(instance: ResolvedInstance, element_base: int = 1) -> Problem:
+    """Compile every resolved constraint, in declaration order.
+
+    `element_base` is the index of an `element` table's first entry;
+    benchmark corpora index from 1.
+    """
     problem = Problem(list(instance.names), list(instance.domains))
     for c in instance.constraints:
         try:
-            specs = compile_constraint(c, options)
+            specs = compile_constraint(c, element_base)
         except CompileError:
             raise
         except Exception as e:  # surface the constraint name on any lowering bug

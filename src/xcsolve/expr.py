@@ -363,13 +363,3 @@ def satisfied(expr: Expr, assignment: Dict[int, int]) -> bool:
     except EvalError:
         return False
 
-
-def to_text(e: Expr) -> str:
-    """Render back to functional notation (VarRef as ``var<i>``)."""
-    if isinstance(e, IntLiteral):
-        return str(e.value)
-    if isinstance(e, Param):
-        return e.name
-    if isinstance(e, VarRef):
-        return "var%d" % e.index
-    return "%s(%s)" % (e.op, ",".join(to_text(a) for a in e.args))

@@ -1,6 +1,5 @@
-"""XCSP 2.1 instance model: XML parsing, canonical serialization, and
-resolution, which also parses each global's parameters and grounds each
-predicate.
+"""XCSP 2.1 instance model: XML parsing and resolution, which also parses
+each global's parameters and grounds each predicate.
 
 Supports the fully-tagged XML representation with abridged text content
 inside tags (``1..2`` integer sets, ``1 2|2 1`` tuple lists, functional
@@ -217,12 +216,14 @@ def parse_tuples(text: str, arity: int) -> List[Tuple[int, ...]]:
 
 def _tokenize_params(text: str) -> List[ParamToken]:
     """Tokenize a <parameters> body into a nested token list; ``[ ]`` and
-    ``{ }`` both delimit groups."""
+    ``{ }`` both delimit groups, at most `expr.MAX_DEPTH` deep."""
     text = text.replace("[", " [ ").replace("]", " ] ")
     text = text.replace("{", " { ").replace("}", " } ")
     stack: List[List[ParamToken]] = [[]]
     for tok in text.split():
         if tok in ("[", "{"):
+            if len(stack) > ex.MAX_DEPTH:
+                raise FormatError("parameters nest deeper than %d" % ex.MAX_DEPTH)
             group: List[ParamToken] = []
             stack[-1].append(group)
             stack.append(group)
@@ -499,73 +500,6 @@ def _parse_formal_params(pred_name: str, text: str) -> List[str]:
             )
         formals.append(param)
     return formals
-
-
-# -- canonical serialization --------------------------------------------------
-
-
-def _set_text(values: IntegerSet) -> str:
-    parts = []
-    for lo, hi in values.ranges:
-        parts.append(str(lo) if lo == hi else "%d..%d" % (lo, hi))
-    return " ".join(parts)
-
-
-def _params_text(tokens: List[ParamToken]) -> str:
-    parts = []
-    for tok in tokens:
-        if isinstance(tok, list):
-            parts.append("[ %s ]" % _params_text(tok))
-        else:
-            parts.append(str(tok))
-    return " ".join(parts)
-
-
-def to_xml(model: InstanceModel) -> str:
-    """Serialize back to canonical XCSP 2.1; re-parsing yields an equal model."""
-    lines = ['<instance>', '<presentation format="XCSP 2.1"/>']
-    lines.append('<domains nbDomains="%d">' % (model.nb_domains if model.nb_domains is not None else len(model.domains)))
-    for d in model.domains:
-        lines.append('<domain name="%s" nbValues="%d">%s</domain>'
-                     % (d.name, d.declared_count, _set_text(d.values)))
-    lines.append('</domains>')
-    lines.append('<variables nbVariables="%d">'
-                 % (model.nb_variables if model.nb_variables is not None else len(model.variables)))
-    for v in model.variables:
-        lines.append('<variable name="%s" domain="%s"/>' % (v.name, v.domain_ref))
-    lines.append('</variables>')
-    if model.relations or model.nb_relations is not None:
-        lines.append('<relations nbRelations="%d">'
-                     % (model.nb_relations if model.nb_relations is not None else len(model.relations)))
-        for r in model.relations:
-            body = "|".join(" ".join(str(v) for v in t) for t in r.tuples)
-            lines.append('<relation name="%s" arity="%d" nbTuples="%d" semantics="%s">%s</relation>'
-                         % (r.name, r.arity, len(r.tuples), r.semantics, body))
-        lines.append('</relations>')
-    if model.predicates or model.nb_predicates is not None:
-        lines.append('<predicates nbPredicates="%d">'
-                     % (model.nb_predicates if model.nb_predicates is not None else len(model.predicates)))
-        for p in model.predicates:
-            formals = " ".join("int %s" % name for name in p.formal_params)
-            lines.append('<predicate name="%s">' % p.name)
-            lines.append('<parameters>%s</parameters>' % formals)
-            lines.append('<expression><functional>%s</functional></expression>' % ex.to_text(p.body))
-            lines.append('</predicate>')
-        lines.append('</predicates>')
-    lines.append('<constraints nbConstraints="%d">'
-                 % (model.nb_constraints if model.nb_constraints is not None else len(model.constraints)))
-    for c in model.constraints:
-        attrs = 'name="%s" arity="%d" scope="%s" reference="%s"' % (
-            c.name, c.arity, " ".join(c.scope), c.reference)
-        if c.parameters is None:
-            lines.append('<constraint %s/>' % attrs)
-        else:
-            lines.append('<constraint %s>' % attrs)
-            lines.append('<parameters>%s</parameters>' % _params_text(c.parameters))
-            lines.append('</constraint>')
-    lines.append('</constraints>')
-    lines.append('</instance>')
-    return "\n".join(lines) + "\n"
 
 
 # -- parameter shapes ---------------------------------------------------------

@@ -196,19 +196,3 @@ class Engine:
         self.store.undo()  # the root-propagation frame
         return SearchResult(solutions, stats, complete)
 
-
-def search_first(problem: Problem, strategy: Optional[BranchStrategy] = None,
-                 node_limit: Optional[int] = None,
-                 time_limit: Optional[float] = None) -> SearchResult:
-    """First solution in deterministic DFS order, or proof of UNSAT."""
-    return Engine(problem, strategy).solve(node_limit=node_limit,
-                                           time_limit=time_limit)
-
-
-def search_all(problem: Problem, strategy: Optional[BranchStrategy] = None,
-               limit: Optional[int] = None,
-               node_limit: Optional[int] = None,
-               time_limit: Optional[float] = None) -> SearchResult:
-    """All solutions (up to `limit`) in deterministic DFS order."""
-    return Engine(problem, strategy).solve(limit=limit, node_limit=node_limit,
-                                           time_limit=time_limit)

@@ -13,7 +13,6 @@ from xcsolve import (
     resolve_references,
     verify_solution,
 )
-from xcsolve.compiler import CompileOptions
 from xcsolve.expr import OPERATORS
 
 TINY_ALLDIFF = """<instance>
@@ -88,7 +87,7 @@ def load(xml_text: str, element_base: int = 1):
     """Parse + resolve + compile; returns (resolved, problem)."""
     model = parse_instance(xml_text)
     instance = resolve_references(model)
-    problem = compile_instance(instance, CompileOptions(element_base=element_base))
+    problem = compile_instance(instance, element_base=element_base)
     return instance, problem
 
 

@@ -11,7 +11,6 @@ import time
 from xcsolve import Engine, compile_instance, parse_instance, resolve_references
 from xcsolve.cli import EXIT_ERROR, EXIT_OK, RunConfig, run
 from xcsolve.expr import OPERATORS
-from xcsolve.search import search_all
 
 from helpers import (
     FAMILIES,
@@ -60,7 +59,7 @@ def test_criterion_2_oracle_equivalence():
         for _ in range(500):
             xml = random_instance(family, rng, used_ops=used_ops)
             instance, problem = load(xml)
-            got = sorted(search_all(problem).solutions)
+            got = sorted(Engine(problem).solve(limit=None).solutions)
             want = sorted(brute_force(instance))
             if got != want:
                 mismatches += 1
@@ -97,10 +96,10 @@ def test_criterion_4_pigeonhole():
     ok = True
     for n in range(2, 7):
         resolved = resolve_references(parse_instance(pigeonhole_xml(n)))
-        result = search_all(compile_instance(resolved))
+        result = Engine(compile_instance(resolved)).solve(limit=None)
         ok = ok and result.complete and result.solutions == []
-    native = search_all(load(pigeonhole_xml(6))[1])
-    decomposed = search_all(load(pigeonhole_xml(6, pairwise=True))[1])
+    native = Engine(load(pigeonhole_xml(6))[1]).solve(limit=None)
+    decomposed = Engine(load(pigeonhole_xml(6, pairwise=True))[1]).solve(limit=None)
     ok = ok and decomposed.complete and decomposed.solutions == []
     ok = ok and native.stats.nodes < decomposed.stats.nodes
     report(4, "pigeonhole unsatisfiable, global beats decomposition", ok)

@@ -160,6 +160,30 @@ def test_expression_beyond_the_nesting_limit_is_input_error(tmp_path):
         assert "predicate 'p0'" in err
 
 
+def nested_parameters_xml(depth, open_, close):
+    """A weightedSum whose one term sits `depth` groups deep; at depth 2
+    it is the well-formed `[ [ 1 X ] ] eq 1`."""
+    params = "%s 1 X %s eq 1" % (open_ * depth, close * depth)
+    return instance_xml([("X", [0, 1])],
+                        [{"name": "sum", "scope": ["X"], "reference": "global:weightedSum",
+                          "parameters": params}])
+
+
+@pytest.mark.parametrize("open_, close", [("[", "]"), ("{", "}")])
+def test_parameters_beyond_the_nesting_limit_are_input_error(tmp_path, open_, close):
+    path = write(tmp_path, nested_parameters_xml(2, open_, close))
+    assert run_cli(RunConfig(path)) == (EXIT_OK, "s SATISFIABLE\nv 1\n", "")
+    path = write(tmp_path, nested_parameters_xml(MAX_DEPTH, open_, close))
+    assert "nest deeper" not in run_cli(RunConfig(path))[2]
+    for depth in (MAX_DEPTH + 1, 1000):
+        path = write(tmp_path, nested_parameters_xml(depth, open_, close))
+        code, out, err = run_cli(RunConfig(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == ("error: constraint 'sum': parameters nest deeper than %d\n"
+                       % MAX_DEPTH)
+
+
 def test_unknown_operator_names_its_predicate(tmp_path):
     xml = instance_xml([("X", [0, 1])],
                        [{"name": "c0", "scope": ["X"], "reference": "P",

@@ -2,10 +2,9 @@ import pathlib
 
 import pytest
 
-from xcsolve import CompileError, compile_instance
+from xcsolve import CompileError, Engine, compile_instance
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import PROPAGATOR_CLASSES
-from xcsolve.search import search_all
 
 from helpers import TINY_ALLDIFF, brute_force, instance_xml, load
 
@@ -214,7 +213,7 @@ def test_disjunctive_decomposes_pairwise():
     assert cumulative.data == {"tasks": [[["var", 0], 1, 1], [["var", 1], 2, 1]],
                                "capacity": 1}
     assert [s.scope for s in problem.propagators[1:]] == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert sorted(search_all(problem).solutions) == brute_force(instance)
+    assert sorted(Engine(problem).solve(limit=None).solutions) == brute_force(instance)
 
 
 def test_malformed_global_parameters_report_signature():
@@ -235,8 +234,10 @@ def test_element_base_override():
             [{"name": "c0", "scope": ["I", "V"], "reference": "global:element",
               "parameters": "I [ 5 6 7 ] V"}],
         )
-        instance, _ = load(xml, element_base=base)
-        return brute_force(instance, element_base=base)
+        instance, problem = load(xml, element_base=base)
+        expected = brute_force(instance, element_base=base)
+        assert Engine(problem).solve(limit=None).solutions == expected
+        return expected
 
     assert solutions(1) == [[1, 5], [2, 6], [3, 7]]
     assert solutions(0) == [[0, 5], [1, 6], [2, 7]]

@@ -7,7 +7,7 @@ brute-force solution set, and every solution must pass the oracle."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcsolve import BranchStrategy, search_all, verify_solution
+from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
 from helpers import brute_force, instance_xml, load
@@ -86,7 +86,7 @@ def instances(draw):
 @given(instances(), st.sampled_from(VAR_HEURISTICS), st.sampled_from(VAL_HEURISTICS))
 def test_search_matches_brute_force_on_multi_constraint_instances(xml, var, val):
     instance, problem = load(xml)
-    result = search_all(problem, BranchStrategy(var, val))
+    result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
     assert result.complete
     assert sorted(result.solutions) == sorted(brute_force(instance))
     for values in result.solutions:

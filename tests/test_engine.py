@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from xcsolve import BranchStrategy, Engine, search_all, search_first, verify_solution
+from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec, linear_spec, var_term
 from xcsolve.intset import IntegerSet
@@ -120,7 +120,7 @@ def test_alldifferent_prunes_assigned_value():
 
 def test_empty_initial_domain_fails_before_branching():
     problem = Problem(["X"], [IntegerSet(())])
-    result = search_first(problem)
+    result = Engine(problem).solve()
     assert result.solutions == [] and result.complete
 
 
@@ -192,33 +192,34 @@ def test_subsumed_propagator_reactivates_on_backtrack():
 
 def test_tiny_alldiff_first_solution():
     _, problem = load(TINY_ALLDIFF)
-    result = search_first(problem)
+    result = Engine(problem).solve()
     assert result.solutions == [[1, 2]]
     assert result.complete
 
 
 def test_tiny_alldiff_all_solutions_in_order():
     _, problem = load(TINY_ALLDIFF)
-    result = search_all(problem)
+    result = Engine(problem).solve(limit=None)
     assert result.solutions == [[1, 2], [2, 1]]
 
 
 def test_limit_is_prefix_of_enumeration():
     _, problem = load(TINY_ALLDIFF)
-    limited = search_all(problem, limit=1)
-    first = search_first(problem)
-    assert limited.solutions == first.solutions
+    limited = Engine(problem).solve(limit=1)
+    every = Engine(problem).solve(limit=None)
+    assert limited.solutions == every.solutions[:1]
+    assert Engine(problem).solve().solutions == limited.solutions
 
 
 def test_pigeonhole_unsat():
     _, problem = load(pigeonhole_xml(2))
-    result = search_all(problem)
+    result = Engine(problem).solve(limit=None)
     assert result.solutions == [] and result.complete
 
 
 def test_forced_assignment_no_failures():
     problem = Problem(["X"], [iset(5)])
-    result = search_first(problem)
+    result = Engine(problem).solve()
     assert result.solutions == [[5]]
     assert result.stats.failures == 0
 
@@ -227,7 +228,7 @@ def test_everything_forbidden():
     tuples = [[1, 1], [1, 2], [2, 1], [2, 2]]
     spec = PropagatorSpec("TableConflicts", (0, 1), {"tuples": tuples})
     problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
-    assert search_all(problem).solutions == []
+    assert Engine(problem).solve(limit=None).solutions == []
 
 
 def test_store_restored_after_search():
@@ -246,15 +247,15 @@ def test_determinism():
           "reference": "global:not_all_equal"}],
     )
     _, problem = load(xml)
-    r1 = search_all(problem)
-    r2 = search_all(problem)
+    r1 = Engine(problem).solve(limit=None)
+    r2 = Engine(problem).solve(limit=None)
     assert r1.solutions == r2.solutions
     assert r1.stats == r2.stats
 
 
 def test_value_heuristic_max():
     _, problem = load(TINY_ALLDIFF)
-    result = search_first(problem, BranchStrategy(val_heuristic="max"))
+    result = Engine(problem, BranchStrategy(val_heuristic="max")).solve()
     assert result.solutions == [[2, 1]]
 
 
@@ -277,14 +278,14 @@ def test_max_deg_heuristic_prefers_constrained_variable():
 
 def test_node_budget_yields_incomplete():
     _, problem = load(pigeonhole_xml(6))
-    result = search_all(problem, node_limit=0)
+    result = Engine(problem).solve(limit=None, node_limit=0)
     assert not result.complete
     assert result.solutions == []
 
 
 def test_zero_time_budget_yields_incomplete():
     _, problem = load(TINY_ALLDIFF)
-    result = search_first(problem, time_limit=0.0)
+    result = Engine(problem).solve(time_limit=0.0)
     assert not result.complete
     assert result.solutions == []
 
@@ -344,7 +345,7 @@ def test_table_reduction_is_undone_on_backtrack():
 def test_decision_wakes_only_watchers_of_the_changed_variable():
     specs = [not_equal(0, 1), not_equal(2, 3)]
     problem = Problem(["W", "X", "Y", "Z"], [iset(1, 2, 3)] * 4, specs)
-    result = search_first(problem)
+    result = Engine(problem).solve()
     assert result.solutions == [[1, 2, 1, 2]]
     # the root runs both; W=1 and Y=1 each wake one propagator, which is
     # then subsumed; X=2 and Z=2 wake none (waking every active one: 6)
@@ -367,7 +368,7 @@ def test_expr_check_wakes_when_a_propagator_fixes_its_variable(
     problem = Problem(["X", "Y", "Z"], [iset(0, 1), iset(0, 1), iset(*z_values)], specs)
     # a fix watcher still counts towards the degree
     assert Engine(problem).degrees == [1, 2, 1]
-    result = search_all(problem)
+    result = Engine(problem).solve(limit=None)
     assert result.solutions == solutions
     assert (result.stats.nodes, result.stats.failures) == (2, failures)
 
@@ -396,6 +397,6 @@ def test_table_work_is_bounded_by_the_table_not_the_domain_width():
     engine = Engine(problem)
     assert engine.propagate_fixpoint()
     assert engine.store.domain(0) == iset(-10 ** 12, 0, 5)
-    result = search_all(problem)
+    result = Engine(problem).solve(limit=None)
     assert time.monotonic() - started < 1.0
     assert result.solutions == [[-10 ** 12, 0], [0, 10 ** 12], [5, 5]]

@@ -1,8 +1,11 @@
 """The import graph of the package, read with `ast`: the oracle stays
-independent of the compiler and the solver, and the model below both."""
+independent of the compiler and the solver, and the model below both.
+Also the package's public names, so that dropping one is a deliberate edit."""
 
 import ast
 import pathlib
+
+import xcsolve
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xcsolve"
 
@@ -40,3 +43,15 @@ def test_model_imports_neither_compiler_nor_oracle():
 def test_solver_does_not_import_the_oracle():
     assert "verify" not in GRAPH["propagators"]
     assert "verify" not in GRAPH["search"]
+
+
+def test_public_api_is_pinned():
+    assert sorted(xcsolve.__all__) == [
+        "BranchStrategy", "CompileError", "Engine", "EvalError", "FormatError",
+        "InstanceModel", "IntegerSet", "Problem", "PropagatorSpec",
+        "ResolutionError", "ResolvedInstance", "SearchStats", "StructuralError",
+        "UnsupportedExtensionError", "XcspError", "XmlError", "compile_instance",
+        "parse_instance", "parse_integer_set", "parse_tuples",
+        "resolve_references", "verify_solution",
+    ]
+    assert all(hasattr(xcsolve, name) for name in xcsolve.__all__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcsolve import Engine, propagators, search_all
+from xcsolve import Engine, propagators
 from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec
 from xcsolve.expr import Apply, IntLiteral, VarRef
@@ -367,7 +367,7 @@ def test_cumulative_energy_unsat_schedule_fails_at_the_root():
         "capacity": 3})
     problem = Problem(["S%d" % i for i in range(12)],
                       [IntegerSet.interval(0, 18 - d) for d, _ in tasks], [spec])
-    result = search_all(problem, node_limit=1000)
+    result = Engine(problem).solve(limit=None, node_limit=1000)
     assert result.complete
     assert result.solutions == []
     assert (result.stats.nodes, result.stats.failures) == (0, 1)
