@@ -49,6 +49,11 @@ _KNOWN_ATTRS = {
     "functional": set(),
 }
 
+# the most entries (group texts and distinct tuples) one document's tuple
+# memo takes; the list that fills it, and every later one, is read by the
+# one-pass bulk path instead
+TUPLE_MEMO = 1 << 16
+
 # Nested parameter tokens: int literal, bare name, or a bracketed group.
 ParamToken = Union[int, str, List["ParamToken"]]
 
@@ -181,11 +186,30 @@ def parse_integer_set(text: str) -> IntegerSet:
     return IntegerSet.from_intervals(intervals)
 
 
-def parse_tuples(text: str, arity: int) -> List[Tuple[int, ...]]:
+def parse_tuples(text: str, arity: int,
+                 seen: Optional[dict] = None) -> List[Tuple[int, ...]]:
     """Parse the abridged ``|``-separated tuple-list notation, in document
-    order, duplicates preserved."""
+    order, duplicates preserved.
+
+    `seen` is a memo shared by the lists of one document. It maps each
+    group's raw text to its tuple, and each tuple to itself, so every
+    distinct group text is read once and equal tuples are one object. Once
+    it holds `TUPLE_MEMO` entries, the list that filled it and every later
+    one are read without it."""
     if not text.strip():
         return []
+    if seen is not None and len(seen) < TUPLE_MEMO:
+        tuples = []
+        for i, group in enumerate(text.split("|")):
+            t = seen.get(group)
+            if t is None or len(t) != arity:
+                if len(seen) >= TUPLE_MEMO:
+                    break  # full: read this list without the memo
+                t = _parse_group(group, i, arity)
+                t = seen[group] = seen.setdefault(t, t)
+            tuples.append(t)
+        else:
+            return tuples
     # one pass over the whole list when its shape is exact: n groups of
     # `arity` tokens, the n-1 separators at every (arity+1)-th position
     tokens = text.replace("|", " | ").split()
@@ -198,20 +222,22 @@ def parse_tuples(text: str, arity: int) -> List[Tuple[int, ...]]:
         except ValueError:
             pass
     # the per-tuple loop words every error
-    tuples = []
-    for i, group in enumerate(text.split("|")):
-        values = []
-        for tok in group.split():
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise FormatError("tuple %d: %s" % (i, integer_error(tok))) from None
-        if len(values) != arity:
-            raise FormatError(
-                "tuple %d has %d value(s), expected arity %d" % (i, len(values), arity)
-            )
-        tuples.append(tuple(values))
-    return tuples
+    return [_parse_group(group, i, arity) for i, group in enumerate(text.split("|"))]
+
+
+def _parse_group(group: str, i: int, arity: int) -> Tuple[int, ...]:
+    """One tuple of a list, the `i`-th; words every error."""
+    values = []
+    for tok in group.split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise FormatError("tuple %d: %s" % (i, integer_error(tok))) from None
+    if len(values) != arity:
+        raise FormatError(
+            "tuple %d has %d value(s), expected arity %d" % (i, len(values), arity)
+        )
+    return tuple(values)
 
 
 def _tokenize_params(text: str) -> List[ParamToken]:
@@ -401,6 +427,7 @@ def parse_instance(document) -> InstanceModel:
         _check_attrs(relations_el, diag)
         model.nb_relations = _int_attr(relations_el, "nbRelations", required=False)
         seen = set()
+        tuple_memo = {}
         for el in _children(relations_el, "relation"):
             _check_attrs(el, diag)
             name = _require_attr(el, "name")
@@ -412,7 +439,7 @@ def parse_instance(document) -> InstanceModel:
                     "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
                 )
             try:
-                tuples = parse_tuples(el.text or "", arity)
+                tuples = parse_tuples(el.text or "", arity, tuple_memo)
             except FormatError as e:
                 raise FormatError("relation %s: %s" % (clip(name), e)) from None
             declared = _int_attr(el, "nbTuples", required=False)

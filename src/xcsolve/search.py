@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .compiler import Problem
@@ -19,6 +19,13 @@ from .store import DomainStore
 
 VAR_HEURISTICS = ("input", "min-dom", "max-deg")
 VAL_HEURISTICS = ("min", "max")
+
+# propagate_fixpoint reads the clock once per this many propagations
+DEADLINE_EVERY = 256
+
+
+class DeadlineExpired(Exception):
+    """The time budget ran out inside a fixpoint; not a failure."""
 
 
 @dataclass
@@ -81,6 +88,8 @@ class Engine:
                 self.degrees[v] += 1
         self.active = [True] * len(self.props)
         self.stats = SearchStats()
+        # a time.monotonic() value, set while solve() runs with a time limit
+        self.deadline: Optional[float] = None
 
     # -- propagation ------------------------------------------------------
 
@@ -90,12 +99,14 @@ class Engine:
         `seeds` are the propagators to run first; None wakes every active
         one. A propagator runs whenever a variable it watches has changed
         since the last call, a decision included, or, for a fix watcher,
-        has become fixed.
+        has become fixed. Raises DeadlineExpired once `self.deadline` has
+        passed, read every `DEADLINE_EVERY` propagations.
         """
-        store, active = self.store, self.active
+        store, active, stats = self.store, self.active, self.stats
         watchers, fix_watchers = self.watchers, self.fix_watchers
+        deadline = self.deadline
         if store.failed:
-            self.stats.failures += 1
+            stats.failures += 1
             return False
         if seeds is None:
             seeds = range(len(self.props))
@@ -116,12 +127,15 @@ class Engine:
                         queued[watcher] = True
             if not queue:
                 return True
+            if (deadline is not None and not stats.propagations % DEADLINE_EVERY
+                    and time.monotonic() >= deadline):
+                raise DeadlineExpired
             k = queue.popleft()
             queued[k] = False
-            self.stats.propagations += 1
+            stats.propagations += 1
             outcome = self.props[k].prune(store)
             if outcome == FAILED or store.failed:
-                self.stats.failures += 1
+                stats.failures += 1
                 return False
             if outcome == SUBSUMED:
                 # subsumption is search state, trailed with the domains
@@ -134,7 +148,8 @@ class Engine:
               time_limit: Optional[float] = None) -> SearchResult:
         """Search until `limit` solutions are found (1 by default; None
         enumerates them all), the tree is exhausted, or a node or time
-        budget runs out."""
+        budget runs out. The time budget starts here and also holds inside
+        a fixpoint."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         solutions: List[List[int]] = []
         stats = self.stats
@@ -155,39 +170,45 @@ class Engine:
         # that solve() leaves the store exactly as constructed and the
         # engine can be reused
         self.store.push()
-        failed = not self.propagate_fixpoint()
-        while True:
-            if not failed and self.store.all_assigned():
-                solutions.append(self.store.solution_values())
-                stats.solutions += 1
-                if limit is not None and len(solutions) >= limit:
-                    break
-                failed = True  # exhaust this branch and keep enumerating
-            if failed:
-                # backtrack to the deepest open left branch, then go right
-                while decisions and decisions[-1][2]:
-                    decisions.pop()
+        self.deadline = deadline
+        try:
+            failed = not self.propagate_fixpoint()
+            while True:
+                if not failed and self.store.all_assigned():
+                    solutions.append(self.store.solution_values())
+                    stats.solutions += 1
+                    if limit is not None and len(solutions) >= limit:
+                        break
+                    failed = True  # exhaust this branch and keep enumerating
+                if failed:
+                    # backtrack to the deepest open left branch, then go right
+                    while decisions and decisions[-1][2]:
+                        decisions.pop()
+                        self.store.undo()
+                    if not decisions:
+                        break
+                    var, value, _ = decisions.pop()
                     self.store.undo()
-                if not decisions:
+                if budget_exceeded():
+                    complete = False
                     break
-                var, value, _ = decisions.pop()
-                self.store.undo()
-            if budget_exceeded():
-                complete = False
-                break
-            # one decision step: after a failure, the right branch x!=v of
-            # the decision just undone; otherwise a new left branch x=v
-            if not failed:
-                var, value = self.strategy.select(self.store, self.degrees)
-            self.store.push()
-            decisions.append((var, value, failed))
-            stats.nodes += 1
-            stats.peak_depth = max(stats.peak_depth, len(decisions))
-            if failed:
-                self.store.remove_value(var, value)
-            else:
-                self.store.assign(var, value)
-            failed = not self.propagate_fixpoint(())
+                # one decision step: after a failure, the right branch x!=v of
+                # the decision just undone; otherwise a new left branch x=v
+                if not failed:
+                    var, value = self.strategy.select(self.store, self.degrees)
+                self.store.push()
+                decisions.append((var, value, failed))
+                stats.nodes += 1
+                stats.peak_depth = max(stats.peak_depth, len(decisions))
+                if failed:
+                    self.store.remove_value(var, value)
+                else:
+                    self.store.assign(var, value)
+                failed = not self.propagate_fixpoint(())
+        except DeadlineExpired:
+            complete = False
+        finally:
+            self.deadline = None
 
         # unwind so the store returns to its root state
         while decisions:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from xcsolve import (
     compile_instance,

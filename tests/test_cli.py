@@ -365,6 +365,40 @@ def test_wide_expression_check_honours_the_time_limit(tmp_path):
         assert "v 3 3" in out.splitlines()
 
 
+SLOW_FIXPOINT = """<instance>
+<presentation format="XCSP 2.1"/>
+<domains nbDomains="1">
+<domain name="d" nbValues="1000001">0..1000000</domain>
+</domains>
+<variables nbVariables="2">
+<variable name="X" domain="d"/>
+<variable name="Y" domain="d"/>
+</variables>
+<predicates nbPredicates="1">
+<predicate name="p0"><parameters>int A int B</parameters>
+<expression><functional>eq(A,add(B,1))</functional></expression></predicate>
+</predicates>
+<constraints nbConstraints="2">
+<constraint name="c0" arity="2" scope="X Y" reference="p0"/>
+<constraint name="c1" arity="2" scope="Y X" reference="p0"/>
+</constraints>
+</instance>
+"""
+
+
+def test_time_limit_holds_inside_one_fixpoint(tmp_path):
+    # X = Y + 1 and Y = X + 1: bounds reasoning moves each bound by one per
+    # propagation, so the root fixpoint alone would take a million of them
+    path = write(tmp_path, SLOW_FIXPOINT)
+    start = time.monotonic()
+    code, out, _ = run_cli(RunConfig(path, time_limit=0.1, stats=True))
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_UNKNOWN
+    assert check_grammar(out) == "s UNKNOWN"
+    assert "c nodes 0" in out.splitlines()
+    assert "c failures 0" in out.splitlines()
+
+
 def test_node_budget_is_unknown(tmp_path):
     # pairwise disequalities don't fail at the root, so hitting the node
     # budget mid-search must surface as UNKNOWN

@@ -7,7 +7,6 @@ from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec, linear_spec, var_term
 from xcsolve.intset import IntegerSet
-from xcsolve.propagators import FAILED, SUBSUMED, build_propagator
 from xcsolve.store import DomainStore
 
 from helpers import (TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml,
@@ -288,6 +287,26 @@ def test_zero_time_budget_yields_incomplete():
     result = Engine(problem).solve(time_limit=0.0)
     assert not result.complete
     assert result.solutions == []
+
+
+def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
+    # X - Y = 1 and Y - X = 1 over 0..10^6 move one bound per propagation,
+    # so the root fixpoint runs far past the budget unless it reads the clock
+    specs = [linear_spec([(1, var_term(0)), (-1, var_term(1))], "eq", 1),
+             linear_spec([(1, var_term(1)), (-1, var_term(0))], "eq", 1)]
+    problem = Problem(["X", "Y"], [IntegerSet.interval(0, 10**6)] * 2, specs)
+    engine = Engine(problem)
+    before = engine.store.snapshot()
+    start = time.monotonic()
+    result = engine.solve(time_limit=0.05)
+    assert time.monotonic() - start < 1.0
+    assert not result.complete
+    assert result.solutions == []
+    assert result.stats.failures == 0
+    assert result.stats.propagations > 0
+    assert engine.store.snapshot() == before
+    assert engine.store.depth() == 0
+    assert engine.deadline is None
 
 
 def test_constraints_sharing_a_relation_share_its_tuples():

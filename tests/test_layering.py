@@ -1,13 +1,15 @@
 """The import graph of the package, read with `ast`: the oracle stays
 independent of the compiler and the solver, and the model below both.
-Also the package's public names, so that dropping one is a deliberate edit."""
+Also the package's public names, so that dropping one is a deliberate edit,
+and an import that nothing in its file uses."""
 
 import ast
 import pathlib
 
 import xcsolve
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xcsolve"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "xcsolve"
 
 
 def package_imports(path: pathlib.Path) -> set:
@@ -55,3 +57,29 @@ def test_public_api_is_pinned():
         "resolve_references", "verify_solution",
     ]
     assert all(hasattr(xcsolve, name) for name in xcsolve.__all__)
+
+
+def unused_imports(path: pathlib.Path) -> list:
+    """The names that the file at `path` imports and never reads; a name
+    listed in its `__all__` counts as read."""
+    tree = ast.parse(path.read_text())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = ["%s: %s" % (path.relative_to(TESTS.parent), name)
+              for path in files for name in unused_imports(path)]
+    assert unused == []

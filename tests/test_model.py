@@ -1,3 +1,7 @@
+import random
+from functools import partial
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,7 @@ from xcsolve import (
 from xcsolve.errors import integer_error
 from xcsolve.expr import Apply, VarRef
 from xcsolve.intset import IntegerSet
-from xcsolve.model import GlobalRef, PredicateRef, RelationRef
+from xcsolve.model import TUPLE_MEMO, GlobalRef, PredicateRef, RelationRef
 
 from helpers import TINY_ALLDIFF, instance_xml
 
@@ -74,8 +78,8 @@ def test_tuples_arity_mismatch_names_group():
 
 
 def per_tuple_reference(text, arity):
-    """The tuple-list parser without the bulk pass: one group at a time,
-    which is also how every error is worded."""
+    """The tuple-list parser with neither the bulk pass nor the memo: one
+    group at a time, which is also how every error is worded."""
     if not text.strip():
         return []
     tuples = []
@@ -161,6 +165,54 @@ def test_tuples_match_the_per_tuple_loop(case):
         assert all(type(t) is tuple for t in got)
 
 
+@st.composite
+def list_sequences(draw):
+    """The tuple lists of one document: drawn lists, then each again, some
+    under another arity, so that a shared memo meets its own groups."""
+    cases = draw(st.lists(tuple_lists(), min_size=1, max_size=4))
+    again = [(text, arity + draw(st.sampled_from([0, 0, 1, -1])))
+             for text, arity in cases]
+    return cases + again
+
+
+# a memo with room for one new tuple, and one with none
+NEARLY_FULL_MEMO = dict.fromkeys(range(2 - TUPLE_MEMO, 0))
+FULL_MEMO = dict.fromkeys(range(-TUPLE_MEMO, 0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(list_sequences())
+def test_a_shared_memo_matches_the_per_tuple_loop(cases):
+    expected = [outcome(per_tuple_reference, text, arity) for text, arity in cases]
+    # an empty memo reads every list through it, a nearly full one fills
+    # within the first list, and a full one sends each list down the bulk path
+    for seen in ({}, NEARLY_FULL_MEMO.copy(), FULL_MEMO.copy()):
+        got = [outcome(partial(parse_tuples, seen=seen), text, arity)
+               for text, arity in cases]
+        assert got == expected
+    parsed = [t for tuples in got if isinstance(tuples, list) for t in tuples]
+    assert all(type(t) is tuple for t in parsed)
+
+
+def test_a_memo_keeps_one_object_per_distinct_tuple():
+    seen = {}
+    first = parse_tuples("0 1|1 0", 2, seen)
+    second = parse_tuples(" 0  1 |+1\t0|0 1", 2, seen)
+    assert second == [(0, 1), (1, 0), (0, 1)]
+    assert second[0] is first[0] and second[2] is first[0]
+    assert second[1] is first[1]
+
+
+def test_a_full_memo_grows_no_further():
+    seen = FULL_MEMO.copy()
+    assert parse_tuples("1 2|3 4", 2, seen) == [(1, 2), (3, 4)]
+    assert len(seen) == TUPLE_MEMO
+    # a list that fills the memo midway is read again in one pass
+    seen = NEARLY_FULL_MEMO.copy()
+    assert parse_tuples("1 2|3 4|5 6", 2, seen) == [(1, 2), (3, 4), (5, 6)]
+    assert len(seen) == TUPLE_MEMO
+
+
 def test_tuples_edge_cases_match_the_per_tuple_loop():
     cases = [("1 2|3 4", 0), ("1|2", -1), ("|", 1), ("||", 2), ("1 2 3 4", 2),
              ("1 2 | 3 4 |", 2), ("1 2 3|4", 2), ("1|2 3|4", 2), ("1|2 3 4", 2),
@@ -181,6 +233,21 @@ def test_tiny_alldiff_example_counts():
     assert len(model.constraints) == 1
     assert model.constraints[0].reference == "global:alldifferent"
     assert model.domains[0].values == IntegerSet.from_intervals([(1, 2)])
+
+
+def test_relations_share_their_equal_tuples():
+    rng = random.Random(0)
+    pairs = list(product(range(3), repeat=2))
+    relations = [{"name": "r%d" % k, "arity": 2, "semantics": "supports",
+                  "tuples": rng.sample(pairs, rng.randint(1, 9))}
+                 for k in range(50)]
+    model = parse_instance(instance_xml([("A", [0, 1, 2])], [], relations))
+    assert [r.tuples for r in model.relations] == [r["tuples"] for r in relations]
+    # each relation owns its list; the tuples in the lists are shared
+    assert len({id(r.tuples) for r in model.relations}) == 50
+    objects = {id(t): t for r in model.relations for t in r.tuples}
+    assert len(objects) <= 9
+    assert all(type(t) is tuple for t in objects.values())
 
 
 def test_parse_accepts_bytes():
