@@ -30,8 +30,6 @@ from .model import (
     ResolvedInstance,
     Term,
     term_expr,
-    term_vars,
-    var_term,
 )
 
 
@@ -98,8 +96,8 @@ def _recognize_linear(ground: ex.Expr) -> Optional[PropagatorSpec]:
     right = _linear_terms(ground.args[1])
     if left is None or right is None:
         return None
-    terms = [(c, var_term(v)) for v, c in left[0].items()]
-    terms += [(-c, var_term(v)) for v, c in right[0].items()]
+    terms = [(c, ex.VarRef(v)) for v, c in left[0].items()]
+    terms += [(-c, ex.VarRef(v)) for v, c in right[0].items()]
     return linear_spec(terms, ground.op, right[1] - left[1])
 
 
@@ -107,10 +105,10 @@ def linear_spec(terms: Sequence[Tuple[int, Term]], op: str, rhs: int) -> Propaga
     """Build a LinearRel from (coefficient, term) pairs, folding constants."""
     coeffs: Dict[int, int] = {}
     for coeff, term in terms:
-        if term[0] == "const":
-            rhs -= coeff * term[1]
+        if isinstance(term, ex.VarRef):
+            coeffs[term.index] = coeffs.get(term.index, 0) + coeff
         else:
-            coeffs[term[1]] = coeffs.get(term[1], 0) + coeff
+            rhs -= coeff * term
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
     pairs = sorted(coeffs.items())
     return PropagatorSpec(
@@ -161,30 +159,23 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
     name, sig = c.ref.name, c.ref.sig
     if name == "alldifferent":
         return [PropagatorSpec("AllDifferent", tuple(sig), {})]
-    if name in ("among", "atleast", "atmost"):
-        kind = {"among": "Among", "atleast": "AtLeast", "atmost": "AtMost"}[name]
-        scope = tuple(sig.vars) + ((sig.count_var,) if sig.count_var is not None else ())
-        return [PropagatorSpec(kind, scope, {
-            "vars": sig.vars, "values": sig.values,
-            "lo": sig.lo, "hi": sig.hi, "count_var": sig.count_var,
-        })]
+    if name in ("among", "atleast", "atmost", "global_cardinality"):
+        kind = {"among": "Among", "atleast": "AtLeast", "atmost": "AtMost",
+                "global_cardinality": "GlobalCardinality"}[name]
+        specs = []
+        for s in sig:
+            watched = s.vars if s.count_var is None else s.vars + [s.count_var]
+            specs.append(PropagatorSpec(kind, tuple(dict.fromkeys(watched)), {
+                "vars": s.vars, "values": s.values,
+                "lo": s.lo, "hi": s.hi, "count_var": s.count_var,
+            }))
+        return specs
     if name == "element":
         scope = _unique_vars([sig.index] + sig.table + [sig.value])
         return [PropagatorSpec("Element", tuple(scope), {
             "index": sig.index, "table": sig.table, "value": sig.value,
             "base": element_base,
         })]
-    if name == "global_cardinality":
-        specs = []
-        for value, occ in sig.entries:
-            count = occ[1] if occ[0] == "const" else None
-            count_var = occ[1] if occ[0] == "var" else None
-            scope = tuple(dict.fromkeys(sig.vars + term_vars(occ)))
-            specs.append(PropagatorSpec("GlobalCardinality", scope, {
-                "vars": sig.vars, "values": [value],
-                "lo": count, "hi": count, "count_var": count_var,
-            }))
-        return specs
     if name == "cumulative":
         return [_cumulative_spec(sig.tasks, sig.capacity)]
     if name == "disjunctive":
@@ -233,14 +224,11 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
 def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
                      capacity: int) -> PropagatorSpec:
     scope = _unique_vars([origin for origin, _, _ in tasks])
-    return PropagatorSpec("Cumulative", tuple(scope), {
-        "tasks": [[origin, d, h] for origin, d, h in tasks],
-        "capacity": capacity,
-    })
+    return PropagatorSpec("Cumulative", tuple(scope), {"tasks": tasks, "capacity": capacity})
 
 
 def _unique_vars(terms: List[Term]) -> List[int]:
-    return list(dict.fromkeys(v for term in terms for v in term_vars(term)))
+    return list(dict.fromkeys(t.index for t in terms if isinstance(t, ex.VarRef)))
 
 
 def compile_constraint(c: ResolvedConstraint,

@@ -65,7 +65,6 @@ ParamToken = Union[int, str, List["ParamToken"]]
 class DomainDef:
     name: str
     values: IntegerSet
-    declared_count: int
 
 
 @dataclass
@@ -105,11 +104,6 @@ class InstanceModel:
     relations: List[RelationDef] = field(default_factory=list)
     predicates: List[PredicateDef] = field(default_factory=list)
     constraints: List[ConstraintDef] = field(default_factory=list)
-    nb_domains: Optional[int] = None
-    nb_variables: Optional[int] = None
-    nb_relations: Optional[int] = None
-    nb_predicates: Optional[int] = None
-    nb_constraints: Optional[int] = None
     diagnostics: List[str] = field(default_factory=list, compare=False)
 
 
@@ -194,35 +188,43 @@ def parse_tuples(text: str, arity: int,
     `seen` is a memo shared by the lists of one document. It maps each
     group's raw text to its tuple, and each tuple to itself, so every
     distinct group text is read once and equal tuples are one object. Once
-    it holds `TUPLE_MEMO` entries, the list that filled it and every later
-    one are read without it."""
+    it holds `TUPLE_MEMO` entries, the rest of the list that filled it and
+    every later list are read without it."""
     if not text.strip():
         return []
+    tuples: List[Tuple[int, ...]] = []
     if seen is not None and len(seen) < TUPLE_MEMO:
-        tuples = []
-        for i, group in enumerate(text.split("|")):
+        groups = text.split("|")
+        for i, group in enumerate(groups):
             t = seen.get(group)
             if t is None or len(t) != arity:
                 if len(seen) >= TUPLE_MEMO:
-                    break  # full: read this list without the memo
+                    break
                 t = _parse_group(group, i, arity)
                 t = seen[group] = seen.setdefault(t, t)
             tuples.append(t)
         else:
             return tuples
-    # one pass over the whole list when its shape is exact: n groups of
-    # `arity` tokens, the n-1 separators at every (arity+1)-th position
+        # full: the groups from the i-th on are read without the memo
+        text = text[sum(map(len, groups[:i])) + i:]
+        del groups
+    first = len(tuples)  # the number of the first group left to read
+    # one pass over the rest when its shape is exact: n groups of `arity`
+    # tokens, the n-1 separators at every (arity+1)-th position
     tokens = text.replace("|", " | ").split()
     separators = text.count("|")
     if (arity > 0 and len(tokens) == (separators + 1) * (arity + 1) - 1
             and tokens[arity::arity + 1].count("|") == separators):
         del tokens[arity::arity + 1]
         try:
-            return list(zip(*[map(int, tokens)] * arity))
+            tuples += zip(*[map(int, tokens)] * arity)
+            return tuples
         except ValueError:
-            pass
+            del tuples[first:]
     # the per-tuple loop words every error
-    return [_parse_group(group, i, arity) for i, group in enumerate(text.split("|"))]
+    tuples += (_parse_group(group, first + i, arity)
+               for i, group in enumerate(text.split("|")))
+    return tuples
 
 
 def _parse_group(group: str, i: int, arity: int) -> Tuple[int, ...]:
@@ -312,10 +314,6 @@ def _child(root, tag: str):
     return None
 
 
-def _children(parent, tag: str):
-    return [el for el in parent if _local(el.tag) == tag]
-
-
 def _parameters_text(el) -> str:
     # mixed content: embedded elements such as <le/> become bare tokens
     parts = [el.text or ""]
@@ -345,10 +343,32 @@ def _reject_extensions(root):
             )
 
 
-def _unique(name: str, seen: set, section: str):
-    if name in seen:
-        raise StructuralError("duplicate %s name %s" % (section, clip(name)))
-    seen.add(name)
+def _items(root, diagnostics: List[str], item: str, mandatory: bool = False,
+           count_required: bool = False):
+    """Yield each <item> of `root`'s section of <item>s with its name, after
+    checking its attributes and that the name is unique; once all are read,
+    warn if the section's declared count is off."""
+    section = _child(root, item + "s")
+    if section is None:
+        if mandatory:
+            raise StructuralError("missing mandatory <%ss> section" % item)
+        return
+    _check_attrs(section, diagnostics)
+    count_attr = "nb%ss" % item.capitalize()
+    declared = _int_attr(section, count_attr, required=count_required)
+    names: set = set()
+    for el in section:
+        if _local(el.tag) != item:
+            continue
+        _check_attrs(el, diagnostics)
+        name = _require_attr(el, "name")
+        if name in names:
+            raise StructuralError("duplicate %s name %s" % (item, clip(name)))
+        names.add(name)
+        yield el, name
+    if declared is not None and declared != len(names):
+        diagnostics.append("warning: %s=%d but %d %s(s) declared"
+                           % (count_attr, declared, len(names), item))
 
 
 def parse_instance(document) -> InstanceModel:
@@ -379,116 +399,60 @@ def parse_instance(document) -> InstanceModel:
     if presentation is not None:
         _check_attrs(presentation, diag)
 
-    domains_el = _child(root, "domains")
-    if domains_el is not None:
-        _check_attrs(domains_el, diag)
-        model.nb_domains = _int_attr(domains_el, "nbDomains", required=True)
-        seen: set = set()
-        for el in _children(domains_el, "domain"):
-            _check_attrs(el, diag)
-            name = _require_attr(el, "name")
-            _unique(name, seen, "domain")
-            count = _int_attr(el, "nbValues", required=True)
-            try:
-                values = parse_integer_set(el.text or "")
-            except FormatError as e:
-                raise FormatError("domain %s: %s" % (clip(name), e)) from None
-            if values.size() != count:
-                diag.append(
-                    "warning: domain %s declares nbValues=%d but holds %d value(s)"
-                    % (clip(name), count, values.size())
-                )
-            model.domains.append(DomainDef(name, values, count))
-        if model.nb_domains != len(model.domains):
+    for el, name in _items(root, diag, "domain", count_required=True):
+        count = _int_attr(el, "nbValues", required=True)
+        try:
+            values = parse_integer_set(el.text or "")
+        except FormatError as e:
+            raise FormatError("domain %s: %s" % (clip(name), e)) from None
+        if values.size() != count:
             diag.append(
-                "warning: nbDomains=%d but %d domain(s) declared"
-                % (model.nb_domains, len(model.domains))
+                "warning: domain %s declares nbValues=%d but holds %d value(s)"
+                % (clip(name), count, values.size())
             )
+        model.domains.append(DomainDef(name, values))
 
-    variables_el = _child(root, "variables")
-    if variables_el is None:
-        raise StructuralError("missing mandatory <variables> section")
-    _check_attrs(variables_el, diag)
-    model.nb_variables = _int_attr(variables_el, "nbVariables", required=True)
-    seen = set()
-    for el in _children(variables_el, "variable"):
-        _check_attrs(el, diag)
-        name = _require_attr(el, "name")
-        _unique(name, seen, "variable")
+    for el, name in _items(root, diag, "variable", mandatory=True, count_required=True):
         model.variables.append(VariableDef(name, _require_attr(el, "domain")))
-    if model.nb_variables != len(model.variables):
-        diag.append(
-            "warning: nbVariables=%d but %d variable(s) declared"
-            % (model.nb_variables, len(model.variables))
-        )
 
-    relations_el = _child(root, "relations")
-    if relations_el is not None:
-        _check_attrs(relations_el, diag)
-        model.nb_relations = _int_attr(relations_el, "nbRelations", required=False)
-        seen = set()
-        tuple_memo = {}
-        for el in _children(relations_el, "relation"):
-            _check_attrs(el, diag)
-            name = _require_attr(el, "name")
-            _unique(name, seen, "relation")
-            arity = _int_attr(el, "arity", required=True)
-            semantics = _require_attr(el, "semantics")
-            if semantics not in ("supports", "conflicts"):
-                raise StructuralError(
-                    "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
-                )
-            try:
-                tuples = parse_tuples(el.text or "", arity, tuple_memo)
-            except FormatError as e:
-                raise FormatError("relation %s: %s" % (clip(name), e)) from None
-            declared = _int_attr(el, "nbTuples", required=False)
-            if declared is not None and declared != len(tuples):
-                diag.append(
-                    "warning: relation %s declares nbTuples=%d but holds %d"
-                    % (clip(name), declared, len(tuples))
-                )
-            model.relations.append(RelationDef(name, arity, semantics, tuples))
-        if model.nb_relations is not None and model.nb_relations != len(model.relations):
-            diag.append("warning: nbRelations mismatch")
+    tuple_memo: dict = {}
+    for el, name in _items(root, diag, "relation"):
+        arity = _int_attr(el, "arity", required=True)
+        semantics = _require_attr(el, "semantics")
+        if semantics not in ("supports", "conflicts"):
+            raise StructuralError(
+                "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
+            )
+        try:
+            tuples = parse_tuples(el.text or "", arity, tuple_memo)
+        except FormatError as e:
+            raise FormatError("relation %s: %s" % (clip(name), e)) from None
+        declared = _int_attr(el, "nbTuples", required=False)
+        if declared is not None and declared != len(tuples):
+            diag.append(
+                "warning: relation %s declares nbTuples=%d but holds %d"
+                % (clip(name), declared, len(tuples))
+            )
+        model.relations.append(RelationDef(name, arity, semantics, tuples))
 
-    predicates_el = _child(root, "predicates")
-    if predicates_el is not None:
-        _check_attrs(predicates_el, diag)
-        model.nb_predicates = _int_attr(predicates_el, "nbPredicates", required=False)
-        seen = set()
-        for el in _children(predicates_el, "predicate"):
-            _check_attrs(el, diag)
-            name = _require_attr(el, "name")
-            _unique(name, seen, "predicate")
-            params_el = _child(el, "parameters")
-            if params_el is None:
-                raise StructuralError("predicate %s is missing <parameters>" % clip(name))
-            formals = _parse_formal_params(name, params_el.text or "")
-            expression_el = _child(el, "expression")
-            functional_el = _child(expression_el, "functional") if expression_el is not None else None
-            if functional_el is None:
-                raise StructuralError(
-                    "predicate %s is missing <expression><functional>" % clip(name)
-                )
-            try:
-                body = ex.parse_functional(functional_el.text or "", formals)
-            except FormatError as e:
-                raise FormatError("predicate %s: %s" % (clip(name), e)) from None
-            model.predicates.append(PredicateDef(name, formals, body))
-        if model.nb_predicates is not None and model.nb_predicates != len(model.predicates):
-            diag.append("warning: nbPredicates mismatch")
+    for el, name in _items(root, diag, "predicate"):
+        params_el = _child(el, "parameters")
+        if params_el is None:
+            raise StructuralError("predicate %s is missing <parameters>" % clip(name))
+        formals = _parse_formal_params(name, params_el.text or "")
+        expression_el = _child(el, "expression")
+        functional_el = _child(expression_el, "functional") if expression_el is not None else None
+        if functional_el is None:
+            raise StructuralError(
+                "predicate %s is missing <expression><functional>" % clip(name)
+            )
+        try:
+            body = ex.parse_functional(functional_el.text or "", formals)
+        except FormatError as e:
+            raise FormatError("predicate %s: %s" % (clip(name), e)) from None
+        model.predicates.append(PredicateDef(name, formals, body))
 
-    constraints_el = _child(root, "constraints")
-    if constraints_el is None:
-        raise StructuralError("missing mandatory <constraints> section")
-    _check_attrs(constraints_el, diag)
-    model.nb_constraints = _int_attr(constraints_el, "nbConstraints", required=False)
-    seen = set()
-    for el in _children(constraints_el, "constraint"):
-        _check_attrs(el, diag)
-        name = _require_attr(el, "name")
-        _unique(name, seen, "constraint")
+    for el, name in _items(root, diag, "constraint", mandatory=True):
         arity = _int_attr(el, "arity", required=True)
         scope = _require_attr(el, "scope").split()
         if len(scope) != arity:
@@ -505,8 +469,6 @@ def parse_instance(document) -> InstanceModel:
             except FormatError as e:
                 raise FormatError("constraint %s: %s" % (clip(name), e)) from None
         model.constraints.append(ConstraintDef(name, arity, scope, reference, parameters))
-    if model.nb_constraints is not None and model.nb_constraints != len(model.constraints):
-        diag.append("warning: nbConstraints mismatch")
 
     return model
 
@@ -548,24 +510,12 @@ def _parse_formal_params(pred_name: str, text: str) -> List[str]:
 #     weightedSum         [ {c1 x1} ... ] <relop/> K
 
 
-# ("var", index) or ("const", value), as a two-item list
-Term = List
-
-
-def var_term(i: int) -> Term:
-    return ["var", i]
-
-
-def const_term(v: int) -> Term:
-    return ["const", v]
-
-
-def term_vars(term: Term) -> List[int]:
-    return [term[1]] if term[0] == "var" else []
+# a variable or a constant, as resolution left the token: ex.VarRef or int
+Term = Union[ex.VarRef, int]
 
 
 def term_expr(term: Term) -> ex.Expr:
-    return ex.VarRef(term[1]) if term[0] == "var" else ex.IntLiteral(term[1])
+    return term if isinstance(term, ex.VarRef) else ex.IntLiteral(term)
 
 
 def _fail(c: ResolvedConstraint, message: str, signature: str):
@@ -579,57 +529,33 @@ def _fail(c: ResolvedConstraint, message: str, signature: str):
     )
 
 
-def _as_term(tok: ParamToken) -> Optional[Term]:
-    if isinstance(tok, ex.VarRef):
-        return var_term(tok.index)
-    if isinstance(tok, int):
-        return const_term(tok)
-    return None
-
-
-def _as_var(tok: ParamToken) -> Optional[int]:
-    return tok.index if isinstance(tok, ex.VarRef) else None
+def _is_term(tok: ParamToken) -> bool:
+    return isinstance(tok, (ex.VarRef, int))
 
 
 def _var_list(tok: ParamToken) -> Optional[List[int]]:
-    if not isinstance(tok, list):
+    if not isinstance(tok, list) or not all(isinstance(item, ex.VarRef) for item in tok):
         return None
-    out = []
-    for item in tok:
-        v = _as_var(item)
-        if v is None:
-            return None
-        out.append(v)
-    return out
+    return [item.index for item in tok]
 
 
 def _int_list(tok: ParamToken) -> Optional[List[int]]:
     if not isinstance(tok, list) or not all(isinstance(i, int) for i in tok):
         return None
-    return list(tok)
+    return tok
 
 
 def _term_list(tok: ParamToken) -> Optional[List[Term]]:
-    if not isinstance(tok, list):
+    if not isinstance(tok, list) or not all(_is_term(item) for item in tok):
         return None
-    out = []
-    for item in tok:
-        t = _as_term(item)
-        if t is None:
-            return None
-        out.append(t)
-    return out
+    return tok
 
 
 def _group_list(tok: ParamToken, width: int) -> Optional[List[List[ParamToken]]]:
-    if not isinstance(tok, list):
+    if not isinstance(tok, list) or not all(
+            isinstance(item, list) and len(item) == width for item in tok):
         return None
-    groups = []
-    for item in tok:
-        if not isinstance(item, list) or len(item) != width:
-            return None
-        groups.append(item)
-    return groups
+    return tok
 
 
 @dataclass
@@ -646,12 +572,6 @@ class ElementSig:
     index: Term
     table: List[Term]
     value: Term
-
-
-@dataclass
-class GccSig:
-    vars: List[int]
-    entries: List[Tuple[int, Term]]  # (counted value, occurrence term)
 
 
 @dataclass
@@ -695,7 +615,14 @@ def scope_vars(c: ResolvedConstraint) -> List[int]:
     _fail(c, "malformed parameters", sig)
 
 
-def parse_counting_params(c: ResolvedConstraint) -> CountingSig:
+def _exactly(vars_: List[int], values: List[int], count: Term) -> CountingSig:
+    """Exactly `count` of `vars_` take a value in `values`."""
+    if isinstance(count, int):
+        return CountingSig(vars_, values, count, count, None)
+    return CountingSig(vars_, values, None, None, count.index)
+
+
+def parse_counting_params(c: ResolvedConstraint) -> List[CountingSig]:
     name = c.ref.name
     p = c.parameters
     if name == "among":
@@ -706,12 +633,9 @@ def parse_counting_params(c: ResolvedConstraint) -> CountingSig:
         values = _int_list(p[2])
         if vars_ is None or values is None:
             _fail(c, "malformed variable or value list", sig)
-        if isinstance(p[0], int):
-            return CountingSig(vars_, values, p[0], p[0], None)
-        count = _as_var(p[0])
-        if count is None:
+        if not _is_term(p[0]):
             _fail(c, "count must be an integer or a variable", sig)
-        return CountingSig(vars_, values, None, None, count)
+        return [_exactly(vars_, values, p[0])]
     # atleast / atmost: k [x...] v
     sig = "k [x1 ... xn] v"
     if p is None or len(p) != 3 or not isinstance(p[0], int) or not isinstance(p[2], int):
@@ -720,8 +644,8 @@ def parse_counting_params(c: ResolvedConstraint) -> CountingSig:
     if vars_ is None:
         _fail(c, "malformed variable list", sig)
     if name == "atleast":
-        return CountingSig(vars_, [p[2]], p[0], None, None)
-    return CountingSig(vars_, [p[2]], None, p[0], None)
+        return [CountingSig(vars_, [p[2]], p[0], None, None)]
+    return [CountingSig(vars_, [p[2]], None, p[0], None)]
 
 
 def parse_element_params(c: ResolvedConstraint) -> ElementSig:
@@ -729,15 +653,14 @@ def parse_element_params(c: ResolvedConstraint) -> ElementSig:
     p = c.parameters
     if p is None or len(p) != 3:
         _fail(c, "element takes: index, table, value", sig)
-    index = _as_term(p[0])
-    table = _term_list(p[1])
-    value = _as_term(p[2])
-    if index is None or table is None or value is None or not table:
+    index, table, value = p
+    if not (_is_term(index) and _term_list(table) and _is_term(value)):
         _fail(c, "malformed index, table, or value", sig)
     return ElementSig(index, table, value)
 
 
-def parse_gcc_params(c: ResolvedConstraint) -> GccSig:
+def parse_gcc_params(c: ResolvedConstraint) -> List[CountingSig]:
+    """One counting signature per `{value occurrences}` pair."""
     sig = "[x1 ... xn] [ {v1 o1} {v2 o2} ... ]"
     p = c.parameters
     if p is None or len(p) != 2:
@@ -746,13 +669,9 @@ def parse_gcc_params(c: ResolvedConstraint) -> GccSig:
     pairs = _group_list(p[1], 2)
     if vars_ is None or pairs is None:
         _fail(c, "malformed variable list or pairs", sig)
-    entries = []
-    for value, occ in pairs:
-        occ_term = _as_term(occ)
-        if not isinstance(value, int) or occ_term is None:
-            _fail(c, "each pair is {value occurrences}", sig)
-        entries.append((value, occ_term))
-    return GccSig(vars_, entries)
+    if not all(isinstance(value, int) and _is_term(occ) for value, occ in pairs):
+        _fail(c, "each pair is {value occurrences}", sig)
+    return [_exactly(vars_, [value], occ) for value, occ in pairs]
 
 
 def parse_cumulative_params(c: ResolvedConstraint) -> CumulativeSig:
@@ -765,12 +684,11 @@ def parse_cumulative_params(c: ResolvedConstraint) -> CumulativeSig:
         _fail(c, "each task is {origin duration height}", sig)
     tasks = []
     for origin, duration, height in groups:
-        origin_term = _as_term(origin)
-        if origin_term is None or not isinstance(duration, int) or not isinstance(height, int):
+        if not _is_term(origin) or not isinstance(duration, int) or not isinstance(height, int):
             _fail(c, "task fields must be origin (var/int), duration int, height int", sig)
         if duration < 0 or height < 0:
             _fail(c, "duration and height must be nonnegative", sig)
-        tasks.append((origin_term, duration, height))
+        tasks.append((origin, duration, height))
     return CumulativeSig(tasks, p[1])
 
 
@@ -782,13 +700,10 @@ def parse_disjunctive_params(c: ResolvedConstraint) -> DisjunctiveSig:
     groups = _group_list(p[0], 2)
     if groups is None:
         _fail(c, "each task is {origin duration}", sig)
-    tasks = []
-    for origin, duration in groups:
-        origin_term = _as_term(origin)
-        if origin_term is None or not isinstance(duration, int) or duration < 0:
-            _fail(c, "task fields must be origin (var/int) and nonnegative duration", sig)
-        tasks.append((origin_term, duration))
-    return DisjunctiveSig(tasks)
+    if not all(_is_term(origin) and isinstance(duration, int) and duration >= 0
+               for origin, duration in groups):
+        _fail(c, "task fields must be origin (var/int) and nonnegative duration", sig)
+    return DisjunctiveSig([tuple(group) for group in groups])
 
 
 def parse_diffn_params(c: ResolvedConstraint) -> DiffnSig:
@@ -799,13 +714,9 @@ def parse_diffn_params(c: ResolvedConstraint) -> DiffnSig:
     groups = _group_list(p[0], 4)
     if groups is None:
         _fail(c, "each box is {x y width height}", sig)
-    boxes = []
-    for group in groups:
-        terms = [_as_term(tok) for tok in group]
-        if any(t is None for t in terms):
-            _fail(c, "box fields must be variables or integers", sig)
-        boxes.append(tuple(terms))
-    return DiffnSig(boxes)
+    if not all(_term_list(group) for group in groups):
+        _fail(c, "box fields must be variables or integers", sig)
+    return DiffnSig([tuple(group) for group in groups])
 
 
 def parse_lex_params(c: ResolvedConstraint) -> LexSig:
@@ -828,13 +739,9 @@ def parse_weighted_sum_params(c: ResolvedConstraint) -> WeightedSumSig:
     groups = _group_list(p[0], 2)
     if groups is None:
         _fail(c, "each term is {coefficient variable}", sig)
-    terms = []
-    for coeff, tok in groups:
-        term = _as_term(tok)
-        if not isinstance(coeff, int) or term is None:
-            _fail(c, "each term is {coefficient variable}", sig)
-        terms.append((coeff, term))
-    return WeightedSumSig(terms, p[1], p[2])
+    if not all(isinstance(coeff, int) and _is_term(term) for coeff, term in groups):
+        _fail(c, "each term is {coefficient variable}", sig)
+    return WeightedSumSig([tuple(group) for group in groups], p[1], p[2])
 
 
 # what each supported global's parameters parse into; the order is that of

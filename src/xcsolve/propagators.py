@@ -29,9 +29,9 @@ _UNTESTED = (IntegerSet(()),) * 3
 
 
 def _term_domain(store: DomainStore, term) -> IntegerSet:
-    if term[0] == "var":
-        return store.domain(term[1])
-    return IntegerSet.interval(term[1], term[1])
+    if isinstance(term, ex.VarRef):
+        return store.domain(term.index)
+    return IntegerSet.interval(term, term)
 
 
 def _term_min(store, term):
@@ -315,17 +315,17 @@ class ElementProp(Propagator):
                  if _term_domain(store, table[i - base]).intersects(vdom)]
         if not valid:
             return FAILED
-        if index[0] == "var":
-            store.update(index[1], IntegerSet.from_values(j + base for j in valid))
+        if isinstance(index, ex.VarRef):
+            store.update(index.index, IntegerSet.from_values(j + base for j in valid))
             if store.failed:
                 return FAILED
         reachable = IntegerSet.from_intervals(
             r for j in valid for r in _term_domain(store, table[j]).ranges)
-        if value[0] == "var":
-            store.intersect(value[1], reachable)
+        if isinstance(value, ex.VarRef):
+            store.intersect(value.index, reachable)
             if store.failed:
                 return FAILED
-        elif value[1] not in reachable:
+        elif value not in reachable:
             return FAILED
 
         idom = _term_domain(store, index)
@@ -335,10 +335,10 @@ class ElementProp(Propagator):
             both = _term_domain(store, cell).intersect(_term_domain(store, value))
             if both.is_empty():
                 return FAILED
-            if cell[0] == "var":
-                store.intersect(cell[1], both)
-            if value[0] == "var":
-                store.intersect(value[1], both)
+            if isinstance(cell, ex.VarRef):
+                store.intersect(cell.index, both)
+            if isinstance(value, ex.VarRef):
+                store.intersect(value.index, both)
             if store.failed:
                 return FAILED
             if both.is_singleton():
@@ -398,7 +398,7 @@ class CumulativeProp(Propagator):
                 segments.append((t, following, load))
 
         for (origin, duration, height), own in zip(tasks, parts):
-            if origin[0] != "var" or height == 0 or duration == 0:
+            if not isinstance(origin, ex.VarRef) or height == 0 or duration == 0:
                 continue
             forbidden = []
             for start, end, load in segments:
@@ -408,7 +408,7 @@ class CumulativeProp(Propagator):
                 if load + height > capacity:
                     forbidden.append((start - duration + 1, end - 1))
             if forbidden:
-                v = origin[1]
+                v = origin.index
                 store.update(v, store.domain(v).difference(
                     IntegerSet.from_intervals(forbidden)))
                 if store.failed:
@@ -471,12 +471,12 @@ class LexProp(Propagator):
         offset = 1 if alpha + 1 == beta else 0
         if dmin(xs[alpha]) > dmax(ys[alpha]) - offset:
             return FAILED
-        if xs[alpha][0] == "var":
-            store.clamp(xs[alpha][1], hi=dmax(ys[alpha]) - offset)
+        if isinstance(xs[alpha], ex.VarRef):
+            store.clamp(xs[alpha].index, hi=dmax(ys[alpha]) - offset)
             if store.failed:
                 return FAILED
-        if ys[alpha][0] == "var":
-            store.clamp(ys[alpha][1], lo=dmin(xs[alpha]) + offset)
+        if isinstance(ys[alpha], ex.VarRef):
+            store.clamp(ys[alpha].index, lo=dmin(xs[alpha]) + offset)
             if store.failed:
                 return FAILED
         if dmax(xs[alpha]) < dmin(ys[alpha]):

@@ -19,34 +19,27 @@ MAX_VERDICTS = 1 << 16
 
 
 def _term_value(term, values: List[int]) -> int:
-    return values[term[1]] if term[0] == "var" else term[1]
+    return values[term.index] if isinstance(term, ex.VarRef) else term
 
 
 def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
     if name == "alldifferent":
         vs = [values[v] for v in sig]
         return len(set(vs)) == len(vs)
-    if name in ("among", "atleast", "atmost"):
-        counted = set(sig.values)
-        count = sum(1 for v in sig.vars if values[v] in counted)
-        if sig.count_var is not None:
-            return count == values[sig.count_var]
-        if sig.lo is not None and count < sig.lo:
-            return False
-        if sig.hi is not None and count > sig.hi:
-            return False
+    if name in ("among", "atleast", "atmost", "global_cardinality"):
+        for s in sig:
+            counted = set(s.values)
+            count = sum(1 for v in s.vars if values[v] in counted)
+            if s.count_var is not None and count != values[s.count_var]:
+                return False
+            if (s.lo is not None and count < s.lo) or (s.hi is not None and count > s.hi):
+                return False
         return True
     if name == "element":
         i = _term_value(sig.index, values) - element_base
         if not (0 <= i < len(sig.table)):
             return False
         return _term_value(sig.table[i], values) == _term_value(sig.value, values)
-    if name == "global_cardinality":
-        for counted, occ in sig.entries:
-            count = sum(1 for v in sig.vars if values[v] == counted)
-            if count != _term_value(occ, values):
-                return False
-        return True
     if name == "cumulative":
         # heights are nonnegative, so the load can only rise where a task
         # starts: checking it at every start checks it everywhere

@@ -445,6 +445,27 @@ def test_verify_catches_injected_fault(tmp_path, monkeypatch):
     assert "v 1 1" in out
 
 
+def test_missing_constraints_section_is_one_error_line(tmp_path):
+    xml = TINY_ALLDIFF.split("<constraints")[0] + "</instance>\n"
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: missing mandatory <constraints> section\n"
+
+
+def test_count_drift_is_one_warning_line(tmp_path):
+    xml = instance_xml(
+        [("X", [1, 2]), ("Y", [1, 2])],
+        [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
+        relations=[{"name": "r%d" % i, "arity": 2, "semantics": "supports",
+                    "tuples": [(1, 2)]} for i in range(2)],
+    ).replace('nbRelations="2"', 'nbRelations="3"')
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_OK
+    assert check_grammar(out) == "s SATISFIABLE"
+    assert err == "warning: nbRelations=3 but 2 relation(s) declared\n"
+
+
 def test_diagnostics_go_to_stderr_not_stdout(tmp_path):
     xml = TINY_ALLDIFF.replace('nbValues="2"', 'nbValues="9"')
     path = write(tmp_path, xml)

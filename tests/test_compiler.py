@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from xcsolve import CompileError, Engine, compile_instance
+from xcsolve.expr import VarRef
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import PROPAGATOR_CLASSES
 
@@ -210,10 +211,30 @@ def test_disjunctive_decomposes_pairwise():
     assert [s.kind for s in problem.propagators] == ["Cumulative"] + ["ExprCheck"] * 4
     cumulative = problem.propagators[0]
     assert cumulative.scope == (0, 1)
-    assert cumulative.data == {"tasks": [[["var", 0], 1, 1], [["var", 1], 2, 1]],
+    assert cumulative.data == {"tasks": [(VarRef(0), 1, 1), (VarRef(1), 2, 1)],
                                "capacity": 1}
     assert [s.scope for s in problem.propagators[1:]] == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert sorted(Engine(problem).solve(limit=None).solutions) == brute_force(instance)
+
+
+@pytest.mark.parametrize("reference, parameters", [
+    ("among", "N [ N X ] [ 1 ]"),
+    ("atmost", "1 [ X N X ] 1"),
+    ("global_cardinality", "[ N X ] [ { 1 N } { 0 X } ]"),
+])
+def test_counting_scopes_hold_each_variable_once(reference, parameters):
+    # a variable both counted and counting, or counted twice, is watched
+    # once and adds one to its degree
+    xml = instance_xml(
+        [("N", [0, 1, 2]), ("X", [0, 1])],
+        [{"name": "c0", "scope": ["N", "X"], "reference": "global:" + reference,
+          "parameters": parameters}],
+    )
+    instance, problem = load(xml)
+    assert all(sorted(spec.scope) == sorted(set(spec.scope)) for spec in problem.propagators)
+    engine = Engine(problem)
+    assert engine.degrees == [len(problem.propagators)] * 2
+    assert sorted(engine.solve(limit=None).solutions) == brute_force(instance)
 
 
 def test_malformed_global_parameters_report_signature():

@@ -5,7 +5,7 @@ import pytest
 
 from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
-from xcsolve.compiler import Problem, PropagatorSpec, linear_spec, var_term
+from xcsolve.compiler import Problem, PropagatorSpec, linear_spec
 from xcsolve.intset import IntegerSet
 from xcsolve.store import DomainStore
 
@@ -18,7 +18,7 @@ def iset(*values):
 
 
 def not_equal(x, y):
-    return linear_spec([(1, var_term(x)), (-1, var_term(y))], "ne", 0)
+    return linear_spec([(1, ex.VarRef(x)), (-1, ex.VarRef(y))], "ne", 0)
 
 
 # -- domain store -------------------------------------------------------------
@@ -292,8 +292,8 @@ def test_zero_time_budget_yields_incomplete():
 def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
     # X - Y = 1 and Y - X = 1 over 0..10^6 move one bound per propagation,
     # so the root fixpoint runs far past the budget unless it reads the clock
-    specs = [linear_spec([(1, var_term(0)), (-1, var_term(1))], "eq", 1),
-             linear_spec([(1, var_term(1)), (-1, var_term(0))], "eq", 1)]
+    specs = [linear_spec([(1, ex.VarRef(0)), (-1, ex.VarRef(1))], "eq", 1),
+             linear_spec([(1, ex.VarRef(1)), (-1, ex.VarRef(0))], "eq", 1)]
     problem = Problem(["X", "Y"], [IntegerSet.interval(0, 10**6)] * 2, specs)
     engine = Engine(problem)
     before = engine.store.snapshot()

@@ -92,7 +92,7 @@ def test_mutated_corpus_documents_end_cleanly(mutant_path, data):
         text = data.draw(st.sampled_from(MUTATIONS))(data.draw, text)
     mutant_path.write_text(text)
     config = RunConfig(str(mutant_path), mode=data.draw(st.sampled_from(["first", "all"])),
-                       verify=True, node_limit=20000)
+                       verify=True, node_limit=20000, time_limit=5)
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(config, out=out, err=err)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_UNKNOWN)

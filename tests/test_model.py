@@ -20,6 +20,7 @@ from xcsolve import (
 from xcsolve.errors import integer_error
 from xcsolve.expr import Apply, VarRef
 from xcsolve.intset import IntegerSet
+from xcsolve import model
 from xcsolve.model import TUPLE_MEMO, GlobalRef, PredicateRef, RelationRef
 
 from helpers import TINY_ALLDIFF, instance_xml
@@ -175,6 +176,8 @@ def list_sequences(draw):
     return cases + again
 
 
+PARSE_GROUP = model._parse_group
+
 # a memo with room for one new tuple, and one with none
 NEARLY_FULL_MEMO = dict.fromkeys(range(2 - TUPLE_MEMO, 0))
 FULL_MEMO = dict.fromkeys(range(-TUPLE_MEMO, 0))
@@ -207,10 +210,26 @@ def test_a_full_memo_grows_no_further():
     seen = FULL_MEMO.copy()
     assert parse_tuples("1 2|3 4", 2, seen) == [(1, 2), (3, 4)]
     assert len(seen) == TUPLE_MEMO
-    # a list that fills the memo midway is read again in one pass
+    # the rest of a list that fills the memo midway is read in one pass
     seen = NEARLY_FULL_MEMO.copy()
     assert parse_tuples("1 2|3 4|5 6", 2, seen) == [(1, 2), (3, 4), (5, 6)]
     assert len(seen) == TUPLE_MEMO
+
+
+def test_a_list_that_fills_the_memo_reads_each_group_once(monkeypatch):
+    # the memo takes group 0 and is full at group 1, so the one-pass read
+    # starts there; when it meets the bad group 2, the per-tuple loop words
+    # the error from group 1 on, numbering groups from the list's start
+    read = []
+
+    def parse_group(group, i, arity):
+        read.append(i)
+        return PARSE_GROUP(group, i, arity)
+
+    monkeypatch.setattr(model, "_parse_group", parse_group)
+    with pytest.raises(FormatError, match=r"^tuple 2: "):
+        parse_tuples("1 2|3 4|5 x|7 8", 2, NEARLY_FULL_MEMO.copy())
+    assert read == [0, 1, 2]
 
 
 def test_tuples_edge_cases_match_the_per_tuple_loop():
@@ -276,6 +295,43 @@ def test_missing_constraints_section():
     with pytest.raises(StructuralError, match="constraints"):
         parse_instance(
             '<instance><variables nbVariables="0"></variables></instance>')
+
+
+@pytest.mark.parametrize("attr", ["nbDomains", "nbVariables"])
+def test_missing_required_count_is_an_error(attr):
+    xml = TINY_ALLDIFF.replace(' %s="' % attr, ' dropped="')
+    with pytest.raises(StructuralError, match=attr):
+        parse_instance(xml)
+
+
+FIVE_SECTIONS = instance_xml(
+    [("X", [0, 1]), ("Y", [0, 1])],
+    [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"},
+     {"name": "c1", "scope": ["X", "Y"], "reference": "p0"}],
+    relations=[{"name": "r%d" % i, "arity": 2, "semantics": "supports",
+                "tuples": [(0, 1), (1, 0)]} for i in range(2)],
+    predicates=[{"name": "p%d" % i, "params": ["A", "B"], "body": "ne(A,B)"}
+                for i in range(2)],
+)
+
+
+@pytest.mark.parametrize("attr", ["nbRelations", "nbPredicates", "nbConstraints"])
+def test_missing_optional_count_is_no_error(attr):
+    xml = FIVE_SECTIONS.replace(' %s="2"' % attr, "")
+    assert xml != FIVE_SECTIONS
+    model = parse_instance(xml)
+    assert model.diagnostics == []
+    assert len(model.constraints) == 2
+
+
+@pytest.mark.parametrize("item", ["domain", "variable", "relation", "predicate",
+                                  "constraint"])
+def test_count_drift_warns_once_per_section(item):
+    attr = "nb%ss" % item.capitalize()
+    xml = FIVE_SECTIONS.replace('%s="2"' % attr, '%s="3"' % attr)
+    assert xml != FIVE_SECTIONS
+    model = parse_instance(xml)
+    assert model.diagnostics == ["warning: %s=3 but 2 %s(s) declared" % (attr, item)]
 
 
 def test_duplicate_variable_name():

@@ -151,14 +151,14 @@ def test_atleast_impossible_fails():
 
 
 def _element_spec(index, table, value, base=1):
-    scope = tuple(t[1] for t in [index] + table + [value] if t[0] == "var")
+    scope = tuple(t.index for t in [index] + table + [value] if isinstance(t, VarRef))
     return PropagatorSpec("Element", tuple(dict.fromkeys(scope)),
                           {"index": index, "table": table, "value": value,
                            "base": base})
 
 
 def test_element_prunes_index_and_value():
-    spec = _element_spec(["var", 0], [["const", 5], ["const", 7]], ["var", 1])
+    spec = _element_spec(VarRef(0), [5, 7], VarRef(1))
     ok, store = run_root(spec, [iset(0, 1, 2, 3), iset(5, 9)])
     assert ok
     assert store.domain(0) == iset(1)  # only table[1]=5 can match value
@@ -166,7 +166,7 @@ def test_element_prunes_index_and_value():
 
 
 def test_element_assigned_index_channels_equality():
-    spec = _element_spec(["var", 0], [["var", 1], ["var", 2]], ["var", 3])
+    spec = _element_spec(VarRef(0), [VarRef(1), VarRef(2)], VarRef(3))
     ok, store = run_root(spec, [iset(2), iset(1, 2), iset(4, 5), iset(5, 6)])
     assert ok
     assert store.domain(2) == iset(5)
@@ -174,7 +174,7 @@ def test_element_assigned_index_channels_equality():
 
 
 def test_element_out_of_range_index_fails():
-    spec = _element_spec(["const", 9], [["const", 5]], ["var", 0])
+    spec = _element_spec(9, [5], VarRef(0))
     ok, _ = run_root(spec, [iset(5)])
     assert not ok
 
@@ -186,7 +186,7 @@ def test_element_root_call_on_a_wide_table_is_fast():
     n = 2000
     cells = [iset(*rng.sample(range(10 ** 6), 2)) for _ in range(n)]
     domains = [IntegerSet.interval(1, n)] + cells + [IntegerSet.interval(0, 10 ** 6)]
-    spec = _element_spec(["var", 0], [["var", j + 1] for j in range(n)], ["var", n + 1])
+    spec = _element_spec(VarRef(0), [VarRef(j + 1) for j in range(n)], VarRef(n + 1))
     engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
     started = time.monotonic()
     assert engine.propagate_fixpoint()
@@ -205,7 +205,7 @@ def test_element_root_call_on_a_fragmented_index_is_fast():
     cells = [iset(*rng.sample(range(10 ** 6), 2)) for _ in range(n)]
     index = IntegerSet.from_values(range(1, n + 1, 2))
     domains = [index] + cells + [IntegerSet.interval(0, 10 ** 6)]
-    spec = _element_spec(["var", 0], [["var", j + 1] for j in range(n)], ["var", n + 1])
+    spec = _element_spec(VarRef(0), [VarRef(j + 1) for j in range(n)], VarRef(n + 1))
     engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
     started = time.monotonic()
     assert engine.propagate_fixpoint()
@@ -259,7 +259,7 @@ def test_gcc_count_variable():
 
 def test_cumulative_overload_fails():
     spec = PropagatorSpec("Cumulative", (0, 1), {
-        "tasks": [[["var", 0], 2, 2], [["var", 1], 2, 2]],
+        "tasks": [[VarRef(0), 2, 2], [VarRef(1), 2, 2]],
         "capacity": 3})
     ok, _ = run_root(spec, [iset(0), iset(0)])
     assert not ok
@@ -269,7 +269,7 @@ def test_cumulative_timetable_prunes_start():
     # fixed task occupies [0,2) at height 2; moving task (d=2, h=2, C=3)
     # cannot start before 2
     spec = PropagatorSpec("Cumulative", (0, 1), {
-        "tasks": [[["var", 0], 2, 2], [["var", 1], 2, 2]],
+        "tasks": [[VarRef(0), 2, 2], [VarRef(1), 2, 2]],
         "capacity": 3})
     ok, store = run_root(spec, [iset(0), iset(0, 1, 2, 3)])
     assert ok
@@ -281,7 +281,7 @@ def test_cumulative_rechecks_after_own_pruning():
     # schedule must then be checked against the capacity, not the
     # profile computed on entry (V0=4,V1=3,V2=1 overloads t=4)
     spec = PropagatorSpec("Cumulative", (0, 1, 2), {
-        "tasks": [[["var", 0], 2, 2], [["var", 1], 3, 1], [["var", 2], 1, 2]],
+        "tasks": [[VarRef(0), 2, 2], [VarRef(1), 3, 1], [VarRef(2), 1, 2]],
         "capacity": 2})
     ok, _ = run_root(spec, [iset(0, 1, 3, 4), iset(1, 3), iset(1, 3)])
     assert not ok
@@ -292,8 +292,8 @@ def test_cumulative_work_does_not_grow_with_the_horizon():
     # [500000, 501000), V3 has the compulsory part [100500, 101000) at full
     # height, so V1 (d=10) and V2 (d=300000) may not overlap either
     spec = PropagatorSpec("Cumulative", (0, 1, 2, 3), {
-        "tasks": [[["var", 0], 1000, 2], [["var", 1], 10, 1],
-                  [["var", 2], 300000, 1], [["var", 3], 1000, 2]],
+        "tasks": [[VarRef(0), 1000, 2], [VarRef(1), 10, 1],
+                  [VarRef(2), 300000, 1], [VarRef(3), 1000, 2]],
         "capacity": 2})
     horizon = IntegerSet.interval(0, 10 ** 6)
     ok, store = run_root(spec, [iset(500000), horizon, horizon,
@@ -308,14 +308,14 @@ def test_cumulative_work_does_not_grow_with_the_horizon():
 
 def test_cumulative_task_taller_than_capacity_fails():
     spec = PropagatorSpec("Cumulative", (0,), {
-        "tasks": [[["var", 0], 1, 3]], "capacity": 2})
+        "tasks": [[VarRef(0), 1, 3]], "capacity": 2})
     ok, _ = run_root(spec, [IntegerSet.interval(0, 10 ** 9)])
     assert not ok
 
 
 def test_cumulative_zero_height_is_free():
     spec = PropagatorSpec("Cumulative", (0, 1), {
-        "tasks": [[["var", 0], 2, 0], [["var", 1], 2, 1]],
+        "tasks": [[VarRef(0), 2, 0], [VarRef(1), 2, 1]],
         "capacity": 1})
     ok, store = run_root(spec, [iset(0, 1), iset(0, 1)])
     assert ok
@@ -323,7 +323,7 @@ def test_cumulative_zero_height_is_free():
 
 
 def unit_tasks(count, duration=2, height=1):
-    return [[["var", i], duration, height] for i in range(count)]
+    return [[VarRef(i), duration, height] for i in range(count)]
 
 
 def test_cumulative_energy_overload_without_compulsory_parts_fails():
@@ -348,7 +348,7 @@ def test_cumulative_zero_duration_and_zero_height_add_no_energy():
     # the two unit tasks fill [0, 4] exactly; V2 (d=0, h=1) and V3 (d=2,
     # h=0) take no energy, so the window must not be reported as overloaded
     spec = PropagatorSpec("Cumulative", (0, 1, 2, 3), {
-        "tasks": unit_tasks(2) + [[["var", 2], 0, 1], [["var", 3], 2, 0]],
+        "tasks": unit_tasks(2) + [[VarRef(2), 0, 1], [VarRef(3), 2, 0]],
         "capacity": 1})
     domains = [iset(0, 1, 2), iset(0, 1, 2), iset(0, 2, 4), iset(0, 1, 2)]
     ok, store = run_root(spec, domains)
@@ -363,7 +363,7 @@ def test_cumulative_energy_unsat_schedule_fails_at_the_root():
     tasks = [(3, 2), (2, 1), (4, 3), (1, 2), (3, 1), (2, 2),
              (4, 1), (2, 3), (3, 2), (1, 3), (2, 1), (3, 2)]
     spec = PropagatorSpec("Cumulative", tuple(range(12)), {
-        "tasks": [[["var", i], d, h] for i, (d, h) in enumerate(tasks)],
+        "tasks": [[VarRef(i), d, h] for i, (d, h) in enumerate(tasks)],
         "capacity": 3})
     problem = Problem(["S%d" % i for i in range(12)],
                       [IntegerSet.interval(0, 18 - d) for d, _ in tasks], [spec])
@@ -378,7 +378,7 @@ def test_cumulative_energy_unsat_schedule_fails_at_the_root():
 
 def test_lex_less_single_position_strict():
     spec = PropagatorSpec("LexLess", (0, 1),
-                          {"xs": [["var", 0]], "ys": [["var", 1]]})
+                          {"xs": [VarRef(0)], "ys": [VarRef(1)]})
     ok, store = run_root(spec, [iset(0, 1), iset(0, 1)])
     assert ok
     assert store.domain(0) == iset(0)
@@ -387,8 +387,8 @@ def test_lex_less_single_position_strict():
 
 def test_lex_lesseq_forced_equality_chain():
     spec = PropagatorSpec("LexLessEq", (0, 1, 2, 3), {
-        "xs": [["var", 0], ["var", 1]],
-        "ys": [["var", 2], ["var", 3]]})
+        "xs": [VarRef(0), VarRef(1)],
+        "ys": [VarRef(2), VarRef(3)]})
     ok, store = run_root(spec, [iset(1), iset(0, 5), iset(0, 1), iset(0)])
     assert ok
     assert store.domain(2) == iset(1)  # y0 < 1 would violate the prefix
@@ -397,16 +397,16 @@ def test_lex_lesseq_forced_equality_chain():
 
 def test_lex_less_equal_vectors_fail():
     spec = PropagatorSpec("LexLess", (0, 1),
-                          {"xs": [["var", 0], ["const", 3]],
-                           "ys": [["var", 1], ["const", 3]]})
+                          {"xs": [VarRef(0), 3],
+                           "ys": [VarRef(1), 3]})
     ok, _ = run_root(spec, [iset(2), iset(2)])
     assert not ok
 
 
 def test_lex_lesseq_equal_vectors_ok():
     spec = PropagatorSpec("LexLessEq", (0, 1),
-                          {"xs": [["var", 0], ["const", 3]],
-                           "ys": [["var", 1], ["const", 3]]})
+                          {"xs": [VarRef(0), 3],
+                           "ys": [VarRef(1), 3]})
     ok, store = run_root(spec, [iset(2), iset(2)])
     assert ok
 
@@ -414,8 +414,8 @@ def test_lex_lesseq_equal_vectors_ok():
 def test_lex_strict_needed_when_tail_blocked():
     # x = [a, 5], y = [b, 3]: tail forces a < b
     spec = PropagatorSpec("LexLess", (0, 1),
-                          {"xs": [["var", 0], ["const", 5]],
-                           "ys": [["var", 1], ["const", 3]]})
+                          {"xs": [VarRef(0), 5],
+                           "ys": [VarRef(1), 3]})
     ok, store = run_root(spec, [iset(0, 1), iset(0, 1)])
     assert ok
     assert store.domain(0) == iset(0)
