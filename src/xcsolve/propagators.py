@@ -4,6 +4,10 @@ Every propagator obeys the soundness contract: it never removes a value
 that appears in some satisfying assignment of its own constraint given the
 other current domains. Reporting SUBSUMED means the constraint holds for
 every completion of the current domains.
+
+A `filter` returns FAILED for an inconsistency it finds itself; an update
+that empties a domain raises `Wipeout`, which `Propagator.prune`, the one
+entry point, reports as FAILED.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from . import expr as ex
 from .compiler import PropagatorSpec
 from .errors import EvalError
 from .intset import IntegerSet
-from .store import DomainStore
+from .store import DomainStore, Wipeout
 
 OK = "ok"
 SUBSUMED = "subsumed"
@@ -52,13 +56,20 @@ def _ceil_div(a: int, b: int) -> int:
 
 class Propagator:
     # True when a scope variable that shrinks without becoming fixed never
-    # gives `prune` more to do; the engine then wakes it only on fixing
+    # gives `filter` more to do; the engine then wakes it only on fixing
     fix_only = False
 
     def __init__(self, spec: PropagatorSpec):
         self.spec = spec
 
     def prune(self, store: DomainStore) -> str:
+        """`filter`'s outcome, or FAILED when it empties a domain."""
+        try:
+            return self.filter(store)
+        except Wipeout:
+            return FAILED
+
+    def filter(self, store: DomainStore) -> str:
         raise NotImplementedError
 
 
@@ -73,7 +84,7 @@ class TableSupportsProp(Propagator):
         super().__init__(spec)
         self.valid = spec.data["tuples"]
 
-    def prune(self, store):
+    def filter(self, store):
         scope = self.spec.scope
         valid = kept = self.valid
         sizes = []
@@ -105,7 +116,7 @@ class TableConflictsProp(Propagator):
     """Forbidden tuples: each listed tuple must differ from the scope in at
     least one position."""
 
-    def prune(self, store):
+    def filter(self, store):
         scope = self.spec.scope
         doms = [store.domain(v) for v in scope]
         active = [t for t in self.spec.data["tuples"]
@@ -120,7 +131,7 @@ class TableConflictsProp(Propagator):
             k = unassigned[0]
             store.update(scope[k], doms[k].difference(
                 IntegerSet.from_values(t[k] for t in active)))
-            return FAILED if store.failed else SUBSUMED
+            return SUBSUMED
         return OK
 
 
@@ -128,7 +139,7 @@ class LinearRelProp(Propagator):
     """sum(c_i * x_i) RELOP rhs: bounds consistency for `eq` and the
     orderings; `ne`, binary disequality included, prunes its last free term."""
 
-    def prune(self, store):
+    def filter(self, store):
         terms = self.spec.data["terms"]
         op = self.spec.data["op"]
         rhs = self.spec.data["rhs"]
@@ -175,16 +186,12 @@ class LinearRelProp(Propagator):
                     store.clamp(v, hi=_floor_div(slack, c))
                 else:
                     store.clamp(v, lo=_ceil_div(slack, c))
-            if store.failed:
-                return FAILED
             if lower is not None:
                 need = lower - (smax - own_max)
                 if c > 0:
                     store.clamp(v, lo=_ceil_div(need, c))
                 else:
                     store.clamp(v, hi=_floor_div(need, c))
-            if store.failed:
-                return FAILED
         smin, smax = self._bounds(store, terms)
         if (upper is None or smax <= upper) and (lower is None or smin >= lower):
             return SUBSUMED
@@ -206,8 +213,6 @@ class LinearRelProp(Propagator):
         v, c = free
         if rhs % c == 0:
             store.remove_value(v, rhs // c)
-            if store.failed:
-                return FAILED
         return SUBSUMED
 
 
@@ -215,7 +220,7 @@ class AllDifferentProp(Propagator):
     """Value propagation from assigned variables plus a pigeonhole check on
     the union of the current domains."""
 
-    def prune(self, store):
+    def filter(self, store):
         scope = self.spec.scope
         taken: Dict[int, int] = {}
         for v in scope:
@@ -229,8 +234,6 @@ class AllDifferentProp(Propagator):
             for v in scope:
                 if not store.assigned(v):
                     store.update(v, store.domain(v).difference(taken_set))
-                    if store.failed:
-                        return FAILED
         union = IntegerSet.from_intervals(
             r for v in scope for r in store.domain(v).ranges)
         if union.size() < len(scope):
@@ -252,7 +255,7 @@ class CountingProp(Propagator):
         super().__init__(spec)
         self.values = sorted(set(spec.data["values"]))
 
-    def prune(self, store):
+    def filter(self, store):
         data = self.spec.data
         vars_ = data["vars"]
         values = self.values
@@ -273,8 +276,6 @@ class CountingProp(Propagator):
 
         if count_var is not None:
             store.clamp(count_var, lo=lb, hi=ub)
-            if store.failed:
-                return FAILED
             need_lo = store.domain(count_var).min_value()
             need_hi = store.domain(count_var).max_value()
         else:
@@ -292,8 +293,6 @@ class CountingProp(Propagator):
                     store.update(v, store.domain(v).difference(value_set))
                 else:
                     store.intersect(v, value_set)
-                if store.failed:
-                    return FAILED
         if lb == ub and (count_var is None or store.assigned(count_var)):
             return SUBSUMED
         return OK
@@ -302,7 +301,7 @@ class CountingProp(Propagator):
 class ElementProp(Propagator):
     """table[index] = value with a configurable index base."""
 
-    def prune(self, store):
+    def filter(self, store):
         data = self.spec.data
         table = data["table"]
         base = data["base"]
@@ -317,14 +316,10 @@ class ElementProp(Propagator):
             return FAILED
         if isinstance(index, ex.VarRef):
             store.update(index.index, IntegerSet.from_values(j + base for j in valid))
-            if store.failed:
-                return FAILED
         reachable = IntegerSet.from_intervals(
             r for j in valid for r in _term_domain(store, table[j]).ranges)
         if isinstance(value, ex.VarRef):
             store.intersect(value.index, reachable)
-            if store.failed:
-                return FAILED
         elif value not in reachable:
             return FAILED
 
@@ -339,8 +334,6 @@ class ElementProp(Propagator):
                 store.intersect(cell.index, both)
             if isinstance(value, ex.VarRef):
                 store.intersect(value.index, both)
-            if store.failed:
-                return FAILED
             if both.is_singleton():
                 return SUBSUMED
         return OK
@@ -352,7 +345,7 @@ class CumulativeProp(Propagator):
     `(start, end, load)` segments (Letort, Beldiceanu & Carlsson, CP 2012).
     Neither does work that grows with the time horizon."""
 
-    def prune(self, store):
+    def filter(self, store):
         data = self.spec.data
         tasks = data["tasks"]
         capacity = data["capacity"]
@@ -411,8 +404,6 @@ class CumulativeProp(Propagator):
                 v = origin.index
                 store.update(v, store.domain(v).difference(
                     IntegerSet.from_intervals(forbidden)))
-                if store.failed:
-                    return FAILED
         # the engine runs this again after its own pruning, so only a
         # schedule fixed on entry is known to fit
         return SUBSUMED if fixed else OK
@@ -423,7 +414,7 @@ class LexProp(Propagator):
 
     strict = True
 
-    def prune(self, store):
+    def filter(self, store):
         xs = self.spec.data["xs"]
         ys = self.spec.data["ys"]
         n = len(xs)
@@ -473,12 +464,8 @@ class LexProp(Propagator):
             return FAILED
         if isinstance(xs[alpha], ex.VarRef):
             store.clamp(xs[alpha].index, hi=dmax(ys[alpha]) - offset)
-            if store.failed:
-                return FAILED
         if isinstance(ys[alpha], ex.VarRef):
             store.clamp(ys[alpha].index, lo=dmin(xs[alpha]) + offset)
-            if store.failed:
-                return FAILED
         if dmax(xs[alpha]) < dmin(ys[alpha]):
             return SUBSUMED
         return OK
@@ -509,7 +496,7 @@ class ExprCheckProp(Propagator):
     memo = None  # key -> (tested, rejected, erring), built with `check`
     memo_ranges = 0  # ranges the memo's sets hold together
 
-    def prune(self, store):
+    def filter(self, store):
         scope = self.spec.scope
         values = []
         free = None  # position of the one unassigned variable
@@ -570,8 +557,6 @@ class ExprCheckProp(Propagator):
                 self.memo_ranges = 0
         if rejected.ranges:
             store.update(u, domain.difference(rejected))
-            if store.failed:
-                return FAILED
         if erring.ranges and domain.intersects(erring):
             return OK
         return SUBSUMED

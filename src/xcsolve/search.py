@@ -76,14 +76,14 @@ class Engine:
         self.strategy = strategy or BranchStrategy()
         self.store = DomainStore(problem.domains)
         self.props = [build_propagator(spec) for spec in problem.propagators]
-        # a propagator watches each variable of its scope for any change, or
-        # only for becoming fixed when it is `fix_only`
+        # a propagator watches each distinct variable of its scope for any
+        # change, or only for becoming fixed when it is `fix_only`
         self.watchers: List[List[int]] = [[] for _ in problem.domains]
         self.fix_watchers: List[List[int]] = [[] for _ in problem.domains]
         self.degrees = [0] * len(problem.domains)
         for k, p in enumerate(self.props):
             lists = self.fix_watchers if p.fix_only else self.watchers
-            for v in p.spec.scope:
+            for v in dict.fromkeys(p.spec.scope):
                 lists[v].append(k)
                 self.degrees[v] += 1
         self.active = [True] * len(self.props)
@@ -134,7 +134,7 @@ class Engine:
             queued[k] = False
             stats.propagations += 1
             outcome = self.props[k].prune(store)
-            if outcome == FAILED or store.failed:
+            if outcome == FAILED:
                 stats.failures += 1
                 return False
             if outcome == SUBSUMED:

@@ -4,8 +4,8 @@ Domains are immutable IntegerSets replaced wholesale on update. One trail
 of `(owner, key, old)` entries records every change to search state, the
 domains (`owner` is the domain list) and whatever goes through `save`
 (subsumed propagators, the valid tuples of a table), so backtracking
-restores each choice point exactly. `failed` is set precisely when some
-domain became empty.
+restores each choice point exactly. An update that empties a domain sets
+`failed` and raises `Wipeout`, so no caller goes on to read that domain.
 """
 
 from __future__ import annotations
@@ -13,6 +13,11 @@ from __future__ import annotations
 from typing import Any, List, Tuple
 
 from .intset import IntegerSet
+
+
+class Wipeout(Exception):
+    """A domain update left the domain empty; `Propagator.prune` reports it
+    as FAILED."""
 
 
 class DomainStore:
@@ -39,7 +44,8 @@ class DomainStore:
     # -- updates ----------------------------------------------------------
 
     def update(self, i: int, new: IntegerSet) -> bool:
-        """Replace domain i; returns True when it actually shrank."""
+        """Replace domain i; returns True when it actually shrank. Emptying
+        it is trailed, sets `failed` and raises Wipeout."""
         old = self._domains[i]
         if new == old:
             return False
@@ -48,6 +54,7 @@ class DomainStore:
         self.changed.append(i)
         if new.is_empty():
             self.failed = True
+            raise Wipeout
         return True
 
     def assign(self, i: int, v: int) -> bool:

@@ -7,7 +7,7 @@ from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec, linear_spec
 from xcsolve.intset import IntegerSet
-from xcsolve.store import DomainStore
+from xcsolve.store import DomainStore, Wipeout
 
 from helpers import (TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml,
                      queens_xml)
@@ -52,10 +52,13 @@ def test_store_nested_undo_restores_exactly():
 
 
 def test_store_empty_domain_sets_failed():
+    # emptying a domain raises, after trailing the change and setting `failed`
     store = DomainStore([iset(7)])
     store.push()
-    store.remove_value(0, 7)
+    with pytest.raises(Wipeout):
+        store.remove_value(0, 7)
     assert store.failed
+    assert store.domain(0).is_empty()
     store.undo()
     assert not store.failed
     assert store.domain(0) == iset(7)
@@ -88,17 +91,23 @@ def test_one_trail_restores_every_frame():
             else:
                 i, v = rng.randrange(4), rng.randint(-1, 6)
                 op = rng.randrange(5)
-                if op == 0:
-                    store.update(i, store.domain(i).clamp(lo=v))
-                elif op == 1:
-                    store.remove_value(i, v)
-                elif op == 2:
-                    store.assign(i, v)
-                elif op == 3:
-                    store.save(flags, rng.randrange(3), rng.random() < 0.5)
-                else:
-                    key = rng.choice(("valid", "count"))
-                    store.save(vars(holder), key, (v,) if key == "valid" else v)
+                wiped = False
+                try:
+                    if op == 0:
+                        store.update(i, store.domain(i).clamp(lo=v))
+                    elif op == 1:
+                        store.remove_value(i, v)
+                    elif op == 2:
+                        store.assign(i, v)
+                    elif op == 3:
+                        store.save(flags, rng.randrange(3), rng.random() < 0.5)
+                    else:
+                        key = rng.choice(("valid", "count"))
+                        store.save(vars(holder), key, (v,) if key == "valid" else v)
+                except Wipeout:
+                    wiped = True
+                # an update raises exactly when it empties its domain
+                assert wiped == store.failed == store.domain(i).is_empty()
         while frames:
             store.undo()
             assert state() == frames.pop()
@@ -337,6 +346,23 @@ def test_constraints_sharing_a_relation_share_its_tuples():
     assert r1.solutions == r2.solutions
     assert sorted(r1.solutions) == sorted(brute_force(instance))
     assert r1.solutions
+
+
+def test_a_repeated_scope_variable_is_watched_and_counted_once():
+    # alldifferent over [X X Y] compiles to the scope (0, 0, 1): X is in one
+    # constraint, and the repeat alone still makes the instance UNSAT
+    xml = instance_xml([("X", [1, 2]), ("Y", [1, 2]), ("Z", [1, 2])], [
+        {"name": "c0", "scope": ["X", "Y"], "reference": "global:alldifferent",
+         "parameters": "[ X X Y ]"},
+        {"name": "c1", "scope": ["Y", "Z"], "reference": "global:alldifferent"}])
+    _, problem = load(xml)
+    assert problem.propagators[0].scope == (0, 0, 1)
+    engine = Engine(problem)
+    assert engine.degrees == [1, 2, 1]
+    for lists in (engine.watchers, engine.fix_watchers):
+        assert all(len(set(watching)) == len(watching) for watching in lists)
+    result = engine.solve(limit=None)
+    assert result.solutions == [] and result.complete
 
 
 def test_table_reduction_is_undone_on_backtrack():

@@ -83,3 +83,36 @@ def test_no_unused_imports():
     unused = ["%s: %s" % (path.relative_to(TESTS.parent), name)
               for path in files for name in unused_imports(path)]
     assert unused == []
+
+
+def wipeout_sites() -> tuple:
+    """Where the package raises `Wipeout` and where it catches it, each as a
+    list of `module.Class.function` names."""
+    raised, caught = [], []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where += "." + node.name
+        if isinstance(node, ast.Raise) and "Wipeout" in ast.unparse(node):
+            raised.append(where)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and "Wipeout" in ast.unparse(node.type):
+            caught.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return raised, caught
+
+
+def test_one_failure_signal_in_the_propagation_core():
+    # an emptied domain raises in the store's update alone and is caught in
+    # the one `prune` alone; no propagator reads `store.failed`
+    assert wipeout_sites() == (["store.DomainStore.update"],
+                               ["propagators.Propagator.prune"])
+    tree = ast.parse((SRC / "propagators.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "failed"]
+    assert [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(getattr(fn, "name", None) == "prune" for fn in cls.body)] == ["Propagator"]
