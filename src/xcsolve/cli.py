@@ -77,7 +77,7 @@ def config_from_args(args) -> RunConfig:
         raise ValueError("--limit must be positive")
     if args.node_limit is not None and args.node_limit < 0:
         raise ValueError("--node-limit must be nonnegative")
-    if args.time_limit is not None and args.time_limit < 0:
+    if args.time_limit is not None and not args.time_limit >= 0:  # nan too
         raise ValueError("--time-limit must be nonnegative")
     return RunConfig(
         path=args.path,

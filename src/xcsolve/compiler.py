@@ -165,14 +165,14 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         specs = []
         for s in sig:
             watched = s.vars if s.count_var is None else s.vars + [s.count_var]
-            specs.append(PropagatorSpec(kind, tuple(dict.fromkeys(watched)), {
+            specs.append(PropagatorSpec(kind, tuple(watched), {
                 "vars": s.vars, "values": s.values,
                 "lo": s.lo, "hi": s.hi, "count_var": s.count_var,
             }))
         return specs
     if name == "element":
-        scope = _unique_vars([sig.index] + sig.table + [sig.value])
-        return [PropagatorSpec("Element", tuple(scope), {
+        scope = _var_indices([sig.index] + sig.table + [sig.value])
+        return [PropagatorSpec("Element", scope, {
             "index": sig.index, "table": sig.table, "value": sig.value,
             "base": element_base,
         })]
@@ -205,8 +205,8 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         return specs
     if name in ("lex_less", "lex_lesseq"):
         kind = "LexLess" if name == "lex_less" else "LexLessEq"
-        scope = _unique_vars(sig.xs + sig.ys)
-        return [PropagatorSpec(kind, tuple(scope), {"xs": sig.xs, "ys": sig.ys})]
+        return [PropagatorSpec(kind, _var_indices(sig.xs + sig.ys),
+                               {"xs": sig.xs, "ys": sig.ys})]
     if name == "not_all_equal":
         if len(sig) < 2:
             raise CompileError(
@@ -223,12 +223,13 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
 
 def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
                      capacity: int) -> PropagatorSpec:
-    scope = _unique_vars([origin for origin, _, _ in tasks])
-    return PropagatorSpec("Cumulative", tuple(scope), {"tasks": tasks, "capacity": capacity})
+    scope = _var_indices([origin for origin, _, _ in tasks])
+    return PropagatorSpec("Cumulative", scope, {"tasks": tasks, "capacity": capacity})
 
 
-def _unique_vars(terms: List[Term]) -> List[int]:
-    return list(dict.fromkeys(t.index for t in terms if isinstance(t, ex.VarRef)))
+def _var_indices(terms: List[Term]) -> Tuple[int, ...]:
+    # repeats kept: Engine watches each distinct variable once
+    return tuple(t.index for t in terms if isinstance(t, ex.VarRef))
 
 
 def compile_constraint(c: ResolvedConstraint,

@@ -176,18 +176,17 @@ def substitute(body: Expr, formal_params: Sequence[str],
 
 def var_refs(e: Expr) -> List[int]:
     """Distinct variable indices, in first-appearance order."""
-    seen: List[int] = []
+    seen: Dict[int, None] = {}
 
     def walk(node: Expr):
         if isinstance(node, VarRef):
-            if node.index not in seen:
-                seen.append(node.index)
+            seen[node.index] = None
         elif isinstance(node, Apply):
             for a in node.args:
                 walk(a)
 
     walk(e)
-    return seen
+    return list(seen)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -50,8 +50,7 @@ _KNOWN_ATTRS = {
 }
 
 # the most entries (group texts and distinct tuples) one document's tuple
-# memo takes; the list that fills it, and every later one, is read by the
-# one-pass bulk path instead
+# memo takes; a list it has no room for is read by the one-pass bulk path
 TUPLE_MEMO = 1 << 16
 
 # Nested parameter tokens: int literal, bare name, or a bracketed group.
@@ -187,44 +186,33 @@ def parse_tuples(text: str, arity: int,
 
     `seen` is a memo shared by the lists of one document. It maps each
     group's raw text to its tuple, and each tuple to itself, so every
-    distinct group text is read once and equal tuples are one object. Once
-    it holds `TUPLE_MEMO` entries, the rest of the list that filled it and
-    every later list are read without it."""
+    distinct group text is read once and equal tuples are one object. A
+    list is read through it only when it has room for the whole list, at
+    two entries per group; any other list is read without it."""
     if not text.strip():
         return []
-    tuples: List[Tuple[int, ...]] = []
-    if seen is not None and len(seen) < TUPLE_MEMO:
-        groups = text.split("|")
-        for i, group in enumerate(groups):
+    groups = text.count("|") + 1
+    if seen is not None and len(seen) + 2 * groups <= TUPLE_MEMO:
+        tuples: List[Tuple[int, ...]] = []
+        for i, group in enumerate(text.split("|")):
             t = seen.get(group)
             if t is None or len(t) != arity:
-                if len(seen) >= TUPLE_MEMO:
-                    break
                 t = _parse_group(group, i, arity)
                 t = seen[group] = seen.setdefault(t, t)
             tuples.append(t)
-        else:
-            return tuples
-        # full: the groups from the i-th on are read without the memo
-        text = text[sum(map(len, groups[:i])) + i:]
-        del groups
-    first = len(tuples)  # the number of the first group left to read
-    # one pass over the rest when its shape is exact: n groups of `arity`
-    # tokens, the n-1 separators at every (arity+1)-th position
+        return tuples
+    # one pass when the shape is exact: `groups` groups of `arity` tokens,
+    # a separator at every (arity+1)-th position
     tokens = text.replace("|", " | ").split()
-    separators = text.count("|")
-    if (arity > 0 and len(tokens) == (separators + 1) * (arity + 1) - 1
-            and tokens[arity::arity + 1].count("|") == separators):
+    if (arity > 0 and len(tokens) == groups * (arity + 1) - 1
+            and tokens[arity::arity + 1].count("|") == groups - 1):
         del tokens[arity::arity + 1]
         try:
-            tuples += zip(*[map(int, tokens)] * arity)
-            return tuples
+            return list(zip(*[map(int, tokens)] * arity))
         except ValueError:
-            del tuples[first:]
+            pass
     # the per-tuple loop words every error
-    tuples += (_parse_group(group, first + i, arity)
-               for i, group in enumerate(text.split("|")))
-    return tuples
+    return [_parse_group(group, i, arity) for i, group in enumerate(text.split("|"))]
 
 
 def _parse_group(group: str, i: int, arity: int) -> Tuple[int, ...]:
@@ -477,7 +465,7 @@ def _parse_formal_params(pred_name: str, text: str) -> List[str]:
     tokens = text.split()
     if len(tokens) % 2 != 0:
         raise StructuralError("predicate %s: malformed formal parameter list" % clip(pred_name))
-    formals = []
+    formals: Dict[str, None] = {}
     for type_name, param in zip(tokens[::2], tokens[1::2]):
         if type_name != "int":
             raise StructuralError(
@@ -487,8 +475,8 @@ def _parse_formal_params(pred_name: str, text: str) -> List[str]:
             raise StructuralError(
                 "predicate %s: duplicate formal parameter %s" % (clip(pred_name), clip(param))
             )
-        formals.append(param)
-    return formals
+        formals[param] = None
+    return list(formals)
 
 
 # -- parameter shapes ---------------------------------------------------------
@@ -833,7 +821,7 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
 
     constraints: List[ResolvedConstraint] = []
     for c in model.constraints:
-        scope = []
+        scope: Dict[int, None] = {}
         for var_name in c.scope:
             if var_name not in var_index:
                 raise ResolutionError(
@@ -846,7 +834,7 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
                     "constraint %s repeats variable %s in its scope"
                     % (clip(c.name), clip(var_name))
                 )
-            scope.append(idx)
+            scope[idx] = None
 
         ref: ConstraintRef
         if c.reference.startswith("global:"):
@@ -877,7 +865,7 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
         if c.parameters is not None:
             parameters = _resolve_params(c.parameters, var_index,
                                          "constraint %s" % clip(c.name))
-        resolved = ResolvedConstraint(c.name, scope, ref, parameters)
+        resolved = ResolvedConstraint(c.name, list(scope), ref, parameters)
         if isinstance(ref, GlobalRef):
             ref.sig = GLOBAL_PARSERS[ref.name](resolved)
         elif isinstance(ref, PredicateRef):

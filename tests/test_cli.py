@@ -508,6 +508,15 @@ def test_bad_limit_rejected():
         cli.config_from_args(args)
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_bad_time_limit_rejected(value):
+    # nan compares false with everything, so `nan < 0` would let it through
+    # and the search would never time out
+    args = cli.build_parser().parse_args(["foo.xml", "--time-limit", value])
+    with pytest.raises(ValueError, match="^--time-limit must be nonnegative$"):
+        cli.config_from_args(args)
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, TINY_ALLDIFF)
     proc = subprocess.run(

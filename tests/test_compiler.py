@@ -221,19 +221,23 @@ def test_disjunctive_decomposes_pairwise():
     ("among", "N [ N X ] [ 1 ]"),
     ("atmost", "1 [ X N X ] 1"),
     ("global_cardinality", "[ N X ] [ { 1 N } { 0 X } ]"),
+    ("element", "N [ X N 2 ] X"),
+    ("lex_lesseq", "[ N X ] [ X N ]"),
+    ("cumulative", "[ { N 1 1 } { X 1 1 } { N 1 1 } ] 2"),
 ])
 def test_counting_scopes_hold_each_variable_once(reference, parameters):
-    # a variable both counted and counting, or counted twice, is watched
-    # once and adds one to its degree
+    # a variable the parameters name twice, such as one both counted and
+    # counting, is watched once by the engine and adds one to its degree
     xml = instance_xml(
         [("N", [0, 1, 2]), ("X", [0, 1])],
         [{"name": "c0", "scope": ["N", "X"], "reference": "global:" + reference,
           "parameters": parameters}],
     )
     instance, problem = load(xml)
-    assert all(sorted(spec.scope) == sorted(set(spec.scope)) for spec in problem.propagators)
     engine = Engine(problem)
     assert engine.degrees == [len(problem.propagators)] * 2
+    for watched in engine.watchers + engine.fix_watchers:
+        assert len(watched) == len(set(watched))
     assert sorted(engine.solve(limit=None).solutions) == brute_force(instance)
 
 

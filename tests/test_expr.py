@@ -71,6 +71,26 @@ def test_parse_trailing_garbage():
 # -- substitution -------------------------------------------------------------
 
 
+class CountingIndex(int):
+    """A variable index that counts the equality tests made on it."""
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingIndex.comparisons += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def test_var_refs_is_linear_in_the_references():
+    n = 2000
+    refs = [ex.VarRef(CountingIndex(i % n)) for i in range(2 * n)]
+    CountingIndex.comparisons = 0
+    got = ex.var_refs(ex.Apply("add", tuple(reversed(refs))))
+    assert got == list(reversed(range(n)))
+    assert CountingIndex.comparisons <= 2 * len(refs)
+
+
 def test_substitute_positional():
     body = ex.parse_functional("eq(P0,P1)", ["P0", "P1"])
     out = ex.substitute(body, ["P0", "P1"], [ex.VarRef(3), 7])

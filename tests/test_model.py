@@ -178,7 +178,21 @@ def list_sequences(draw):
 
 PARSE_GROUP = model._parse_group
 
-# a memo with room for one new tuple, and one with none
+
+def record_groups(monkeypatch):
+    """The numbers of the groups the per-tuple parser reads, as it reads them."""
+    read = []
+
+    def parse_group(group, i, arity):
+        read.append(i)
+        return PARSE_GROUP(group, i, arity)
+
+    monkeypatch.setattr(model, "_parse_group", parse_group)
+    return read
+
+
+# memos with room for six new groups, for one, and for none
+PARTLY_FULL_MEMO = dict.fromkeys(range(12 - TUPLE_MEMO, 0))
 NEARLY_FULL_MEMO = dict.fromkeys(range(2 - TUPLE_MEMO, 0))
 FULL_MEMO = dict.fromkeys(range(-TUPLE_MEMO, 0))
 
@@ -187,11 +201,15 @@ FULL_MEMO = dict.fromkeys(range(-TUPLE_MEMO, 0))
 @given(list_sequences())
 def test_a_shared_memo_matches_the_per_tuple_loop(cases):
     expected = [outcome(per_tuple_reference, text, arity) for text, arity in cases]
-    # an empty memo reads every list through it, a nearly full one fills
-    # within the first list, and a full one sends each list down the bulk path
-    for seen in ({}, NEARLY_FULL_MEMO.copy(), FULL_MEMO.copy()):
-        got = [outcome(partial(parse_tuples, seen=seen), text, arity)
-               for text, arity in cases]
+    # an empty memo reads every list through it, a partly full one the
+    # first lists until the next has no room, a nearly full one only a
+    # one-group list, and a full one sends each list down the bulk path
+    for seen in ({}, PARTLY_FULL_MEMO.copy(), NEARLY_FULL_MEMO.copy(),
+                 FULL_MEMO.copy()):
+        got = []
+        for text, arity in cases:
+            got.append(outcome(partial(parse_tuples, seen=seen), text, arity))
+            assert len(seen) <= TUPLE_MEMO
         assert got == expected
     parsed = [t for tuples in got if isinstance(tuples, list) for t in tuples]
     assert all(type(t) is tuple for t in parsed)
@@ -206,27 +224,27 @@ def test_a_memo_keeps_one_object_per_distinct_tuple():
     assert second[1] is first[1]
 
 
-def test_a_full_memo_grows_no_further():
-    seen = FULL_MEMO.copy()
-    assert parse_tuples("1 2|3 4", 2, seen) == [(1, 2), (3, 4)]
-    assert len(seen) == TUPLE_MEMO
-    # the rest of a list that fills the memo midway is read in one pass
+def test_a_full_memo_grows_no_further(monkeypatch):
+    # a list the memo has no room for, at two entries per group, is read
+    # wholly in one pass: the memo is left as it was, and a well-formed
+    # list never reaches the per-tuple parser
     seen = NEARLY_FULL_MEMO.copy()
-    assert parse_tuples("1 2|3 4|5 6", 2, seen) == [(1, 2), (3, 4), (5, 6)]
+    assert parse_tuples("1 2", 2, seen) == [(1, 2)]
     assert len(seen) == TUPLE_MEMO
+    read = record_groups(monkeypatch)
+    for memo, text in [(FULL_MEMO, "1 2"), (NEARLY_FULL_MEMO, "1 2|3 4"),
+                       (NEARLY_FULL_MEMO, "1 2|1 2")]:
+        seen = memo.copy()
+        assert parse_tuples(text, 2, seen) == per_tuple_reference(text, 2)
+        assert seen == memo
+    assert read == []
 
 
 def test_a_list_that_fills_the_memo_reads_each_group_once(monkeypatch):
-    # the memo takes group 0 and is full at group 1, so the one-pass read
-    # starts there; when it meets the bad group 2, the per-tuple loop words
-    # the error from group 1 on, numbering groups from the list's start
-    read = []
-
-    def parse_group(group, i, arity):
-        read.append(i)
-        return PARSE_GROUP(group, i, arity)
-
-    monkeypatch.setattr(model, "_parse_group", parse_group)
+    # the memo has no room for four groups, so the one-pass read takes the
+    # whole list; when it meets the bad group 2, the per-tuple loop words
+    # the error, numbering groups from the list's start
+    read = record_groups(monkeypatch)
     with pytest.raises(FormatError, match=r"^tuple 2: "):
         parse_tuples("1 2|3 4|5 x|7 8", 2, NEARLY_FULL_MEMO.copy())
     assert read == [0, 1, 2]
@@ -340,6 +358,18 @@ def test_duplicate_variable_name():
         parse_instance(xml)
 
 
+def test_duplicate_formal_parameter_names_the_first_repeat():
+    def formals(params):
+        xml = instance_xml([("X", [0])], [], predicates=[
+            {"name": "p0", "params": params, "body": "eq(%s,0)" % params[0]}])
+        return parse_instance(xml).predicates[0].formal_params
+
+    assert formals(["c", "a", "b"]) == ["c", "a", "b"]
+    with pytest.raises(StructuralError,
+                       match=r"^predicate 'p0': duplicate formal parameter 'b'$"):
+        formals(["c", "b", "a", "b", "c"])
+
+
 def test_scope_arity_mismatch():
     xml = TINY_ALLDIFF.replace('arity="2"', 'arity="3"')
     with pytest.raises(StructuralError, match="arity"):
@@ -441,6 +471,15 @@ def test_resolve_classifies_references():
 def test_resolve_repeated_scope_variable():
     xml = TINY_ALLDIFF.replace('scope="A1 A2"', 'scope="A1 A1"')
     with pytest.raises(ResolutionError, match="repeats"):
+        resolve_references(parse_instance(xml))
+    # the first variable seen again is the one named
+    xml = instance_xml(
+        [("A", [1]), ("B", [1]), ("C", [1])],
+        [{"name": "c0", "scope": ["C", "B", "A", "B", "C"],
+          "reference": "global:alldifferent"}],
+    )
+    with pytest.raises(ResolutionError,
+                       match=r"^constraint 'c0' repeats variable 'B' in its scope$"):
         resolve_references(parse_instance(xml))
 
 

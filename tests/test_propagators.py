@@ -171,7 +171,7 @@ def test_atleast_impossible_fails():
 
 def _element_spec(index, table, value, base=1):
     scope = tuple(t.index for t in [index] + table + [value] if isinstance(t, VarRef))
-    return PropagatorSpec("Element", tuple(dict.fromkeys(scope)),
+    return PropagatorSpec("Element", scope,
                           {"index": index, "table": table, "value": value,
                            "base": base})
 
