@@ -12,7 +12,7 @@ entry point, reports as FAILED.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import expr as ex
 from .compiler import PropagatorSpec
@@ -218,28 +218,42 @@ class LinearRelProp(Propagator):
 
 class AllDifferentProp(Propagator):
     """Value propagation from assigned variables plus a pigeonhole check on
-    the union of the current domains."""
+    the union of the current domains.
+
+    `free` holds, in scope order, the variables whose value has not yet
+    been removed from the others. It starts as the scope and shrinks as
+    variables are fixed; the store trails it, as STR trails `valid`. A
+    call reads only `free`: the values already handled are distinct and
+    gone from every free domain, so they can prune nothing more, and the
+    pigeonhole test on the whole scope is the same test on `free` alone."""
+
+    def __init__(self, spec: PropagatorSpec):
+        super().__init__(spec)
+        self.free = spec.scope
 
     def filter(self, store):
-        scope = self.spec.scope
-        taken: Dict[int, int] = {}
-        for v in scope:
-            if store.assigned(v):
-                value = store.value(v)
+        taken = set()  # the values fixed since the last call
+        free = []
+        for v in self.free:
+            d = store.domain(v)
+            if d.is_singleton():
+                value = d.min_value()
                 if value in taken:
                     return FAILED
-                taken[value] = v
-        if taken:
-            taken_set = IntegerSet.from_values(taken)
-            for v in scope:
-                if not store.assigned(v):
-                    store.update(v, store.domain(v).difference(taken_set))
-        union = IntegerSet.from_intervals(
-            r for v in scope for r in store.domain(v).ranges)
-        if union.size() < len(scope):
-            return FAILED
-        if len(taken) == len(scope):
+                taken.add(value)
+            else:
+                free.append(v)
+        if not free:
             return SUBSUMED
+        if taken:
+            store.save(vars(self), "free", free)
+            taken_set = IntegerSet.from_values(taken)
+            for v in free:
+                store.update(v, store.domain(v).difference(taken_set))
+        union = IntegerSet.from_intervals(
+            r for v in free for r in store.domain(v).ranges)
+        if union.size() < len(free):
+            return FAILED
         return OK
 
 
@@ -249,23 +263,30 @@ class CountingProp(Propagator):
 
     Maintains lower/upper bounds on |{i : x_i in S}| and confronts them
     with the required count (a fixed interval or a count variable).
+    A fixed variable costs one lookup in `members`.
     """
 
     def __init__(self, spec: PropagatorSpec):
         super().__init__(spec)
-        self.values = sorted(set(spec.data["values"]))
+        self.members = frozenset(spec.data["values"])
+        self.value_set = IntegerSet.from_values(self.members)
 
     def filter(self, store):
         data = self.spec.data
         vars_ = data["vars"]
-        values = self.values
+        members = self.members
         count_var = data["count_var"]
 
         lb = ub = 0
         undecided = []
         for v in vars_:
             d = store.domain(v)
-            hits = sum(1 for value in values if value in d)
+            if d.is_singleton():
+                if d.min_value() in members:
+                    lb += 1
+                    ub += 1
+                continue
+            hits = sum(1 for value in members if value in d)
             if not hits:
                 continue
             ub += 1
@@ -287,12 +308,11 @@ class CountingProp(Propagator):
         if undecided and (lb == need_hi or ub == need_lo):
             # at the upper count no further variable may take a counted
             # value; at the lower one every undecided variable must
-            value_set = IntegerSet.from_values(values)
             for v in undecided:
                 if lb == need_hi:
-                    store.update(v, store.domain(v).difference(value_set))
+                    store.update(v, store.domain(v).difference(self.value_set))
                 else:
-                    store.intersect(v, value_set)
+                    store.intersect(v, self.value_set)
         if lb == ub and (count_var is None or store.assigned(count_var)):
             return SUBSUMED
         return OK

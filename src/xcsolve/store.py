@@ -38,9 +38,6 @@ class DomainStore:
     def assigned(self, i: int) -> bool:
         return self._domains[i].is_singleton()
 
-    def value(self, i: int) -> int:
-        return self._domains[i].value()
-
     # -- updates ----------------------------------------------------------
 
     def update(self, i: int, new: IntegerSet) -> bool:

@@ -141,6 +141,31 @@ def pigeonhole_xml(n: int, pairwise: bool = False) -> str:
         {"name": "ne", "params": ["A", "B"], "body": "ne(A,B)"}])
 
 
+def latin_xml(n: int, globals_: bool = False) -> str:
+    """An n x n latin square: alldifferent rows and columns over 1..n. With
+    `globals_`, the diagonal also holds 1 exactly twice and 2 exactly O
+    times (global_cardinality, O over 0..3), the first column 1 at most
+    once (atmost), and the first row is at most the second (lex_lesseq)."""
+    cells = [["L%d%d" % (r, c) for c in range(n)] for r in range(n)]
+    lines = cells + [list(column) for column in zip(*cells)]
+    constraints = [{"name": "c%d" % k, "scope": line, "reference": "global:alldifferent"}
+                   for k, line in enumerate(lines)]
+    variables = [(name, list(range(1, n + 1))) for row in cells for name in row]
+    if globals_:
+        diagonal = [cells[i][i] for i in range(n)]
+        column = [row[0] for row in cells]
+        variables.append(("O", [0, 1, 2, 3]))
+        constraints += [
+            {"name": "gcc", "scope": diagonal + ["O"],
+             "reference": "global:global_cardinality",
+             "parameters": "[ %s ] [ { 1 2 } { 2 O } ]" % " ".join(diagonal)},
+            {"name": "most", "scope": column, "reference": "global:atmost",
+             "parameters": "1 [ %s ] 1" % " ".join(column)},
+            {"name": "lex", "scope": cells[0] + cells[1], "reference": "global:lex_lesseq",
+             "parameters": "[ %s ] [ %s ]" % (" ".join(cells[0]), " ".join(cells[1]))}]
+    return instance_xml(variables, constraints)
+
+
 def queens_xml(n: int) -> str:
     """n-queens with one intension predicate per pair of rows."""
     names = ["Q%d" % i for i in range(n)]

@@ -17,8 +17,9 @@ from xcsolve.cli import (
 )
 from xcsolve.errors import CLIP
 from xcsolve.expr import MAX_DEPTH
+from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
-from helpers import TINY_ALLDIFF, instance_xml, pigeonhole_xml
+from helpers import TINY_ALLDIFF, instance_xml, latin_xml, pigeonhole_xml
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -524,3 +525,39 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert check_grammar(proc.stdout, nb_vars=2) == "s SATISFIABLE"
+
+
+# -- pinned search counts -----------------------------------------------------
+
+HEURISTIC_PAIRS = [(var, val) for var in VAR_HEURISTICS for val in VAL_HEURISTICS]
+
+# (nodes, failures, propagations) under --all, one triple per heuristic pair
+# in HEURISTIC_PAIRS order, for the instances that use alldifferent and the
+# counting and lex globals; a change that keeps filtering as it is keeps
+# every one of them
+SEARCH_COUNTS = {
+    "alldifferent.xml": [(2, 0, 5)] * 6,
+    "counting.xml": [(16, 0, 51), (16, 0, 55)] * 3,
+    "global_cardinality.xml": [(4, 0, 13)] * 6,
+    "lex.xml": [(8, 0, 16)] * 6,
+    "latin4": [(196, 3, 2633), (196, 3, 2626), (192, 1, 2510), (192, 1, 2503),
+               (206, 8, 2381), (212, 11, 2603)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_COUNTS))
+def test_search_counts_are_pinned(tmp_path, name):
+    if name == "latin4":
+        path = write(tmp_path, latin_xml(4, globals_=True))
+    else:
+        path = str(CORPUS / name)
+    counts = []
+    for var, val in HEURISTIC_PAIRS:
+        code, out, _ = run_cli(RunConfig(path, mode="all", var_heuristic=var,
+                                         val_heuristic=val, stats=True))
+        assert code == EXIT_OK
+        stats = dict(line.split()[1:] for line in out.splitlines()
+                     if line.startswith("c "))
+        counts.append(tuple(int(stats[key])
+                            for key in ("nodes", "failures", "propagations")))
+    assert counts == SEARCH_COUNTS[name]

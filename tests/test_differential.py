@@ -1,8 +1,12 @@
-"""Differential test on random multi-constraint instances: supports and
-conflicts tables, predicates, alldifferent, cumulative and disjunctive over
-overlapping scopes, so that one propagator's pruning wakes another and table
-reductions are undone on backtracking. The engine must find exactly the
-brute-force solution set, and every solution must pass the oracle."""
+"""Differential tests on random multi-constraint instances over
+overlapping scopes, so that one propagator's pruning wakes another and
+trailed propagator state (table reductions, alldifferent's free list) is
+undone on backtracking. The first mixes supports and conflicts tables,
+predicates, alldifferent, cumulative and disjunctive; the second draws from
+every family of `helpers.FAMILIES`, with repeated variables, constants and
+count variables in the parameter lists and either element base. The engine
+must find exactly the brute-force solution set, and every solution must
+pass the oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
-from helpers import brute_force, instance_xml, load
+from helpers import FAMILIES, brute_force, instance_xml, load
 
 VALUES = range(4)
 
@@ -91,3 +95,122 @@ def test_search_matches_brute_force_on_multi_constraint_instances(xml, var, val)
     assert sorted(result.solutions) == sorted(brute_force(instance))
     for values in result.solutions:
         assert verify_solution(instance, values)
+
+
+@st.composite
+def mixed_instances(draw):
+    """(xml, element_base): 3-5 variables over subsets of 0..3 and 2-4
+    constraints, each from any of the 16 families. Parameter lists may
+    repeat a variable and, where the family takes terms, hold constants;
+    a counting constraint's count variable may also be one it counts."""
+    n = draw(st.integers(3, 5))
+    names = ["V%d" % i for i in range(n)]
+    variables = [(name, draw(st.lists(st.sampled_from(VALUES), min_size=1,
+                                      max_size=4, unique=True)))
+                 for name in names]
+    var = st.sampled_from(names)
+    term = st.one_of(var, var, st.sampled_from(VALUES).map(str))
+    value = st.sampled_from(VALUES).map(str)
+
+    def seq(strategy, lo, hi):
+        return draw(st.lists(strategy, min_size=lo, max_size=hi))
+
+    constraints, relations, predicates = [], [], []
+    for c in range(draw(st.integers(2, 4))):
+        family = draw(st.sampled_from(FAMILIES))
+        name = "c%d" % c
+        parameters = None
+        reference = "global:" + family
+        if family in ("supports", "conflicts"):
+            tokens = draw(st.lists(var, min_size=2, max_size=3, unique=True))
+            tuples = draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * len(tokens)),
+                                   max_size=12))
+            reference = "r%d" % len(relations)
+            relations.append({"name": reference, "arity": len(tokens),
+                              "semantics": family, "tuples": tuples})
+        elif family == "intension":
+            tokens = seq(term, 2, 3)
+            formals = ["P%d" % i for i in range(len(tokens))]
+            reference = "p%d" % len(predicates)
+            predicates.append({"name": reference, "params": formals,
+                               "body": draw(st.sampled_from(PREDICATES[len(tokens)]))})
+            parameters = " ".join(tokens)
+        elif family in ("alldifferent", "not_all_equal"):
+            tokens = seq(var, 2, 4)
+            parameters = "[ %s ]" % " ".join(tokens)
+        elif family == "among":
+            counted = seq(var, 1, 3)
+            count = draw(st.one_of(var, st.integers(0, 3).map(str)))
+            tokens = [count] + counted
+            parameters = "%s [ %s ] [ %s ]" % (count, " ".join(counted),
+                                               " ".join(seq(value, 1, 3)))
+        elif family in ("atleast", "atmost"):
+            tokens = seq(var, 1, 4)
+            parameters = "%d [ %s ] %s" % (draw(st.integers(0, len(tokens))),
+                                           " ".join(tokens), draw(value))
+        elif family == "global_cardinality":
+            counted = seq(var, 1, 3)
+            tokens = list(counted)
+            pairs = []
+            for v in draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=2,
+                                   unique=True)):
+                occurrences = draw(st.one_of(var, st.integers(0, 3).map(str)))
+                tokens.append(occurrences)
+                pairs.append("{ %d %s }" % (v, occurrences))
+            parameters = "[ %s ] [ %s ]" % (" ".join(counted), " ".join(pairs))
+        elif family == "element":
+            table = seq(term, 1, 4)
+            index, result = draw(term), draw(term)
+            tokens = [index] + table + [result]
+            parameters = "%s [ %s ] %s" % (index, " ".join(table), result)
+        elif family in ("cumulative", "disjunctive"):
+            origins = seq(term, 1, 3)
+            tokens = origins
+            if family == "cumulative":
+                parameters = "[ %s ] %d" % (" ".join(
+                    "{ %s %d %d }" % (o, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+                    for o in origins), draw(st.integers(1, 3)))
+            else:
+                parameters = "[ %s ]" % " ".join(
+                    "{ %s %d }" % (o, draw(st.integers(0, 3))) for o in origins)
+        elif family == "diffn":
+            boxes = [[draw(term), draw(term), draw(term), draw(term)]
+                     for _ in range(draw(st.integers(2, 3)))]
+            tokens = [t for box in boxes for t in box]
+            parameters = "[ %s ]" % " ".join("{ %s }" % " ".join(b) for b in boxes)
+        elif family in ("lex_less", "lex_lesseq"):
+            length = draw(st.integers(1, 3))
+            xs, ys = seq(term, length, length), seq(term, length, length)
+            tokens = xs + ys
+            parameters = "[ %s ] [ %s ]" % (" ".join(xs), " ".join(ys))
+        else:
+            assert family == "weightedsum"
+            weighted = [(draw(st.sampled_from([-2, -1, 1, 2])), t) for t in seq(term, 1, 3)]
+            tokens = [t for _, t in weighted]
+            parameters = "[ %s ] %s %d" % (
+                " ".join("{ %d %s }" % w for w in weighted),
+                draw(st.sampled_from(["eq", "ne", "ge", "gt", "le", "lt"])),
+                draw(st.integers(-3, 6)))
+        scope = list(dict.fromkeys(t for t in tokens if t in names))
+        if not scope:
+            # an all-constant parameter list: declare one variable anyway
+            scope = [draw(var)]
+        constraints.append({"name": name, "scope": scope, "reference": reference,
+                            "parameters": parameters})
+    return instance_xml(variables, constraints, relations, predicates), \
+        draw(st.sampled_from([0, 1]))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(mixed_instances())
+def test_search_matches_brute_force_on_instances_mixing_every_family(drawn):
+    xml, base = drawn
+    instance, problem = load(xml, element_base=base)
+    expected = sorted(brute_force(instance, element_base=base))
+    for var in VAR_HEURISTICS:
+        for val in VAL_HEURISTICS:
+            result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
+            assert result.complete
+            assert sorted(result.solutions) == expected
+            for values in result.solutions:
+                assert verify_solution(instance, values, element_base=base)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -7,10 +8,11 @@ from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
 from xcsolve.compiler import Problem, PropagatorSpec, linear_spec
 from xcsolve.intset import IntegerSet
+from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 from xcsolve.store import DomainStore, Wipeout
 
-from helpers import (TINY_ALLDIFF, brute_force, instance_xml, load, pigeonhole_xml,
-                     queens_xml)
+from helpers import (TINY_ALLDIFF, brute_force, instance_xml, latin_xml, load,
+                     pigeonhole_xml, queens_xml)
 
 
 def iset(*values):
@@ -31,7 +33,7 @@ def test_store_update_and_trail():
     assert store.remove_value(0, 2)
     assert store.assign(1, 4)
     assert store.domain(0) == iset(1, 3)
-    assert store.value(1) == 4
+    assert store.domain(1).value() == 4
     store.undo()
     assert store.snapshot() == before
     assert not store.failed
@@ -363,6 +365,35 @@ def test_a_repeated_scope_variable_is_watched_and_counted_once():
         assert all(len(set(watching)) == len(watching) for watching in lists)
     result = engine.solve(limit=None)
     assert result.solutions == [] and result.complete
+
+
+@pytest.mark.parametrize("var", VAR_HEURISTICS)
+@pytest.mark.parametrize("val", VAL_HEURISTICS)
+def test_a_repeated_alldifferent_variable_is_unsat_under_every_heuristic(var, val):
+    xml = instance_xml([("X", [1, 2, 3]), ("Y", [1, 2, 3])], [
+        {"name": "c0", "scope": ["X", "Y"], "reference": "global:alldifferent",
+         "parameters": "[ X X Y ]"}])
+    _, problem = load(xml)
+    result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
+    assert result.solutions == [] and result.complete
+
+
+def test_alldifferent_free_variables_are_restored_after_solve():
+    # a 3x3 latin square, rows and columns alldifferent: 12 solutions
+    _, problem = load(latin_xml(3))
+    engine = Engine(problem, BranchStrategy("min-dom", "max"))
+    first = engine.solve(limit=None)
+    counts = dataclasses.astuple(first.stats)
+    assert len(first.solutions) == 12
+    assert all(p.free is p.spec.scope for p in engine.props)
+    second = engine.solve(limit=None)
+    assert all(p.free is p.spec.scope for p in engine.props)
+    assert second.solutions == first.solutions
+    # the engine's counters run on across calls; the second call adds the
+    # same work again
+    nodes, failures, propagations, peak_depth, solutions = counts
+    assert dataclasses.astuple(second.stats) == (
+        2 * nodes, 2 * failures, 2 * propagations, peak_depth, 2 * solutions)
 
 
 def test_table_reduction_is_undone_on_backtrack():

@@ -539,6 +539,78 @@ def test_alldifferent_pigeonhole_over_many_ranges():
     assert build_propagator(spec).prune(DomainStore(domains)) == OK
 
 
+class ReadCountingStore(DomainStore):
+    """Counts the reads of each variable's domain."""
+
+    def __init__(self, domains):
+        super().__init__(domains)
+        self.reads = [0] * len(domains)
+
+    def domain(self, i):
+        self.reads[i] += 1
+        return super().domain(i)
+
+    def assigned(self, i):
+        self.reads[i] += 1
+        return super().assigned(i)
+
+
+def test_alldifferent_call_after_a_fixing_reads_only_the_free_variables(monkeypatch):
+    # 30 variables over 0..29, V0 fixed and handled by an earlier call:
+    # fixing V1 then costs one difference per still-free variable, and
+    # the handled V0 is not read again
+    n = 30
+    spec = PropagatorSpec("AllDifferent", tuple(range(n)), {})
+    store = ReadCountingStore([IntegerSet.interval(0, n - 1)] * n)
+    prop = build_propagator(spec)
+    store.assign(0, 0)
+    assert prop.prune(store) == OK
+    store.assign(1, 1)
+    store.reads = [0] * n
+    differences = [0]
+    difference = IntegerSet.difference
+
+    def counted(self, other):
+        differences[0] += 1
+        return difference(self, other)
+
+    monkeypatch.setattr(IntegerSet, "difference", counted)
+    assert prop.prune(store) == OK
+    assert differences[0] <= n - 2
+    assert store.reads[0] == 0
+    assert [store.domain(v) for v in range(2, n)] == [IntegerSet.interval(2, n - 1)] * (n - 2)
+
+
+def test_alldifferent_free_variables_are_trailed():
+    spec = PropagatorSpec("AllDifferent", (0, 1, 2), {})
+    store = DomainStore([iset(1, 2, 3)] * 3)
+    prop = build_propagator(spec)
+    store.push()
+    store.assign(0, 1)
+    assert prop.prune(store) == OK
+    assert prop.free == [1, 2]
+    store.push()
+    store.assign(1, 2)
+    assert prop.prune(store) == OK
+    assert prop.free == [2] and store.domain(2) == iset(3)
+    assert prop.prune(store) == SUBSUMED
+    store.undo()
+    assert prop.free == [1, 2]
+    store.undo()
+    assert prop.free is spec.scope
+
+
+def test_counting_reads_a_fixed_variable_without_scanning_its_ranges(monkeypatch):
+    # ten fixed variables, half on a counted value: one set lookup each
+    spec = PropagatorSpec("Among", tuple(range(10)), {
+        "vars": list(range(10)), "values": [1, 3, 5], "lo": 5, "hi": 5,
+        "count_var": None})
+    store = DomainStore([iset(v) for v in (1, 2, 3, 4, 5, 6, 1, 8, 3, 0)])
+    scanned = count_range_scans(monkeypatch)
+    assert build_propagator(spec).prune(store) == SUBSUMED
+    assert scanned[0] == 0
+
+
 def test_conflicts_prune_the_last_variable_in_one_update():
     tuples = [(4, v) for v in range(0, 100, 2)]
     spec = PropagatorSpec("TableConflicts", (0, 1), {"tuples": tuples})
