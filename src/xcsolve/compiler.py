@@ -11,7 +11,7 @@ dedicated propagator kind.
 
 The compiler reads what `model.resolve_references` bound to each
 constraint: a predicate's ground body, or a global's parsed parameters
-(the grammar is in `model.py`).
+(the grammar is the `model.GLOBALS` table).
 """
 
 from __future__ import annotations

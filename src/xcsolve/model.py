@@ -127,7 +127,7 @@ class PredicateRef:
 @dataclass
 class GlobalRef:
     name: str
-    sig: object = None  # the parsed parameters, as GLOBAL_PARSERS returns them
+    sig: object = None  # the parsed parameters, as parse_global builds them
 
 
 ConstraintRef = Union[RelationRef, PredicateRef, GlobalRef]
@@ -479,23 +479,7 @@ def _parse_formal_params(pred_name: str, text: str) -> List[str]:
     return list(formals)
 
 
-# -- parameter shapes ---------------------------------------------------------
-#
-# Accepted <parameters> grammar per global (vars may be names, values ints;
-# ``{ }`` and ``[ ]`` both group):
-#
-#     alldifferent        (none) | [x1 ... xn]
-#     among               N [x1 ... xn] [v1 ... vk]        (N int or variable)
-#     atleast             k [x1 ... xn] v
-#     atmost              k [x1 ... xn] v
-#     element             i [t1 ... tn] v                  (t, v var or int)
-#     global_cardinality  [x1 ... xn] [ {v1 o1} ... ]      (o int or variable)
-#     cumulative          [ {o d h} ... ] C                (o var or int; d, h, C ints)
-#     disjunctive         [ {o d} ... ]
-#     diffn               [ {x y w h} ... ]                (2-dimensional boxes)
-#     lex_less/lex_lesseq [x1 ... xn] [y1 ... yn]
-#     not_all_equal       (none) | [x1 ... xn]
-#     weightedSum         [ {c1 x1} ... ] <relop/> K
+# -- global parameters --------------------------------------------------------
 
 
 # a variable or a constant, as resolution left the token: ex.VarRef or int
@@ -515,35 +499,6 @@ def _fail(c: ResolvedConstraint, message: str, signature: str):
         "constraint %s (%s): %s; expected parameters: %s"
         % (clip(c.name), reference, message, signature)
     )
-
-
-def _is_term(tok: ParamToken) -> bool:
-    return isinstance(tok, (ex.VarRef, int))
-
-
-def _var_list(tok: ParamToken) -> Optional[List[int]]:
-    if not isinstance(tok, list) or not all(isinstance(item, ex.VarRef) for item in tok):
-        return None
-    return [item.index for item in tok]
-
-
-def _int_list(tok: ParamToken) -> Optional[List[int]]:
-    if not isinstance(tok, list) or not all(isinstance(i, int) for i in tok):
-        return None
-    return tok
-
-
-def _term_list(tok: ParamToken) -> Optional[List[Term]]:
-    if not isinstance(tok, list) or not all(_is_term(item) for item in tok):
-        return None
-    return tok
-
-
-def _group_list(tok: ParamToken, width: int) -> Optional[List[List[ParamToken]]]:
-    if not isinstance(tok, list) or not all(
-            isinstance(item, list) and len(item) == width for item in tok):
-        return None
-    return tok
 
 
 @dataclass
@@ -591,165 +546,85 @@ class WeightedSumSig:
     rhs: int
 
 
-def scope_vars(c: ResolvedConstraint) -> List[int]:
-    sig = "(optional) [x1 ... xn]"
-    p = c.parameters
-    if p is None or p == []:
-        return list(c.scope)
-    if len(p) == 1:
-        vs = _var_list(p[0])
-        if vs is not None:
-            return vs
-    _fail(c, "malformed parameters", sig)
+def _fits(tok: ParamToken, kind) -> bool:
+    """Whether `tok` is of `kind`: "var", "int", "nat" (a nonnegative int),
+    "term" (a var or an int) or "relop"; ``[kind]`` is a list of that kind,
+    and a tuple of kinds a list of groups with one field per kind."""
+    if isinstance(kind, tuple):
+        return isinstance(tok, list) and all(
+            isinstance(group, list) and len(group) == len(kind)
+            and all(map(_fits, group, kind)) for group in tok)
+    if isinstance(kind, list):
+        return isinstance(tok, list) and all(_fits(item, kind[0]) for item in tok)
+    if kind == "var":
+        return isinstance(tok, ex.VarRef)
+    if kind == "term":
+        return isinstance(tok, (ex.VarRef, int))
+    if kind == "relop":
+        return tok in RELOPS
+    return isinstance(tok, int) and (kind == "int" or tok >= 0)
 
 
-def _exactly(vars_: List[int], values: List[int], count: Term) -> CountingSig:
-    """Exactly `count` of `vars_` take a value in `values`."""
+def _indices(xs: List[ex.VarRef]) -> List[int]:
+    return [x.index for x in xs]
+
+
+def _exactly(xs: List[ex.VarRef], values: List[int], count: Term) -> CountingSig:
+    """Exactly `count` of `xs` take a value in `values`."""
     if isinstance(count, int):
-        return CountingSig(vars_, values, count, count, None)
-    return CountingSig(vars_, values, None, None, count.index)
+        return CountingSig(_indices(xs), values, count, count, None)
+    return CountingSig(_indices(xs), values, None, None, count.index)
 
 
-def parse_counting_params(c: ResolvedConstraint) -> List[CountingSig]:
-    name = c.ref.name
-    p = c.parameters
-    if name == "among":
-        sig = "N [x1 ... xn] [v1 ... vk]"
-        if p is None or len(p) != 3:
-            _fail(c, "among takes 3 parameters", sig)
-        vars_ = _var_list(p[1])
-        values = _int_list(p[2])
-        if vars_ is None or values is None:
-            _fail(c, "malformed variable or value list", sig)
-        if not _is_term(p[0]):
-            _fail(c, "count must be an integer or a variable", sig)
-        return [_exactly(vars_, values, p[0])]
-    # atleast / atmost: k [x...] v
-    sig = "k [x1 ... xn] v"
-    if p is None or len(p) != 3 or not isinstance(p[0], int) or not isinstance(p[2], int):
-        _fail(c, "%s takes: count, variable list, value" % name, sig)
-    vars_ = _var_list(p[1])
-    if vars_ is None:
-        _fail(c, "malformed variable list", sig)
-    if name == "atleast":
-        return [CountingSig(vars_, [p[2]], p[0], None, None)]
-    return [CountingSig(vars_, [p[2]], None, p[0], None)]
+def _lex(xs: List[Term], ys: List[Term]) -> Optional[LexSig]:
+    return LexSig(xs, ys) if xs and len(xs) == len(ys) else None
 
 
-def parse_element_params(c: ResolvedConstraint) -> ElementSig:
-    sig = "i [t1 ... tn] v"
-    p = c.parameters
-    if p is None or len(p) != 3:
-        _fail(c, "element takes: index, table, value", sig)
-    index, table, value = p
-    if not (_is_term(index) and _term_list(table) and _is_term(value)):
-        _fail(c, "malformed index, table, or value", sig)
-    return ElementSig(index, table, value)
-
-
-def parse_gcc_params(c: ResolvedConstraint) -> List[CountingSig]:
-    """One counting signature per `{value occurrences}` pair."""
-    sig = "[x1 ... xn] [ {v1 o1} {v2 o2} ... ]"
-    p = c.parameters
-    if p is None or len(p) != 2:
-        _fail(c, "global_cardinality takes: variable list, value/count pairs", sig)
-    vars_ = _var_list(p[0])
-    pairs = _group_list(p[1], 2)
-    if vars_ is None or pairs is None:
-        _fail(c, "malformed variable list or pairs", sig)
-    if not all(isinstance(value, int) and _is_term(occ) for value, occ in pairs):
-        _fail(c, "each pair is {value occurrences}", sig)
-    return [_exactly(vars_, [value], occ) for value, occ in pairs]
-
-
-def parse_cumulative_params(c: ResolvedConstraint) -> CumulativeSig:
-    sig = "[ {origin duration height} ... ] capacity"
-    p = c.parameters
-    if p is None or len(p) != 2 or not isinstance(p[1], int):
-        _fail(c, "cumulative takes: task list, capacity", sig)
-    groups = _group_list(p[0], 3)
-    if groups is None:
-        _fail(c, "each task is {origin duration height}", sig)
-    tasks = []
-    for origin, duration, height in groups:
-        if not _is_term(origin) or not isinstance(duration, int) or not isinstance(height, int):
-            _fail(c, "task fields must be origin (var/int), duration int, height int", sig)
-        if duration < 0 or height < 0:
-            _fail(c, "duration and height must be nonnegative", sig)
-        tasks.append((origin, duration, height))
-    return CumulativeSig(tasks, p[1])
-
-
-def parse_disjunctive_params(c: ResolvedConstraint) -> DisjunctiveSig:
-    sig = "[ {origin duration} ... ]"
-    p = c.parameters
-    if p is None or len(p) != 1:
-        _fail(c, "disjunctive takes a task list", sig)
-    groups = _group_list(p[0], 2)
-    if groups is None:
-        _fail(c, "each task is {origin duration}", sig)
-    if not all(_is_term(origin) and isinstance(duration, int) and duration >= 0
-               for origin, duration in groups):
-        _fail(c, "task fields must be origin (var/int) and nonnegative duration", sig)
-    return DisjunctiveSig([tuple(group) for group in groups])
-
-
-def parse_diffn_params(c: ResolvedConstraint) -> DiffnSig:
-    sig = "[ {x y width height} ... ]"
-    p = c.parameters
-    if p is None or len(p) != 1:
-        _fail(c, "diffn takes a box list", sig)
-    groups = _group_list(p[0], 4)
-    if groups is None:
-        _fail(c, "each box is {x y width height}", sig)
-    if not all(_term_list(group) for group in groups):
-        _fail(c, "box fields must be variables or integers", sig)
-    return DiffnSig([tuple(group) for group in groups])
-
-
-def parse_lex_params(c: ResolvedConstraint) -> LexSig:
-    sig = "[x1 ... xn] [y1 ... yn]"
-    p = c.parameters
-    if p is None or len(p) != 2:
-        _fail(c, "lex takes two vectors", sig)
-    xs = _term_list(p[0])
-    ys = _term_list(p[1])
-    if xs is None or ys is None or len(xs) != len(ys) or not xs:
-        _fail(c, "vectors must be nonempty and of equal length", sig)
-    return LexSig(xs, ys)
-
-
-def parse_weighted_sum_params(c: ResolvedConstraint) -> WeightedSumSig:
-    sig = "[ {c1 x1} {c2 x2} ... ] <relop/> K"
-    p = c.parameters
-    if p is None or len(p) != 3 or p[1] not in RELOPS or not isinstance(p[2], int):
-        _fail(c, "weightedSum takes: weighted terms, relational operator, constant", sig)
-    groups = _group_list(p[0], 2)
-    if groups is None:
-        _fail(c, "each term is {coefficient variable}", sig)
-    if not all(isinstance(coeff, int) and _is_term(term) for coeff, term in groups):
-        _fail(c, "each term is {coefficient variable}", sig)
-    return WeightedSumSig([tuple(group) for group in groups], p[1], p[2])
-
-
-# what each supported global's parameters parse into; the order is that of
-# the "supported:" list in the error for any other name
-GLOBAL_PARSERS = {
-    "alldifferent": scope_vars,
-    "among": parse_counting_params,
-    "atleast": parse_counting_params,
-    "atmost": parse_counting_params,
-    "cumulative": parse_cumulative_params,
-    "diffn": parse_diffn_params,
-    "disjunctive": parse_disjunctive_params,
-    "element": parse_element_params,
-    "global_cardinality": parse_gcc_params,
-    "lex_less": parse_lex_params,
-    "lex_lesseq": parse_lex_params,
-    "not_all_equal": scope_vars,
-    "weightedsum": parse_weighted_sum_params,
+# each supported global: its signature, the kind of each parameter, and what
+# the parameters build (None when they fit their kinds but not the global);
+# the order is that of the "supported:" list in the error for any other name
+GLOBALS = {
+    "alldifferent": ("(optional) [x1 ... xn]", (["var"],), _indices),
+    "among": ("N [x1 ... xn] [v1 ... vk]", ("term", ["var"], ["int"]),
+              lambda n, xs, values: [_exactly(xs, values, n)]),
+    "atleast": ("k [x1 ... xn] v", ("int", ["var"], "int"),
+                lambda k, xs, v: [CountingSig(_indices(xs), [v], k, None, None)]),
+    "atmost": ("k [x1 ... xn] v", ("int", ["var"], "int"),
+               lambda k, xs, v: [CountingSig(_indices(xs), [v], None, k, None)]),
+    "cumulative": ("[ {origin duration height} ... ] capacity",
+                   (("term", "nat", "nat"), "int"),
+                   lambda tasks, capacity: CumulativeSig(list(map(tuple, tasks)), capacity)),
+    "diffn": ("[ {x y width height} ... ]", (("term",) * 4,),
+              lambda boxes: DiffnSig(list(map(tuple, boxes)))),
+    "disjunctive": ("[ {origin duration} ... ]", (("term", "nat"),),
+                    lambda tasks: DisjunctiveSig(list(map(tuple, tasks)))),
+    "element": ("i [t1 ... tn] v", ("term", ["term"], "term"),
+                lambda i, table, v: ElementSig(i, table, v) if table else None),
+    "global_cardinality": ("[x1 ... xn] [ {v1 o1} {v2 o2} ... ]",
+                           (["var"], ("int", "term")),
+                           lambda xs, pairs: [_exactly(xs, [v], o) for v, o in pairs]),
+    "lex_less": ("[x1 ... xn] [y1 ... yn]", (["term"], ["term"]), _lex),
+    "lex_lesseq": ("[x1 ... xn] [y1 ... yn]", (["term"], ["term"]), _lex),
+    "not_all_equal": ("(optional) [x1 ... xn]", (["var"],), _indices),
+    "weightedsum": ("[ {c1 x1} {c2 x2} ... ] <relop/> K",
+                    (("int", "term"), "relop", "int"),
+                    lambda terms, op, rhs: WeightedSumSig(list(map(tuple, terms)), op, rhs)),
 }
-SUPPORTED_GLOBALS = tuple(GLOBAL_PARSERS)
+SUPPORTED_GLOBALS = tuple(GLOBALS)
+
+
+def parse_global(c: ResolvedConstraint):
+    """What `c`'s parameters build, checked against its global's kinds; an
+    optional list that is absent or empty stands for the scope."""
+    signature, kinds, build = GLOBALS[c.ref.name]
+    p = c.parameters
+    if not p and signature.startswith("(optional)"):
+        return list(c.scope)
+    if p is not None and len(p) == len(kinds) and all(map(_fits, p, kinds)):
+        sig = build(*p)
+        if sig is not None:
+            return sig
+    _fail(c, "malformed parameters", signature)
 
 
 def _ground(c: ResolvedConstraint) -> None:
@@ -867,7 +742,7 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
                                          "constraint %s" % clip(c.name))
         resolved = ResolvedConstraint(c.name, list(scope), ref, parameters)
         if isinstance(ref, GlobalRef):
-            ref.sig = GLOBAL_PARSERS[ref.name](resolved)
+            ref.sig = parse_global(resolved)
         elif isinstance(ref, PredicateRef):
             _ground(resolved)
         constraints.append(resolved)

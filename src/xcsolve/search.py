@@ -149,10 +149,10 @@ class Engine:
         """Search until `limit` solutions are found (1 by default; None
         enumerates them all), the tree is exhausted, or a node or time
         budget runs out. The time budget starts here and also holds inside
-        a fixpoint."""
+        a fixpoint. Each call counts into a fresh `self.stats`."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         solutions: List[List[int]] = []
-        stats = self.stats
+        stats = self.stats = SearchStats()
         complete = True
         # decision stack: (var, value, took_right_branch)
         decisions: List[Tuple[int, int, bool]] = []

@@ -285,7 +285,7 @@ LONG_CLIPPED = "'%s'... (5000 characters)" % LONG[:CLIP]
     (instance_xml([("X", [0, 1])],
                   [{"name": LONG, "scope": ["X"], "reference": "global:atmost",
                     "parameters": "[ X ] 1"}]),
-     "constraint %s (global:atmost): atmost takes: count, variable list, value; "
+     "constraint %s (global:atmost): malformed parameters; "
      "expected parameters: k [x1 ... xn] v" % LONG_CLIPPED),
     (instance_xml([("X", [0, 1])],
                   [{"name": "c0", "scope": ["X"], "reference": LONG, "parameters": "[ X ]"}],

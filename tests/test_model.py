@@ -535,6 +535,131 @@ def test_resolve_reports_malformed_alldifferent_with_its_signature():
         "expected parameters: (optional) [x1 ... xn]")
 
 
+X, Y, Z, W = (VarRef(i) for i in range(4))
+
+# each global's signature text, as its errors quote it
+SIGNATURES = {
+    "alldifferent": "(optional) [x1 ... xn]",
+    "not_all_equal": "(optional) [x1 ... xn]",
+    "among": "N [x1 ... xn] [v1 ... vk]",
+    "atleast": "k [x1 ... xn] v",
+    "atmost": "k [x1 ... xn] v",
+    "element": "i [t1 ... tn] v",
+    "global_cardinality": "[x1 ... xn] [ {v1 o1} {v2 o2} ... ]",
+    "cumulative": "[ {origin duration height} ... ] capacity",
+    "disjunctive": "[ {origin duration} ... ]",
+    "diffn": "[ {x y width height} ... ]",
+    "lex_less": "[x1 ... xn] [y1 ... yn]",
+    "lex_lesseq": "[x1 ... xn] [y1 ... yn]",
+    "weightedsum": "[ {c1 x1} {c2 x2} ... ] <relop/> K",
+}
+
+# (global, <parameters> body or None for none, the sig it parses into or
+# None when it is rejected); the scope is X Y Z W, and an empty body or no
+# body stands for it where the list is optional
+GLOBAL_PARAMETER_CASES = [
+    ("alldifferent", None, [0, 1, 2, 3]),
+    ("alldifferent", "", [0, 1, 2, 3]),
+    ("alldifferent", "[ ]", []),
+    ("alldifferent", "[ X Z ]", [0, 2]),
+    ("alldifferent", "X Y", None),
+    ("alldifferent", "[ X ] [ Y ]", None),
+    ("alldifferent", "[ X 1 ]", None),
+    ("not_all_equal", None, [0, 1, 2, 3]),
+    ("not_all_equal", "", [0, 1, 2, 3]),
+    ("not_all_equal", "[ ]", []),
+    ("not_all_equal", "[ W Y ]", [3, 1]),
+    ("not_all_equal", "[ [ X ] ]", None),
+    ("among", "2 [ X Y ] [ 1 2 ]", [model.CountingSig([0, 1], [1, 2], 2, 2, None)]),
+    ("among", "Z [ X Y ] [ 1 ]", [model.CountingSig([0, 1], [1], None, None, 2)]),
+    ("among", "-1 [ ] [ ]", [model.CountingSig([], [], -1, -1, None)]),
+    ("among", None, None),
+    ("among", "[ X Y ] [ 1 ]", None),
+    ("among", "2 [ X 1 ] [ 1 ]", None),
+    ("among", "2 [ X ] [ Y ]", None),
+    ("among", "[ 1 ] [ X ] [ 1 ]", None),
+    ("atleast", "1 [ X Y ] 2", [model.CountingSig([0, 1], [2], 1, None, None)]),
+    ("atleast", "1 [ X Y ]", None),
+    ("atleast", "Z [ X Y ] 2", None),
+    ("atleast", "1 [ X Y ] Z", None),
+    ("atmost", "1 [ X Y ] 2", [model.CountingSig([0, 1], [2], None, 1, None)]),
+    ("atmost", "-1 [ ] 0", [model.CountingSig([], [0], None, -1, None)]),
+    ("atmost", "1 [ X Y ] 2 3", None),
+    ("atmost", "1 [ X 2 ] 2", None),
+    ("atmost", "1 [ X Y ] [ 2 ]", None),
+    ("element", "X [ Y 3 Z ] W", model.ElementSig(X, [Y, 3, Z], W)),
+    ("element", "1 [ 2 ] -3", model.ElementSig(1, [2], -3)),
+    ("element", "X [ ] W", None),
+    ("element", "X [ Y ]", None),
+    ("element", "[ X ] [ Y ] W", None),
+    ("element", "X [ [ Y ] ] W", None),
+    ("element", "X [ Y ] le", None),
+    ("global_cardinality", "[ X Y ] [ { 1 1 } { 2 Z } ]",
+     [model.CountingSig([0, 1], [1], 1, 1, None),
+      model.CountingSig([0, 1], [2], None, None, 2)]),
+    ("global_cardinality", "[ X Y ] [ ]", []),
+    ("global_cardinality", "[ X Y ]", None),
+    ("global_cardinality", "[ X Y ] [ { Z 1 } ]", None),
+    ("global_cardinality", "[ X Y ] [ { 1 1 2 } ]", None),
+    ("global_cardinality", "[ X 1 ] [ { 1 1 } ]", None),
+    ("cumulative", "[ { X 2 1 } { 3 1 2 } ] 2",
+     model.CumulativeSig([(X, 2, 1), (3, 1, 2)], 2)),
+    ("cumulative", "[ { X 0 0 } ] -1", model.CumulativeSig([(X, 0, 0)], -1)),
+    ("cumulative", "[ ] 0", model.CumulativeSig([], 0)),
+    ("cumulative", "[ { X -1 1 } ] 2", None),
+    ("cumulative", "[ { X 1 -1 } ] 2", None),
+    ("cumulative", "[ { X Y 1 } ] 2", None),
+    ("cumulative", "[ { X 1 1 } ] Z", None),
+    ("cumulative", "[ { X 1 1 } ]", None),
+    ("cumulative", "[ { X 1 } ] 2", None),
+    ("disjunctive", "[ { X 2 } { 1 0 } ]", model.DisjunctiveSig([(X, 2), (1, 0)])),
+    ("disjunctive", "[ ]", model.DisjunctiveSig([])),
+    ("disjunctive", "[ { X -1 } ]", None),
+    ("disjunctive", "[ { X Y } ]", None),
+    ("disjunctive", "[ { X 1 } ] 2", None),
+    ("disjunctive", None, None),
+    ("diffn", "[ { X Y 1 2 } { 0 0 Z W } ]",
+     model.DiffnSig([(X, Y, 1, 2), (0, 0, Z, W)])),
+    ("diffn", "[ { X Y 1 } ]", None),
+    ("diffn", "[ { X Y [ 1 ] 2 } ]", None),
+    ("diffn", "[ { X Y 1 2 } ] [ ]", None),
+    ("lex_less", "[ X 1 ] [ Y Z ]", model.LexSig([X, 1], [Y, Z])),
+    ("lex_less", "[ X ] [ Y Z ]", None),
+    ("lex_less", "[ ] [ ]", None),
+    ("lex_less", "[ X ]", None),
+    ("lex_lesseq", "[ X Y ] [ 0 W ]", model.LexSig([X, Y], [0, W])),
+    ("lex_lesseq", "[ X Y ] [ Z ]", None),
+    ("lex_lesseq", "[ X ] [ { Y } ]", None),
+    ("weightedsum", "[ { 1 X } { -2 3 } ] <le/> 4",
+     model.WeightedSumSig([(1, X), (-2, 3)], "le", 4)),
+    ("weightedsum", "[ ] ge -1", model.WeightedSumSig([], "ge", -1)),
+    ("weightedsum", "[ { 1 X } ] 4 4", None),
+    ("weightedsum", "[ { 1 X } ] X 4", None),
+    ("weightedsum", "[ { X 1 } ] eq 4", None),
+    ("weightedsum", "[ { 1 X } ] eq Y", None),
+    ("weightedsum", "[ { 1 X } ] eq", None),
+    ("weightedsum", "[ { 1 X 2 } ] eq 4", None),
+]
+
+
+@pytest.mark.parametrize("name, parameters, expected", GLOBAL_PARAMETER_CASES)
+def test_global_parameters_accept_or_reject_at_their_boundaries(name, parameters, expected):
+    xml = instance_xml(
+        [(v, [0, 1, 2]) for v in "XYZW"],
+        [{"name": "c0", "scope": list("XYZW"), "reference": "global:" + name,
+          "parameters": parameters}],
+    )
+    if expected is None:
+        with pytest.raises(ResolutionError) as caught:
+            resolve_references(parse_instance(xml))
+        message = str(caught.value)
+        assert message.startswith("constraint 'c0' (global:%s): " % name)
+        assert message.endswith("; expected parameters: " + SIGNATURES[name])
+    else:
+        (c,) = resolve_references(parse_instance(xml)).constraints
+        assert c.ref.sig == expected
+
+
 def test_resolve_binds_parameters_once():
     xml = instance_xml(
         [("X", [0, 1]), ("Y", [0, 1])],

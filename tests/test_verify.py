@@ -182,10 +182,9 @@ def test_predicate_verdicts_are_bounded(monkeypatch):
 
 def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
     calls = []
-    for name in ("global_cardinality", "weightedsum"):
-        parse = model.GLOBAL_PARSERS[name]
-        monkeypatch.setitem(model.GLOBAL_PARSERS, name,
-                            lambda c, parse=parse: calls.append(c.name) or parse(c))
+    parse = model.parse_global
+    monkeypatch.setattr(model, "parse_global",
+                        lambda c: calls.append(c.ref.name) or parse(c))
 
     def globals_with_rhs(rhs):
         return resolve(instance_xml(
@@ -199,11 +198,11 @@ def test_global_parameters_are_parsed_once_per_instance(monkeypatch):
     points = [[1, 1], [1, 2], [2, 1], [2, 2]]
     three, four = globals_with_rhs(3), globals_with_rhs(4)
     # resolving parses each global once, and checking parses nothing
-    assert calls == ["gcc", "sum"] * 2
+    assert calls == ["global_cardinality", "weightedsum"] * 2
     assert [verify_solution(three, p) for p in points] == [False, True, True, False]
     assert [verify_solution(four, p) for p in points] == [False, False, False, False]
     assert [verify_solution(three, p) for p in points] == [False, True, True, False]
-    assert calls == ["gcc", "sum"] * 2
+    assert calls == ["global_cardinality", "weightedsum"] * 2
 
 
 def test_predicate_defaults_parameters_to_scope():
