@@ -615,10 +615,10 @@ SUPPORTED_GLOBALS = tuple(GLOBALS)
 
 def parse_global(c: ResolvedConstraint):
     """What `c`'s parameters build, checked against its global's kinds; an
-    optional list that is absent or empty stands for the scope."""
+    optional list that is absent, empty or `[ ]` stands for the scope."""
     signature, kinds, build = GLOBALS[c.ref.name]
     p = c.parameters
-    if not p and signature.startswith("(optional)"):
+    if p in (None, [], [[]]) and signature.startswith("(optional)"):
         return list(c.scope)
     if p is not None and len(p) == len(kinds) and all(map(_fits, p, kinds)):
         sig = build(*p)

@@ -38,22 +38,6 @@ def _term_domain(store: DomainStore, term) -> IntegerSet:
     return IntegerSet.interval(term, term)
 
 
-def _term_min(store, term):
-    return _term_domain(store, term).min_value()
-
-
-def _term_max(store, term):
-    return _term_domain(store, term).max_value()
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 class Propagator:
     # True when a scope variable that shrinks without becoming fixed never
     # gives `filter` more to do; the engine then wakes it only on fixing
@@ -137,65 +121,54 @@ class TableConflictsProp(Propagator):
 
 class LinearRelProp(Propagator):
     """sum(c_i * x_i) RELOP rhs: bounds consistency for `eq` and the
-    orderings; `ne`, binary disequality included, prunes its last free term."""
+    orderings; `ne`, binary disequality included, prunes its last free term.
+
+    The relation becomes bounds on the sum once, when the propagator is
+    built: `lo <= sum <= hi`, None where the relation sets no bound."""
+
+    def __init__(self, spec: PropagatorSpec):
+        super().__init__(spec)
+        op, rhs = spec.data["op"], spec.data["rhs"]
+        self.lo = {"gt": rhs + 1, "ge": rhs, "eq": rhs}.get(op)
+        self.hi = {"lt": rhs - 1, "le": rhs, "eq": rhs}.get(op)
 
     def filter(self, store):
         terms = self.spec.data["terms"]
-        op = self.spec.data["op"]
-        rhs = self.spec.data["rhs"]
-        if op == "lt":
-            return self._le_ge(store, terms, rhs - 1, None)
-        if op == "le":
-            return self._le_ge(store, terms, rhs, None)
-        if op == "gt":
-            return self._le_ge(store, terms, None, rhs + 1)
-        if op == "ge":
-            return self._le_ge(store, terms, None, rhs)
-        if op == "eq":
-            return self._le_ge(store, terms, rhs, rhs)
-        return self._ne(store, terms, rhs)
+        if self.spec.data["op"] == "ne":
+            return self._ne(store, terms, self.spec.data["rhs"])
+        lo, hi = self.lo, self.hi
+        smin, smax = self._bounds(store, terms)
+        if (hi is not None and smin > hi) or (lo is not None and smax < lo):
+            return FAILED
+        for v, c in terms:
+            d = store.domain(v)
+            low, high = c * d.min_value(), c * d.max_value()
+            if hi is not None:
+                slack = hi - smin + min(low, high)  # c_i * x_i <= slack
+                if c > 0:
+                    store.clamp(v, hi=slack // c)
+                else:
+                    store.clamp(v, lo=-(-slack // c))
+            if lo is not None:
+                need = lo - smax + max(low, high)  # c_i * x_i >= need
+                if c > 0:
+                    store.clamp(v, lo=-(-need // c))
+                else:
+                    store.clamp(v, hi=need // c)
+        smin, smax = self._bounds(store, terms)
+        if (hi is None or smax <= hi) and (lo is None or smin >= lo):
+            return SUBSUMED
+        return OK
 
     @staticmethod
     def _bounds(store, terms):
         smin = smax = 0
         for v, c in terms:
             d = store.domain(v)
-            lo, hi = d.min_value(), d.max_value()
-            if c > 0:
-                smin += c * lo
-                smax += c * hi
-            else:
-                smin += c * hi
-                smax += c * lo
+            low, high = c * d.min_value(), c * d.max_value()
+            smin += min(low, high)
+            smax += max(low, high)
         return smin, smax
-
-    def _le_ge(self, store, terms, upper: Optional[int], lower: Optional[int]):
-        smin, smax = self._bounds(store, terms)
-        if upper is not None and smin > upper:
-            return FAILED
-        if lower is not None and smax < lower:
-            return FAILED
-        for v, c in terms:
-            d = store.domain(v)
-            lo, hi = d.min_value(), d.max_value()
-            own_min = c * lo if c > 0 else c * hi
-            own_max = c * hi if c > 0 else c * lo
-            if upper is not None:
-                slack = upper - (smin - own_min)
-                if c > 0:
-                    store.clamp(v, hi=_floor_div(slack, c))
-                else:
-                    store.clamp(v, lo=_ceil_div(slack, c))
-            if lower is not None:
-                need = lower - (smax - own_max)
-                if c > 0:
-                    store.clamp(v, lo=_ceil_div(need, c))
-                else:
-                    store.clamp(v, hi=_floor_div(need, c))
-        smin, smax = self._bounds(store, terms)
-        if (upper is None or smax <= upper) and (lower is None or smin >= lower):
-            return SUBSUMED
-        return OK
 
     @staticmethod
     def _ne(store, terms, rhs):
@@ -430,7 +403,8 @@ class CumulativeProp(Propagator):
 
 
 class LexProp(Propagator):
-    """Pointer-based filtering for lexicographic vector ordering."""
+    """Pointer-based filtering for lexicographic vector ordering (Frisch,
+    Hnich, Kiziltan, Miguel & Walsh, CP 2002)."""
 
     strict = True
 
@@ -439,54 +413,43 @@ class LexProp(Propagator):
         ys = self.spec.data["ys"]
         n = len(xs)
 
-        def dmin(t):
-            return _term_min(store, t)
-
-        def dmax(t):
-            return _term_max(store, t)
-
-        def ground_equal(i):
-            xd = _term_domain(store, xs[i])
-            yd = _term_domain(store, ys[i])
-            return xd.is_singleton() and yd.is_singleton() and xd.value() == yd.value()
-
-        alpha = 0
-        while alpha < n and ground_equal(alpha):
-            alpha += 1
-        if alpha == n:
+        # alpha: the first position not fixed to equal values
+        for alpha in range(n):
+            xd = _term_domain(store, xs[alpha])
+            if not (xd.is_singleton() and xd == _term_domain(store, ys[alpha])):
+                break
+        else:
             return FAILED if self.strict else SUBSUMED
 
         # beta: most significant position from which a strict decrease is
         # already impossible; runs where only equality fits are transparent
-        beta = None
-        run_start = -1
-        i = alpha
-        while i < n:
-            if dmin(xs[i]) > dmax(ys[i]):
-                beta = run_start if run_start != -1 else i
+        run_start = None
+        for i in range(alpha, n):
+            x_min = _term_domain(store, xs[i]).min_value()
+            y_max = _term_domain(store, ys[i]).max_value()
+            if x_min > y_max:
+                beta = i if run_start is None else run_start
                 break
-            if dmin(xs[i]) == dmax(ys[i]):
-                if run_start == -1:
-                    run_start = i
-            else:
-                run_start = -1
-            i += 1
-        if beta is None:
-            if self.strict:
-                beta = run_start if run_start != -1 else n
-            else:
-                beta = n + 1
+            if x_min < y_max:
+                run_start = None
+            elif run_start is None:
+                run_start = i
+        else:
+            beta = (n if run_start is None else run_start) if self.strict else n + 1
         if alpha >= beta:
             return FAILED
 
         offset = 1 if alpha + 1 == beta else 0
-        if dmin(xs[alpha]) > dmax(ys[alpha]) - offset:
+        x, y = xs[alpha], ys[alpha]
+        x_hi = _term_domain(store, y).max_value() - offset
+        if _term_domain(store, x).min_value() > x_hi:
             return FAILED
-        if isinstance(xs[alpha], ex.VarRef):
-            store.clamp(xs[alpha].index, hi=dmax(ys[alpha]) - offset)
-        if isinstance(ys[alpha], ex.VarRef):
-            store.clamp(ys[alpha].index, lo=dmin(xs[alpha]) + offset)
-        if dmax(xs[alpha]) < dmin(ys[alpha]):
+        if isinstance(x, ex.VarRef):
+            store.clamp(x.index, hi=x_hi)
+        if isinstance(y, ex.VarRef):
+            # x's bound as it stands after its clamp: x and y may be one variable
+            store.clamp(y.index, lo=_term_domain(store, x).min_value() + offset)
+        if _term_domain(store, x).max_value() < _term_domain(store, y).min_value():
             return SUBSUMED
         return OK
 

@@ -1,4 +1,5 @@
 import io
+import os
 import pathlib
 import re
 import subprocess
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+import xcsolve
 from xcsolve import cli
 from xcsolve.cli import (
     EXIT_BAD_SOLUTION,
@@ -82,6 +84,19 @@ def test_unsatisfiable(tmp_path):
     assert code == EXIT_OK
     assert check_grammar(out) == "s UNSATISFIABLE"
     assert "v " not in out
+
+
+@pytest.mark.parametrize("parameters", [None, "", "[ ]"])
+def test_optional_alldifferent_list_stands_for_the_scope(tmp_path, parameters):
+    # four variables over three values cannot all differ
+    xml = instance_xml(
+        [(v, [0, 1, 2]) for v in "XYZW"],
+        [{"name": "c0", "scope": list("XYZW"), "reference": "global:alldifferent",
+          "parameters": parameters}],
+    )
+    code, out, _ = run_cli(RunConfig(write(tmp_path, xml), mode="all"))
+    assert code == EXIT_OK
+    assert check_grammar(out) == "s UNSATISFIABLE"
 
 
 def test_stats_lines(tmp_path):
@@ -520,9 +535,15 @@ def test_bad_time_limit_rejected(value):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, TINY_ALLDIFF)
+    # the child imports the package this test imported, however pytest
+    # found it
+    src = str(pathlib.Path(xcsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "xcsolve.cli", path, "--all"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK
     assert check_grammar(proc.stdout, nb_vars=2) == "s SATISFIABLE"
 
@@ -531,24 +552,60 @@ def test_console_entry_point(tmp_path):
 
 HEURISTIC_PAIRS = [(var, val) for var in VAR_HEURISTICS for val in VAL_HEURISTICS]
 
+
+def _weighted_sum(name, scope, terms, op, rhs):
+    body = "[ %s ] <%s/> %d" % (
+        " ".join("{ %d %s }" % term for term in terms), op, rhs)
+    return {"name": name, "scope": scope, "reference": "global:weightedSum",
+            "parameters": body}
+
+
+def _lex(name, global_, scope, xs, ys):
+    return {"name": name, "scope": scope, "reference": "global:" + global_,
+            "parameters": "[ %s ] [ %s ]" % (" ".join(xs), " ".join(ys))}
+
+
+# one weightedSum per relop, each with a negative coefficient and a constant
+# term, and lex_less / lex_lesseq with a constant in each vector, the second
+# with one variable at position 0 of both vectors
+LINEAR_LEX = instance_xml(
+    [("A", [0, 1, 2, 3]), ("B", [-1, 0, 1, 2]), ("C", [0, 1, 2, 3]),
+     ("D", [-2, -1, 0, 1]), ("E", [0, 1, 2])],
+    [_weighted_sum("c0", list("AB"), [(2, "A"), (-1, "B"), (3, 1)], "lt", 7),
+     _weighted_sum("c1", list("CD"), [(-2, "C"), (1, "D"), (1, 2)], "le", 0),
+     _weighted_sum("c2", list("AE"), [(-3, "A"), (2, "E"), (-1, 3)], "gt", -9),
+     _weighted_sum("c3", list("BCE"),
+                   [(1, "B"), (-2, "C"), (-2, 1), (1, "E")], "ge", -6),
+     _weighted_sum("c4", list("ACD"),
+                   [(1, "A"), (-1, "C"), (2, "D"), (2, 1)], "eq", 2),
+     _weighted_sum("c5", list("BD"), [(-3, "B"), (1, "D"), (1, 4)], "ne", 2),
+     _lex("c6", "lex_less", list("ABCD"), ["A", "2", "B"], ["C", "D", "1"]),
+     _lex("c7", "lex_lesseq", list("EBD"), ["E", "B", "1"], ["E", "D", "0"])],
+)
+
+GENERATED = {"latin4": latin_xml(4, globals_=True), "linear_lex": LINEAR_LEX}
+
 # (nodes, failures, propagations) under --all, one triple per heuristic pair
-# in HEURISTIC_PAIRS order, for the instances that use alldifferent and the
-# counting and lex globals; a change that keeps filtering as it is keeps
-# every one of them
+# in HEURISTIC_PAIRS order, for the instances that use alldifferent, the
+# counting and lex globals and weightedSum; a change that keeps filtering as
+# it is keeps every one of them
 SEARCH_COUNTS = {
     "alldifferent.xml": [(2, 0, 5)] * 6,
     "counting.xml": [(16, 0, 51), (16, 0, 55)] * 3,
     "global_cardinality.xml": [(4, 0, 13)] * 6,
     "lex.xml": [(8, 0, 16)] * 6,
+    "weightedsum.xml": [(22, 0, 8), (22, 0, 7)] * 3,
     "latin4": [(196, 3, 2633), (196, 3, 2626), (192, 1, 2510), (192, 1, 2503),
                (206, 8, 2381), (212, 11, 2603)],
+    "linear_lex": [(16, 3, 70), (16, 3, 67), (16, 3, 58), (16, 3, 60),
+                   (16, 3, 74), (18, 4, 85)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_COUNTS))
 def test_search_counts_are_pinned(tmp_path, name):
-    if name == "latin4":
-        path = write(tmp_path, latin_xml(4, globals_=True))
+    if name in GENERATED:
+        path = write(tmp_path, GENERATED[name])
     else:
         path = str(CORPUS / name)
     counts = []

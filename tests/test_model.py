@@ -555,19 +555,19 @@ SIGNATURES = {
 }
 
 # (global, <parameters> body or None for none, the sig it parses into or
-# None when it is rejected); the scope is X Y Z W, and an empty body or no
-# body stands for it where the list is optional
+# None when it is rejected); the scope is X Y Z W, and no body, an empty one
+# or `[ ]` stands for it where the list is optional
 GLOBAL_PARAMETER_CASES = [
     ("alldifferent", None, [0, 1, 2, 3]),
     ("alldifferent", "", [0, 1, 2, 3]),
-    ("alldifferent", "[ ]", []),
+    ("alldifferent", "[ ]", [0, 1, 2, 3]),
     ("alldifferent", "[ X Z ]", [0, 2]),
     ("alldifferent", "X Y", None),
     ("alldifferent", "[ X ] [ Y ]", None),
     ("alldifferent", "[ X 1 ]", None),
     ("not_all_equal", None, [0, 1, 2, 3]),
     ("not_all_equal", "", [0, 1, 2, 3]),
-    ("not_all_equal", "[ ]", []),
+    ("not_all_equal", "[ ]", [0, 1, 2, 3]),
     ("not_all_equal", "[ W Y ]", [3, 1]),
     ("not_all_equal", "[ [ X ] ]", None),
     ("among", "2 [ X Y ] [ 1 2 ]", [model.CountingSig([0, 1], [1, 2], 2, 2, None)]),
