@@ -182,10 +182,10 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         # the tasks that take time share a resource of capacity 1; a task of
         # duration 0 may still not fall strictly inside another one, which a
         # profile cannot see, so each such pair keeps its own check
-        proper = [(o, d, 1) for o, d in sig.tasks if d > 0]
+        proper = [(o, d, 1) for o, d in sig if d > 0]
         specs = [_cumulative_spec(proper, 1)] if len(proper) >= 2 else []
-        for i, (oi, di) in enumerate(sig.tasks):
-            for oj, dj in sig.tasks[i + 1:]:
+        for i, (oi, di) in enumerate(sig):
+            for oj, dj in sig[i + 1:]:
                 if (di == 0) != (dj == 0):
                     parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
                                            term_expr(oj), ex.IntLiteral(dj))
@@ -193,10 +193,10 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         return specs
     if name == "diffn":
         specs = []
-        for i in range(len(sig.boxes)):
-            for j in range(i + 1, len(sig.boxes)):
-                (xi, yi, wi, hi) = sig.boxes[i]
-                (xj, yj, wj, hj) = sig.boxes[j]
+        for i in range(len(sig)):
+            for j in range(i + 1, len(sig)):
+                (xi, yi, wi, hi) = sig[i]
+                (xj, yj, wj, hj) = sig[j]
                 parts = _no_overlap_1d(term_expr(xi), term_expr(wi),
                                        term_expr(xj), term_expr(wj))
                 parts += _no_overlap_1d(term_expr(yi), term_expr(hi),

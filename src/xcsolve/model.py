@@ -524,16 +524,6 @@ class CumulativeSig:
 
 
 @dataclass
-class DisjunctiveSig:
-    tasks: List[Tuple[Term, int]]  # (origin, duration)
-
-
-@dataclass
-class DiffnSig:
-    boxes: List[Tuple[Term, Term, Term, Term]]  # (x, y, width, height)
-
-
-@dataclass
 class LexSig:
     xs: List[Term]
     ys: List[Term]
@@ -595,9 +585,9 @@ GLOBALS = {
                    (("term", "nat", "nat"), "int"),
                    lambda tasks, capacity: CumulativeSig(list(map(tuple, tasks)), capacity)),
     "diffn": ("[ {x y width height} ... ]", (("term",) * 4,),
-              lambda boxes: DiffnSig(list(map(tuple, boxes)))),
+              lambda boxes: list(map(tuple, boxes))),
     "disjunctive": ("[ {origin duration} ... ]", (("term", "nat"),),
-                    lambda tasks: DisjunctiveSig(list(map(tuple, tasks)))),
+                    lambda tasks: list(map(tuple, tasks))),
     "element": ("i [t1 ... tn] v", ("term", ["term"], "term"),
                 lambda i, table, v: ElementSig(i, table, v) if table else None),
     "global_cardinality": ("[x1 ... xn] [ {v1 o1} {v2 o2} ... ]",

@@ -28,8 +28,8 @@ FAILED = "failed"
 MAX_CHECK_VALUES = 1 << 16
 # the most ranges one expression check's memo holds before it is cleared
 MEMO_RANGES = 1 << 12
-# a memo entry for a key no call has evaluated: (tested, rejected, erring)
-_UNTESTED = (IntegerSet(()),) * 3
+# a memo entry for a key no call has evaluated: (tested, rejected)
+_UNTESTED = (IntegerSet(()),) * 2
 
 
 def _term_domain(store: DomainStore, term) -> IntegerSet:
@@ -318,16 +318,16 @@ class ElementProp(Propagator):
 
         idom = _term_domain(store, index)
         if idom.is_singleton():
-            j = idom.value() - base
-            cell = table[j]
-            both = _term_domain(store, cell).intersect(_term_domain(store, value))
-            if both.is_empty():
+            # the value's domain lies inside the one valid cell's, unless the
+            # index is the value and narrowing the value just fixed it to a
+            # value that its cell lacks
+            cell = table[idom.value() - base]
+            vdom = _term_domain(store, value)
+            if not _term_domain(store, cell).intersects(vdom):
                 return FAILED
             if isinstance(cell, ex.VarRef):
-                store.intersect(cell.index, both)
-            if isinstance(value, ex.VarRef):
-                store.intersect(value.index, both)
-            if both.is_singleton():
+                store.update(cell.index, vdom)
+            if vdom.is_singleton():
                 return SUBSUMED
         return OK
 
@@ -460,8 +460,8 @@ class LexLessEqProp(LexProp):
 
 class ExprCheckProp(Propagator):
     """Generic expression constraint: satisfied iff the expression
-    evaluates to 1. Prunes only when at most one scope variable is
-    unassigned, and never prunes on an erroring evaluation.
+    evaluates to 1; an evaluation that raises is a violation. Prunes only
+    when at most one scope variable is unassigned.
 
     Pruning the last free variable again after its domain shrank removes
     nothing more, so the engine wakes it only when a scope variable is
@@ -476,7 +476,7 @@ class ExprCheckProp(Propagator):
 
     fix_only = True
     check = None  # the lowered expression, once a call has built it
-    memo = None  # key -> (tested, rejected, erring), built with `check`
+    memo = None  # key -> (tested, rejected), built with `check`
     memo_ranges = 0  # ranges the memo's sets hold together
 
     def filter(self, store):
@@ -510,29 +510,26 @@ class ExprCheckProp(Propagator):
                 return FAILED
         key = tuple(values)
         old = self.memo.get(key, _UNTESTED)
-        tested, rejected, erring = old
+        tested, rejected = old
         untested = domain.difference(tested)
         if untested.ranges:
-            new_rejected, new_erring = [], []
+            new_rejected = []
             for candidate in untested:
                 values[free] = candidate
                 try:
-                    if check(values) != 1:
-                        new_rejected.append(candidate)
+                    if check(values) == 1:
+                        continue
                 except EvalError:
-                    # keep the value; the full-assignment check decides
-                    new_erring.append(candidate)
+                    pass  # a violation, as on a full assignment
+                new_rejected.append(candidate)
             tested = tested.union(untested)
             if tested.size() > MAX_CHECK_VALUES:
                 # keep only what this domain needs, so no entry outgrows it
                 tested = domain
                 rejected = rejected.intersect(domain)
-                erring = erring.intersect(domain)
             if new_rejected:
                 rejected = rejected.union(IntegerSet.from_values(new_rejected))
-            if new_erring:
-                erring = erring.union(IntegerSet.from_values(new_erring))
-            self.memo[key] = new = (tested, rejected, erring)
+            self.memo[key] = new = (tested, rejected)
             self.memo_ranges += sum(len(s.ranges) for s in new) - sum(
                 len(s.ranges) for s in old)
             if self.memo_ranges > MEMO_RANGES:
@@ -540,8 +537,6 @@ class ExprCheckProp(Propagator):
                 self.memo_ranges = 0
         if rejected.ranges:
             store.update(u, domain.difference(rejected))
-        if erring.ranges and domain.intersects(erring):
-            return OK
         return SUBSUMED
 
 

@@ -55,8 +55,13 @@ class BranchStrategy:
         if self.val_heuristic not in VAL_HEURISTICS:
             raise ValueError("unknown value heuristic %r" % self.val_heuristic)
 
-    def select(self, store: DomainStore, degrees: List[int]) -> Tuple[int, int]:
+    def select(self, store: DomainStore,
+               degrees: List[int]) -> Optional[Tuple[int, int]]:
+        """The next decision `(var, value)`, or None when every variable is
+        fixed: the store then holds a solution."""
         candidates = [i for i in range(len(store)) if not store.assigned(i)]
+        if not candidates:
+            return None
         if self.var_heuristic == "min-dom":
             var = min(candidates, key=lambda i: (store.domain(i).size(), i))
         elif self.var_heuristic == "max-deg":
@@ -72,7 +77,6 @@ class Engine:
     """One search owns its DomainStore; the Problem itself stays immutable."""
 
     def __init__(self, problem: Problem, strategy: Optional[BranchStrategy] = None):
-        self.problem = problem
         self.strategy = strategy or BranchStrategy()
         self.store = DomainStore(problem.domains)
         self.props = [build_propagator(spec) for spec in problem.propagators]
@@ -158,11 +162,8 @@ class Engine:
         decisions: List[Tuple[int, int, bool]] = []
 
         def budget_exceeded() -> bool:
-            if node_limit is not None and stats.nodes >= node_limit:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return True
-            return False
+            return ((node_limit is not None and stats.nodes >= node_limit)
+                    or (deadline is not None and time.monotonic() >= deadline))
 
         if budget_exceeded():
             return SearchResult(solutions, stats, False)
@@ -174,12 +175,14 @@ class Engine:
         try:
             failed = not self.propagate_fixpoint()
             while True:
-                if not failed and self.store.all_assigned():
-                    solutions.append(self.store.solution_values())
-                    stats.solutions += 1
-                    if limit is not None and len(solutions) >= limit:
-                        break
-                    failed = True  # exhaust this branch and keep enumerating
+                if not failed:
+                    choice = self.strategy.select(self.store, self.degrees)
+                    if choice is None:
+                        solutions.append(self.store.solution_values())
+                        stats.solutions += 1
+                        if limit is not None and len(solutions) >= limit:
+                            break
+                        failed = True  # exhaust this branch and keep enumerating
                 if failed:
                     # backtrack to the deepest open left branch, then go right
                     while decisions and decisions[-1][2]:
@@ -195,7 +198,7 @@ class Engine:
                 # one decision step: after a failure, the right branch x!=v of
                 # the decision just undone; otherwise a new left branch x=v
                 if not failed:
-                    var, value = self.strategy.select(self.store, self.degrees)
+                    var, value = choice
                 self.store.push()
                 decisions.append((var, value, failed))
                 stats.nodes += 1

@@ -3,9 +3,10 @@
 Domains are immutable IntegerSets replaced wholesale on update. One trail
 of `(owner, key, old)` entries records every change to search state, the
 domains (`owner` is the domain list) and whatever goes through `save`
-(subsumed propagators, the valid tuples of a table), so backtracking
-restores each choice point exactly. An update that empties a domain sets
-`failed` and raises `Wipeout`, so no caller goes on to read that domain.
+(subsumed propagators, the valid tuples of a table, `failed`), so
+backtracking restores each choice point exactly. An update that empties a
+domain sets `failed` and raises `Wipeout`, so no caller goes on to read that
+domain. A domain empty from the start leaves `failed` set for good.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class DomainStore:
 
     def update(self, i: int, new: IntegerSet) -> bool:
         """Replace domain i; returns True when it actually shrank. Emptying
-        it is trailed, sets `failed` and raises Wipeout."""
+        it is trailed, sets `failed` through the trail and raises Wipeout."""
         old = self._domains[i]
         if new == old:
             return False
@@ -50,7 +51,7 @@ class DomainStore:
         self._domains[i] = new
         self.changed.append(i)
         if new.is_empty():
-            self.failed = True
+            self.save(vars(self), "failed", True)
             raise Wipeout
         return True
 
@@ -75,7 +76,7 @@ class DomainStore:
 
     def save(self, owner, key, value):
         """Set `owner[key] = value` until the matching undo. `owner` is any
-        list or dict: the engine's active flags, `vars(propagator)`."""
+        list or dict: the engine's active flags, `vars(propagator)`, `vars(self)`."""
         self._trail.append((owner, key, owner[key]))
         owner[key] = value
 
@@ -88,7 +89,6 @@ class DomainStore:
         while len(trail) > mark:
             owner, key, old = trail.pop()
             owner[key] = old
-        self.failed = False
         self.changed = []
 
     def depth(self) -> int:
@@ -97,9 +97,6 @@ class DomainStore:
     def snapshot(self) -> Tuple[IntegerSet, ...]:
         """Structural copy of all current domains, for restoration checks."""
         return tuple(self._domains)
-
-    def all_assigned(self) -> bool:
-        return all(d.is_singleton() for d in self._domains)
 
     def solution_values(self) -> List[int]:
         return [d.value() for d in self._domains]

@@ -47,7 +47,7 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
         return all(sum(h for s, d, h in tasks if s <= start < s + d) <= sig.capacity
                    for start, _, _ in tasks)
     if name == "disjunctive":
-        spans = [(_term_value(o, values), d) for o, d in sig.tasks]
+        spans = [(_term_value(o, values), d) for o, d in sig]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
                 (si, di), (sj, dj) = spans[i], spans[j]
@@ -55,7 +55,7 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
                     return False
         return True
     if name == "diffn":
-        boxes = [tuple(_term_value(t, values) for t in box) for box in sig.boxes]
+        boxes = [tuple(_term_value(t, values) for t in box) for box in sig]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 (xi, yi, wi, hi) = boxes[i]

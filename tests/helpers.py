@@ -125,6 +125,16 @@ def summarize(xml_text: str, element_base: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ge(div(4, A), B) on (Y, X) and (Z, Y) over 0..4: A = 0 makes the
+# evaluation raise, which counts as a violation; 30 solutions
+ERRING_XML = instance_xml(
+    [("X", list(range(5))), ("Y", list(range(5))), ("Z", list(range(5)))],
+    [{"name": "c0", "scope": ["Y", "X"], "reference": "p0", "parameters": "Y X"},
+     {"name": "c1", "scope": ["Z", "Y"], "reference": "p0", "parameters": "Z Y"}],
+    predicates=[{"name": "p0", "params": ["A", "B"], "body": "ge(div(4,A),B)"}],
+)
+
+
 def pigeonhole_xml(n: int, pairwise: bool = False) -> str:
     """n+1 variables over {1..n} under one alldifferent constraint, or,
     `pairwise`, under one `ne(A,B)` predicate per pair of variables."""

@@ -21,7 +21,7 @@ from xcsolve.errors import CLIP
 from xcsolve.expr import MAX_DEPTH
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
-from helpers import TINY_ALLDIFF, instance_xml, latin_xml, pigeonhole_xml
+from helpers import ERRING_XML, TINY_ALLDIFF, instance_xml, latin_xml, pigeonhole_xml
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -583,18 +583,51 @@ LINEAR_LEX = instance_xml(
      _lex("c7", "lex_lesseq", list("EBD"), ["E", "B", "1"], ["E", "D", "0"])],
 )
 
-GENERATED = {"latin4": latin_xml(4, globals_=True), "linear_lex": LINEAR_LEX}
+
+def _element(name, scope, parameters):
+    return {"name": name, "scope": scope, "reference": "global:element",
+            "parameters": parameters}
+
+
+# element with variable and constant cells, a constant index, a constant
+# value, an index that is also the value (c1) and a cell that is the value
+# (c2); its --all search fails under every heuristic pair
+ELEMENTS = instance_xml(
+    [("I", [1, 2, 3, 4]), ("V", [0, 1, 2, 3, 4]), ("A", [0, 1, 2, 3, 4]),
+     ("B", [0, 1, 2, 3]), ("C", [1, 2, 3]), ("D", [0, 2, 4]),
+     ("J", [1, 2, 3]), ("K", [1, 2, 3])],
+    [_element("c0", list("IABCV"), "I [ A 3 B C ] V"),
+     _element("c1", list("JA"), "J [ A 1 3 ] J"),
+     _element("c2", list("KBVD"), "K [ B V D ] V"),
+     _element("c3", list("CDA"), "2 [ C D ] A"),
+     _element("c4", list("KCA"), "K [ C 2 A ] 3")],
+)
+
+GENERATED = {"latin4": latin_xml(4, globals_=True), "linear_lex": LINEAR_LEX,
+             "elements": ELEMENTS, "erring": ERRING_XML}
 
 # (nodes, failures, propagations) under --all, one triple per heuristic pair
-# in HEURISTIC_PAIRS order, for the instances that use alldifferent, the
-# counting and lex globals and weightedSum; a change that keeps filtering as
-# it is keeps every one of them
+# in HEURISTIC_PAIRS order, for every corpus instance and a few generated
+# ones; a change that keeps filtering as it is keeps every one of them
 SEARCH_COUNTS = {
     "alldifferent.xml": [(2, 0, 5)] * 6,
     "counting.xml": [(16, 0, 51), (16, 0, 55)] * 3,
+    "cumulative.xml": [(2, 0, 6)] * 6,
+    "diffn.xml": [(22, 0, 15)] * 6,
+    "disjunctive.xml": [(6, 0, 10), (6, 0, 11)] * 3,
+    "element.xml": [(4, 0, 6)] * 6,
     "global_cardinality.xml": [(4, 0, 13)] * 6,
     "lex.xml": [(8, 0, 16)] * 6,
+    "not_all_equal.xml": [(10, 0, 7)] * 6,
+    "predicate.xml": [(18, 0, 9), (18, 0, 7)] * 3,
+    "relations_mixed.xml": [(10, 0, 11)] * 6,
     "weightedsum.xml": [(22, 0, 8), (22, 0, 7)] * 3,
+    "elements": [(52, 7, 116), (66, 14, 134), (40, 1, 97), (42, 2, 107),
+                 (52, 7, 112), (66, 14, 123)],
+    # an evaluation that raises rejects its value in the one-free-variable
+    # check too; keeping such values for the full check had given
+    # [(92, 17, 78)] * 4 + [(92, 17, 59)] * 2, with the same 30 solutions
+    "erring": [(58, 0, 19)] * 4 + [(60, 1, 11)] * 2,
     "latin4": [(196, 3, 2633), (196, 3, 2626), (192, 1, 2510), (192, 1, 2503),
                (206, 8, 2381), (212, 11, 2603)],
     "linear_lex": [(16, 3, 70), (16, 3, 67), (16, 3, 58), (16, 3, 60),

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 import time
 
@@ -11,8 +12,10 @@ from xcsolve.intset import IntegerSet
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 from xcsolve.store import DomainStore, Wipeout
 
-from helpers import (TINY_ALLDIFF, brute_force, instance_xml, latin_xml, load,
-                     pigeonhole_xml, queens_xml)
+from helpers import (ERRING_XML, TINY_ALLDIFF, brute_force, instance_xml,
+                     latin_xml, load, pigeonhole_xml, queens_xml)
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 def iset(*values):
@@ -250,6 +253,27 @@ def test_store_restored_after_search():
     assert engine.store.depth() == 0
 
 
+def test_an_engine_with_an_empty_domain_answers_alike_twice():
+    # the root failure outlives the first search's unwinding
+    engine = Engine(Problem(["X"], [IntegerSet(())]))
+    first = engine.solve(limit=None)
+    assert first.solutions == [] and first.complete
+    assert engine.solve(limit=None) == first
+    assert engine.store.failed
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in CORPUS.glob("*.xml") if not path.name.startswith("reject_")))
+def test_an_engine_answers_alike_twice_on_each_corpus_file(name):
+    _, problem = load((CORPUS / name).read_text())
+    engine = Engine(problem)
+    before = engine.store.snapshot()
+    first = engine.solve(limit=None)
+    assert engine.store.snapshot() == before
+    assert engine.solve(limit=None) == first
+    assert engine.store.snapshot() == before
+
+
 def test_determinism():
     xml = instance_xml(
         [("A", [0, 1, 2]), ("B", [0, 1, 2]), ("C", [0, 1, 2])],
@@ -365,6 +389,15 @@ def test_a_repeated_scope_variable_is_watched_and_counted_once():
         assert all(len(set(watching)) == len(watching) for watching in lists)
     result = engine.solve(limit=None)
     assert result.solutions == [] and result.complete
+
+
+@pytest.mark.parametrize("var", VAR_HEURISTICS)
+@pytest.mark.parametrize("val", VAL_HEURISTICS)
+def test_an_erring_predicate_matches_brute_force_under_every_heuristic(var, val):
+    instance, problem = load(ERRING_XML)
+    result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
+    assert sorted(result.solutions) == brute_force(instance)
+    assert len(result.solutions) == 30
 
 
 @pytest.mark.parametrize("var", VAR_HEURISTICS)

@@ -1,7 +1,8 @@
 """The import graph of the package, read with `ast`: the oracle stays
 independent of the compiler and the solver, and the model below both.
 Also the package's public names, so that dropping one is a deliberate edit,
-and an import that nothing in its file uses."""
+an import that nothing in its file uses, and a definition that nothing
+reads."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import xcsolve
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "xcsolve"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def package_imports(path: pathlib.Path) -> set:
@@ -83,6 +85,48 @@ def test_no_unused_imports():
     unused = ["%s: %s" % (path.relative_to(TESTS.parent), name)
               for path in files for name in unused_imports(path)]
     assert unused == []
+
+
+def definitions(path: pathlib.Path) -> list:
+    """`(name, line)` for each function, method and class that the file at
+    `path` defines, and each name it assigns at module level, dunders
+    aside."""
+    tree = ast.parse(path.read_text())
+    found = [(node.name, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node.lineno) for target in targets
+                      for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [(name, line) for name, line in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(path: pathlib.Path) -> set:
+    """The names and attributes that the file at `path` reads; a name
+    listed in its `__all__` counts as read."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_unread_definitions():
+    # by name alone: a method counts as read when any `.name` is read
+    read = set().union(*(names_read(path) for folder in (SRC, TESTS, PERFBENCH)
+                         for path in folder.glob("*.py")))
+    unread = ["%s:%d: %s" % (path.name, line, name)
+              for path in sorted(SRC.glob("*.py"))
+              for name, line in definitions(path) if name not in read]
+    assert unread == []
 
 
 def wipeout_sites() -> tuple:

@@ -612,14 +612,13 @@ GLOBAL_PARAMETER_CASES = [
     ("cumulative", "[ { X 1 1 } ] Z", None),
     ("cumulative", "[ { X 1 1 } ]", None),
     ("cumulative", "[ { X 1 } ] 2", None),
-    ("disjunctive", "[ { X 2 } { 1 0 } ]", model.DisjunctiveSig([(X, 2), (1, 0)])),
-    ("disjunctive", "[ ]", model.DisjunctiveSig([])),
+    ("disjunctive", "[ { X 2 } { 1 0 } ]", [(X, 2), (1, 0)]),
+    ("disjunctive", "[ ]", []),
     ("disjunctive", "[ { X -1 } ]", None),
     ("disjunctive", "[ { X Y } ]", None),
     ("disjunctive", "[ { X 1 } ] 2", None),
     ("disjunctive", None, None),
-    ("diffn", "[ { X Y 1 2 } { 0 0 Z W } ]",
-     model.DiffnSig([(X, Y, 1, 2), (0, 0, Z, W)])),
+    ("diffn", "[ { X Y 1 2 } { 0 0 Z W } ]", [(X, Y, 1, 2), (0, 0, Z, W)]),
     ("diffn", "[ { X Y 1 } ]", None),
     ("diffn", "[ { X Y [ 1 ] 2 } ]", None),
     ("diffn", "[ { X Y 1 2 } ] [ ]", None),

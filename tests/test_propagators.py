@@ -192,6 +192,17 @@ def test_element_assigned_index_channels_equality():
     assert store.domain(3) == iset(5)
 
 
+@pytest.mark.parametrize("table", [[3, 1], [VarRef(1), 1]])
+def test_element_index_fixed_by_its_own_value_update_checks_its_cell(table):
+    # J[ c1 c2 ] = J with J in 1..3 and c1 in {3}: the index becomes 2 ->
+    # {1, 2}, the value then {1}, so the index is fixed at 1 whose cell
+    # does not hold 1; no value of J satisfies the constraint
+    spec = _element_spec(VarRef(0), table, VarRef(0))
+    prop = build_propagator(spec)
+    store = DomainStore([IntegerSet.interval(1, 3), iset(3)])
+    assert prop.prune(store) == FAILED
+
+
 def test_element_out_of_range_index_fails():
     spec = _element_spec(9, [5], VarRef(0))
     ok, _ = run_root(spec, [iset(5)])
@@ -481,15 +492,15 @@ def test_exprcheck_no_pruning_with_two_unassigned():
     assert store.domain(0) == iset(3, 4)
 
 
-def test_exprcheck_never_prunes_on_error():
-    # div(5, x) == 2: x=0 errors, so it must survive propagation...
+def test_exprcheck_prunes_on_error():
+    # div(5, x) == 2: x=0 errors, a violation like x=1 (5) and x=3 (1)...
     body = Apply("eq", (Apply("div", (IntLiteral(5), VarRef(0))), IntLiteral(2)))
     spec = PropagatorSpec("ExprCheck", (0,), {"expr": body})
-    ok, store = run_root(spec, [iset(0, 1, 2, 3)])
-    assert ok
-    assert store.domain(0) == iset(0, 2)  # x=1 (5), x=3 (1) evaluate false
+    store = DomainStore([iset(0, 1, 2, 3)])
+    assert build_propagator(spec).prune(store) == SUBSUMED
+    assert store.domain(0) == iset(2)
 
-    # ...but a full assignment that errors is rejected
+    # ...and so is a full assignment that errors
     ok, _ = run_root(spec, [iset(0)])
     assert not ok
 
@@ -684,17 +695,17 @@ def test_exprcheck_evaluates_each_value_once_per_key(evaluations):
             pairs.add((key, values[free]))
 
 
-def test_exprcheck_memo_keeps_erring_values_apart():
-    # eq(div(6, x), y) with y = 3: x = 0 errs, so it stays and the check is
-    # not subsumed while 0 is in the domain, and is once 0 has gone
+def test_exprcheck_memo_rejects_erring_values():
+    # eq(div(6, x), y) with y = 3: x = 0 errs, so the memo rejects it with
+    # x = 1 and x = 3, and every call is subsumed
     body = Apply("eq", (Apply("div", (IntLiteral(6), VarRef(0))), VarRef(1)))
     prop = build_propagator(PropagatorSpec("ExprCheck", (0, 1), {"expr": body}))
-    for x, outcome, after in [(iset(0, 1, 2), OK, iset(0, 2)),
-                              (iset(2, 3), SUBSUMED, iset(2)),
-                              (iset(0, 2, 3), OK, iset(0, 2))]:
+    for x in [iset(0, 1, 2), iset(2, 3), iset(0, 2, 3)]:
         store = DomainStore([x, iset(3)])
-        assert prop.prune(store) == outcome
-        assert store.domain(0) == after
+        assert prop.prune(store) == SUBSUMED
+        assert store.domain(0) == iset(2)
+    (tested, rejected), = prop.memo.values()
+    assert (tested, rejected) == (iset(0, 1, 2, 3), iset(0, 1, 3))
 
 
 def test_exprcheck_memo_is_cleared_past_its_bound():
@@ -738,7 +749,7 @@ def test_exprcheck_memo_entry_stays_within_the_bound(monkeypatch):
         assert prop.prune(store) == SUBSUMED
         assert store.domain(0) == IntegerSet.from_values(
             v for v in range(lo, lo + 8) if v % 3 == 1)
-        (tested, rejected, erring), = prop.memo.values()
+        (tested, rejected), = prop.memo.values()
         assert tested.size() <= 8
         assert rejected.size() < tested.size()
 
