@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from .compiler import compile_instance
@@ -138,11 +138,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print("v %s" % " ".join(map(str, values)), file=out)
     if config.stats:
         elapsed = time.monotonic() - started
-        print("c nodes %d" % result.stats.nodes, file=out)
-        print("c failures %d" % result.stats.failures, file=out)
-        print("c propagations %d" % result.stats.propagations, file=out)
-        print("c peak_depth %d" % result.stats.peak_depth, file=out)
-        print("c solutions %d" % result.stats.solutions, file=out)
+        for key, value in asdict(result.stats).items():
+            print("c %s %d" % (key, value), file=out)
         print("c time %.3f" % elapsed, file=out)
     return code
 

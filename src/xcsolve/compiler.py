@@ -42,12 +42,15 @@ class PropagatorSpec:
 
 @dataclass
 class Problem:
-    names: List[str]
     domains: List[IntegerSet]
     propagators: List[PropagatorSpec] = field(default_factory=list)
 
 
 # -- linear-shape recognition -------------------------------------------------
+
+
+# the sign of each argument of an operator whose value is their signed sum
+_SIGNS = {"neg": (-1,), "add": (1, 1), "sub": (1, -1)}
 
 
 def _linear_terms(e: ex.Expr) -> Optional[Tuple[Dict[int, int], int]]:
@@ -56,37 +59,25 @@ def _linear_terms(e: ex.Expr) -> Optional[Tuple[Dict[int, int], int]]:
         return {}, e.value
     if isinstance(e, ex.VarRef):
         return {e.index: 1}, 0
-    if not isinstance(e, ex.Apply):
+    if not (isinstance(e, ex.Apply) and (e.op in _SIGNS or e.op == "mul")):
         return None
-    if e.op == "neg":
-        inner = _linear_terms(e.args[0])
-        if inner is None:
-            return None
-        coeffs, const = inner
-        return {v: -c for v, c in coeffs.items()}, -const
-    if e.op in ("add", "sub"):
-        left = _linear_terms(e.args[0])
-        right = _linear_terms(e.args[1])
-        if left is None or right is None:
-            return None
-        sign = 1 if e.op == "add" else -1
-        coeffs = dict(left[0])
-        for v, c in right[0].items():
-            coeffs[v] = coeffs.get(v, 0) + sign * c
-        return coeffs, left[1] + sign * right[1]
+    forms = [_linear_terms(a) for a in e.args]
+    if None in forms:
+        return None
     if e.op == "mul":
-        left = _linear_terms(e.args[0])
-        right = _linear_terms(e.args[1])
-        if left is None or right is None:
+        # one side must be constant: it scales the other
+        (left, lk), (right, rk) = forms
+        if left and right:
             return None
-        if not left[0]:
-            factor, linear = left[1], right
-        elif not right[0]:
-            factor, linear = right[1], left
-        else:
-            return None
-        return {v: factor * c for v, c in linear[0].items()}, factor * linear[1]
-    return None
+        factor, (coeffs, const) = (lk, forms[1]) if not left else (rk, forms[0])
+        return {v: factor * c for v, c in coeffs.items()}, factor * const
+    coeffs: Dict[int, int] = {}
+    const = 0
+    for sign, (terms, k) in zip(_SIGNS[e.op], forms):
+        for v, c in terms.items():
+            coeffs[v] = coeffs.get(v, 0) + sign * c
+        const += sign * k
+    return coeffs, const
 
 
 def _recognize_linear(ground: ex.Expr) -> Optional[PropagatorSpec]:
@@ -119,20 +110,6 @@ def linear_spec(terms: Sequence[Tuple[int, Term]], op: str, rhs: int) -> Propaga
 
 
 # -- per-constraint lowering --------------------------------------------------
-
-
-def compile_extension(c: ResolvedConstraint, relation) -> PropagatorSpec:
-    kind = "TableSupports" if relation.semantics == "supports" else "TableConflicts"
-    # shared, not copied: propagators only read it
-    return PropagatorSpec(kind, tuple(c.scope), {"tuples": relation.tuples})
-
-
-def compile_intension(c: ResolvedConstraint) -> PropagatorSpec:
-    ground = c.ref.body
-    upgraded = _recognize_linear(ground)
-    if upgraded is not None:
-        return upgraded
-    return PropagatorSpec("ExprCheck", tuple(c.ref.refs), {"expr": ground})
 
 
 def _expr_check(e: ex.Expr) -> PropagatorSpec:
@@ -216,9 +193,8 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         parts = [ex.Apply("ne", (ex.VarRef(sig[0]), ex.VarRef(v)))
                  for v in sig[1:]]
         return [_expr_check(_or_all(parts))]
-    if name == "weightedsum":
-        return [linear_spec(sig.terms, sig.op, sig.rhs)]
-    raise CompileError("unsupported global constraint %s" % clip(name))
+    assert name == "weightedsum"
+    return [linear_spec(sig.terms, sig.op, sig.rhs)]
 
 
 def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
@@ -234,10 +210,14 @@ def _var_indices(terms: List[Term]) -> Tuple[int, ...]:
 
 def compile_constraint(c: ResolvedConstraint,
                        element_base: int) -> List[PropagatorSpec]:
-    if isinstance(c.ref, RelationRef):
-        return [compile_extension(c, c.ref.relation)]
-    if isinstance(c.ref, PredicateRef):
-        return [compile_intension(c)]
+    ref = c.ref
+    if isinstance(ref, RelationRef):
+        kind = "TableSupports" if ref.relation.semantics == "supports" else "TableConflicts"
+        # shared, not copied: propagators only read it
+        return [PropagatorSpec(kind, tuple(c.scope), {"tuples": ref.relation.tuples})]
+    if isinstance(ref, PredicateRef):
+        return [_recognize_linear(ref.body)
+                or PropagatorSpec("ExprCheck", tuple(ref.refs), {"expr": ref.body})]
     return compile_global(c, element_base)
 
 
@@ -247,7 +227,7 @@ def compile_instance(instance: ResolvedInstance, element_base: int = 1) -> Probl
     `element_base` is the index of an `element` table's first entry;
     benchmark corpora index from 1.
     """
-    problem = Problem(list(instance.names), list(instance.domains))
+    problem = Problem(list(instance.domains))
     for c in instance.constraints:
         try:
             specs = compile_constraint(c, element_base)

@@ -228,6 +228,34 @@ def _int_pow(a: int, b: int) -> int:
         a = _check64(a * a)
 
 
+# operator -> the function of its argument values. `if` is the one operator
+# left out: `evaluate` reads only the branch its condition picks.
+OPERATIONS: Dict[str, Callable[..., int]] = {
+    "neg": lambda a: _check64(-a),
+    "abs": lambda a: _check64(abs(a)),
+    "not": lambda a: 0 if a != 0 else 1,
+    "add": lambda a, b: _check64(a + b),
+    "sub": lambda a, b: _check64(a - b),
+    "mul": lambda a, b: _check64(a * b),
+    # only INT64_MIN / -1 leaves the range; `_mod` has no such case
+    "div": lambda a, b: _check64(_trunc_div(a, b)),
+    "mod": _mod,
+    "pow": _int_pow,
+    "min": min,
+    "max": max,
+    "eq": lambda a, b: 1 if a == b else 0,
+    "ne": lambda a, b: 1 if a != b else 0,
+    "ge": lambda a, b: 1 if a >= b else 0,
+    "gt": lambda a, b: 1 if a > b else 0,
+    "le": lambda a, b: 1 if a <= b else 0,
+    "lt": lambda a, b: 1 if a < b else 0,
+    "and": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "or": lambda a, b: 1 if a != 0 or b != 0 else 0,
+    "xor": lambda a, b: 1 if (a != 0) != (b != 0) else 0,
+    "iff": lambda a, b: 1 if (a != 0) == (b != 0) else 0,
+}
+
+
 def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:
     """Evaluate a ground expression; raises EvalError on div/mod by zero,
     overflow, or a negative pow exponent."""
@@ -243,58 +271,15 @@ def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:
         cond = evaluate(expr.args[0], assignment)
         branch = expr.args[1] if cond != 0 else expr.args[2]
         return evaluate(branch, assignment)
-
-    args = [evaluate(a, assignment) for a in expr.args]
-    if op == "neg":
-        return _check64(-args[0])
-    if op == "abs":
-        return _check64(abs(args[0]))
-    if op == "not":
-        return 0 if args[0] != 0 else 1
-    a, b = args[0], args[1] if len(args) > 1 else 0
-    if op == "add":
-        return _check64(a + b)
-    if op == "sub":
-        return _check64(a - b)
-    if op == "mul":
-        return _check64(a * b)
-    if op == "div":
-        return _trunc_div(a, b)
-    if op == "mod":
-        return _mod(a, b)
-    if op == "pow":
-        return _int_pow(a, b)
-    if op == "min":
-        return min(a, b)
-    if op == "max":
-        return max(a, b)
-    if op == "eq":
-        return 1 if a == b else 0
-    if op == "ne":
-        return 1 if a != b else 0
-    if op == "ge":
-        return 1 if a >= b else 0
-    if op == "gt":
-        return 1 if a > b else 0
-    if op == "le":
-        return 1 if a <= b else 0
-    if op == "lt":
-        return 1 if a < b else 0
-    if op == "and":
-        return 1 if a != 0 and b != 0 else 0
-    if op == "or":
-        return 1 if a != 0 or b != 0 else 0
-    if op == "xor":
-        return 1 if (a != 0) != (b != 0) else 0
-    if op == "iff":
-        return 1 if (a != 0) == (b != 0) else 0
-    raise EvalError("unknown operator %r" % op)
+    if op not in OPERATIONS:
+        raise EvalError("unknown operator %r" % op)
+    return OPERATIONS[op](*[evaluate(a, assignment) for a in expr.args])
 
 
 # -- lowering -----------------------------------------------------------------
 
 # operator -> factory that takes the closures of the arguments and returns
-# the closure of the node. Each closure mirrors its branch of `evaluate`,
+# the closure of the node. Each closure mirrors its row of `OPERATIONS`,
 # argument order included. The 64-bit test is written inline, because a
 # call per node is what lowering saves; only an out-of-range result goes
 # on to `_check64`, for its error.
@@ -310,7 +295,7 @@ _LOWERED: Dict[str, Callable[..., Callable[[List[int]], int]]] = {
         r if INT64_MIN <= (r := a(v) - b(v)) <= INT64_MAX else _check64(r)),
     "mul": lambda a, b: lambda v: (
         r if INT64_MIN <= (r := a(v) * b(v)) <= INT64_MAX else _check64(r)),
-    "div": lambda a, b: lambda v: _trunc_div(a(v), b(v)),
+    "div": lambda a, b: lambda v: _check64(_trunc_div(a(v), b(v))),
     "mod": lambda a, b: lambda v: _mod(a(v), b(v)),
     "pow": lambda a, b: lambda v: _int_pow(a(v), b(v)),
     "min": lambda a, b: lambda v: min(a(v), b(v)),

@@ -600,7 +600,6 @@ GLOBALS = {
                     (("int", "term"), "relop", "int"),
                     lambda terms, op, rhs: WeightedSumSig(list(map(tuple, terms)), op, rhs)),
 }
-SUPPORTED_GLOBALS = tuple(GLOBALS)
 
 
 def parse_global(c: ResolvedConstraint):
@@ -704,10 +703,10 @@ def resolve_references(model: InstanceModel) -> ResolvedInstance:
         ref: ConstraintRef
         if c.reference.startswith("global:"):
             global_name = c.reference[len("global:"):].strip().lower()
-            if global_name not in SUPPORTED_GLOBALS:
+            if global_name not in GLOBALS:
                 raise ResolutionError(
                     "unsupported global constraint %s; supported: %s"
-                    % (clip(global_name), ", ".join(SUPPORTED_GLOBALS))
+                    % (clip(global_name), ", ".join(GLOBALS))
                 )
             ref = GlobalRef(global_name)
         elif c.reference in relation_refs:

@@ -59,15 +59,16 @@ class BranchStrategy:
                degrees: List[int]) -> Optional[Tuple[int, int]]:
         """The next decision `(var, value)`, or None when every variable is
         fixed: the store then holds a solution."""
-        candidates = [i for i in range(len(store)) if not store.assigned(i)]
-        if not candidates:
-            return None
+        free = (i for i in range(len(store)) if not store.assigned(i))
+        # `min` and `max` return the first of equal keys: the lowest index
         if self.var_heuristic == "min-dom":
-            var = min(candidates, key=lambda i: (store.domain(i).size(), i))
+            var = min(free, key=lambda i: store.domain(i).size(), default=None)
         elif self.var_heuristic == "max-deg":
-            var = min(candidates, key=lambda i: (-degrees[i], i))
+            var = max(free, key=degrees.__getitem__, default=None)
         else:
-            var = candidates[0]
+            var = next(free, None)
+        if var is None:
+            return None
         d = store.domain(var)
         value = d.min_value() if self.val_heuristic == "min" else d.max_value()
         return var, value

@@ -73,11 +73,7 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
         return len(set(vs)) > 1
     assert name == "weightedsum"
     total = sum(coeff * _term_value(t, values) for coeff, t in sig.terms)
-    return {
-        "eq": total == sig.rhs, "ne": total != sig.rhs,
-        "ge": total >= sig.rhs, "gt": total > sig.rhs,
-        "le": total <= sig.rhs, "lt": total < sig.rhs,
-    }[sig.op]
+    return ex.OPERATIONS[sig.op](total, sig.rhs) == 1
 
 
 def verify_solution(instance: ResolvedInstance, values: List[int],

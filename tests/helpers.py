@@ -305,9 +305,15 @@ def random_instance(family: str, rng: random.Random,
                 table.append("T%d" % j)
             else:
                 table.append(str(rng.randint(0, 4)))
-        if rng.random() < 0.7:
+        # the value may alias the index, and a cell the value
+        roll = rng.random()
+        if roll < 0.2:
+            value = "I"
+        elif roll < 0.76:
             variables.append(("X", _random_domain(rng, lo=0, hi=4, max_size=3)))
             value = "X"
+            if rng.random() < 0.3:
+                table[rng.randrange(table_len)] = "X"
         else:
             value = str(rng.randint(0, 4))
         scope = [v for v, _ in variables]

@@ -132,14 +132,14 @@ def test_alldifferent_prunes_assigned_value():
 
 
 def test_empty_initial_domain_fails_before_branching():
-    problem = Problem(["X"], [IntegerSet(())])
+    problem = Problem([IntegerSet(())])
     result = Engine(problem).solve()
     assert result.solutions == [] and result.complete
 
 
 def test_empty_supports_table_fails_at_root():
     spec = PropagatorSpec("TableSupports", (0, 1), {"tuples": []})
-    problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
+    problem = Problem([iset(1, 2), iset(1, 2)], [spec])
     engine = Engine(problem)
     assert not engine.propagate_fixpoint()
     assert engine.stats.failures == 1
@@ -147,7 +147,7 @@ def test_empty_supports_table_fails_at_root():
 
 def test_table_supports_is_gac():
     spec = PropagatorSpec("TableSupports", (0, 1), {"tuples": [[1, 2], [2, 1]]})
-    problem = Problem(["X", "Y"], [iset(1, 2), iset(2)], [spec])
+    problem = Problem([iset(1, 2), iset(2)], [spec])
     engine = Engine(problem)
     assert engine.propagate_fixpoint()
     assert engine.store.domain(0) == iset(1)
@@ -156,7 +156,7 @@ def test_table_supports_is_gac():
 def test_linear_bounds_tighten():
     spec = PropagatorSpec("LinearRel", (0, 1),
                           {"terms": [[0, 1], [1, 1]], "op": "eq", "rhs": 5})
-    problem = Problem(["X", "Y"], [iset(0, 1, 2, 3), iset(0, 1, 2, 3)], [spec])
+    problem = Problem([iset(0, 1, 2, 3), iset(0, 1, 2, 3)], [spec])
     engine = Engine(problem)
     assert engine.propagate_fixpoint()
     assert engine.store.domain(0) == iset(2, 3)
@@ -166,7 +166,7 @@ def test_linear_bounds_tighten():
 def test_alldifferent_all_unassigned_no_change():
     spec = PropagatorSpec("AllDifferent", (0, 1, 2), {})
     doms = [iset(1, 2, 3), iset(1, 2, 3), iset(1, 2, 3)]
-    problem = Problem(["A", "B", "C"], doms, [spec])
+    problem = Problem(doms, [spec])
     engine = Engine(problem)
     before = engine.store.snapshot()
     assert engine.propagate_fixpoint()
@@ -179,8 +179,7 @@ def test_fixpoint_idempotent():
                        {"terms": [[0, 1], [1, 1]], "op": "eq", "rhs": 5}),
         not_equal(1, 2),
     ]
-    problem = Problem(["X", "Y", "Z"],
-                      [iset(0, 1, 2, 3), iset(0, 1, 2, 3), iset(3)], specs)
+    problem = Problem([iset(0, 1, 2, 3), iset(0, 1, 2, 3), iset(3)], specs)
     engine = Engine(problem)
     assert engine.propagate_fixpoint()
     snapshot = engine.store.snapshot()
@@ -190,7 +189,7 @@ def test_fixpoint_idempotent():
 
 def test_subsumed_propagator_reactivates_on_backtrack():
     spec = not_equal(0, 1)
-    problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
+    problem = Problem([iset(1, 2), iset(1, 2)], [spec])
     engine = Engine(problem)
     engine.store.push()
     engine.store.assign(0, 1)
@@ -231,7 +230,7 @@ def test_pigeonhole_unsat():
 
 
 def test_forced_assignment_no_failures():
-    problem = Problem(["X"], [iset(5)])
+    problem = Problem([iset(5)])
     result = Engine(problem).solve()
     assert result.solutions == [[5]]
     assert result.stats.failures == 0
@@ -240,7 +239,7 @@ def test_forced_assignment_no_failures():
 def test_everything_forbidden():
     tuples = [[1, 1], [1, 2], [2, 1], [2, 2]]
     spec = PropagatorSpec("TableConflicts", (0, 1), {"tuples": tuples})
-    problem = Problem(["X", "Y"], [iset(1, 2), iset(1, 2)], [spec])
+    problem = Problem([iset(1, 2), iset(1, 2)], [spec])
     assert Engine(problem).solve(limit=None).solutions == []
 
 
@@ -255,7 +254,7 @@ def test_store_restored_after_search():
 
 def test_an_engine_with_an_empty_domain_answers_alike_twice():
     # the root failure outlives the first search's unwinding
-    engine = Engine(Problem(["X"], [IntegerSet(())]))
+    engine = Engine(Problem([IntegerSet(())]))
     first = engine.solve(limit=None)
     assert first.solutions == [] and first.complete
     assert engine.solve(limit=None) == first
@@ -294,7 +293,7 @@ def test_value_heuristic_max():
 
 
 def test_min_dom_heuristic_picks_smallest_domain():
-    problem = Problem(["X", "Y"], [iset(1, 2, 3), iset(7, 8)])
+    problem = Problem([iset(1, 2, 3), iset(7, 8)])
     strategy = BranchStrategy(var_heuristic="min-dom")
     store = DomainStore(problem.domains)
     var, value = strategy.select(store, [0, 0])
@@ -303,11 +302,26 @@ def test_min_dom_heuristic_picks_smallest_domain():
 
 def test_max_deg_heuristic_prefers_constrained_variable():
     specs = [not_equal(1, 2), not_equal(1, 0)]
-    problem = Problem(["X", "Y", "Z"],
-                      [iset(1, 2), iset(1, 2), iset(1, 2)], specs)
+    problem = Problem([iset(1, 2), iset(1, 2), iset(1, 2)], specs)
     engine = Engine(problem, BranchStrategy(var_heuristic="max-deg"))
     var, _ = engine.strategy.select(engine.store, engine.degrees)
     assert var == 1
+
+
+def test_input_scan_stops_at_the_first_free_variable():
+    store = DomainStore([iset(1)] * 10 + [iset(1, 2)] * 20)
+    read = []
+    assigned = store.assigned
+    store.assigned = lambda i: read.append(i) or assigned(i)
+    assert BranchStrategy().select(store, [0] * 30) == (10, 1)
+    assert read == list(range(11))
+
+
+def test_equal_keys_pick_the_lowest_free_index():
+    store = DomainStore([iset(1), iset(1, 2, 3), iset(4, 5), iset(6, 7)])
+    degrees = [5, 1, 3, 3]
+    for heuristic in ("min-dom", "max-deg"):
+        assert BranchStrategy(heuristic).select(store, degrees) == (2, 4)
 
 
 def test_node_budget_yields_incomplete():
@@ -329,7 +343,7 @@ def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
     # so the root fixpoint runs far past the budget unless it reads the clock
     specs = [linear_spec([(1, ex.VarRef(0)), (-1, ex.VarRef(1))], "eq", 1),
              linear_spec([(1, ex.VarRef(1)), (-1, ex.VarRef(0))], "eq", 1)]
-    problem = Problem(["X", "Y"], [IntegerSet.interval(0, 10**6)] * 2, specs)
+    problem = Problem([IntegerSet.interval(0, 10**6)] * 2, specs)
     engine = Engine(problem)
     before = engine.store.snapshot()
     start = time.monotonic()
@@ -431,7 +445,7 @@ def test_alldifferent_free_variables_are_restored_after_solve():
 def test_table_reduction_is_undone_on_backtrack():
     spec = PropagatorSpec("TableSupports", (0, 1),
                           {"tuples": [(1, 1), (1, 2), (2, 2), (3, 1)]})
-    problem = Problem(["X", "Y"], [iset(1, 2, 3), iset(1, 2)], [spec])
+    problem = Problem([iset(1, 2, 3), iset(1, 2)], [spec])
     engine = Engine(problem)
     prop = engine.props[0]
     engine.store.push()
@@ -452,7 +466,7 @@ def test_table_reduction_is_undone_on_backtrack():
 
 def test_decision_wakes_only_watchers_of_the_changed_variable():
     specs = [not_equal(0, 1), not_equal(2, 3)]
-    problem = Problem(["W", "X", "Y", "Z"], [iset(1, 2, 3)] * 4, specs)
+    problem = Problem([iset(1, 2, 3)] * 4, specs)
     result = Engine(problem).solve()
     assert result.solutions == [[1, 2, 1, 2]]
     # the root runs both; W=1 and Y=1 each wake one propagator, which is
@@ -473,7 +487,7 @@ def test_expr_check_wakes_when_a_propagator_fixes_its_variable(
     specs = [PropagatorSpec("ExprCheck", (1, 2), {
                  "expr": ex.substitute(body, ["Y", "Z"], [ex.VarRef(1), ex.VarRef(2)])}),
              PropagatorSpec("TableSupports", (0, 1), {"tuples": [(0, 0), (1, 1)]})]
-    problem = Problem(["X", "Y", "Z"], [iset(0, 1), iset(0, 1), iset(*z_values)], specs)
+    problem = Problem([iset(0, 1), iset(0, 1), iset(*z_values)], specs)
     # a fix watcher still counts towards the degree
     assert Engine(problem).degrees == [1, 2, 1]
     result = Engine(problem).solve(limit=None)
@@ -500,7 +514,7 @@ def test_table_work_is_bounded_by_the_table_not_the_domain_width():
     wide = IntegerSet.interval(-10 ** 12, 10 ** 12)
     spec = PropagatorSpec("TableSupports", (0, 1),
                           {"tuples": [(0, 10 ** 12), (-10 ** 12, 0), (5, 5)]})
-    problem = Problem(["X", "Y"], [wide, iset(0, 5, 10 ** 12)], [spec])
+    problem = Problem([wide, iset(0, 5, 10 ** 12)], [spec])
     started = time.monotonic()
     engine = Engine(problem)
     assert engine.propagate_fixpoint()

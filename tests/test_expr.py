@@ -364,6 +364,11 @@ def test_every_operator_lowers():
             assert lowered == evaluated, (op, values)
 
 
+def test_both_evaluators_cover_every_operator():
+    # `if` is the one operator `evaluate` reads outside the table
+    assert set(ex.OPERATIONS) | {"if"} == set(ex.OPERATORS) == set(ex._LOWERED)
+
+
 @pytest.mark.parametrize("text, expected", [
     ("if(1,5,div(1,0))", 5),
     ("if(0,div(1,0),6)", 6),
@@ -374,7 +379,8 @@ def test_every_operator_lowers():
     ("abs(-9223372036854775808)", EvalError),
     ("neg(18446744073709551616)", EvalError),
     ("pow(2,-1)", EvalError),
-    ("div(-9223372036854775808,-1)", 2 ** 63),
+    ("div(-9223372036854775808,-1)", EvalError),
+    ("mod(-9223372036854775808,-1)", 0),
 ])
 def test_lowering_edge_cases(text, expected):
     tree = ex.parse_functional(text, [])

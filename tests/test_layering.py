@@ -40,6 +40,12 @@ def test_oracle_imports_only_the_model_layer():
     assert GRAPH["verify"] <= {"expr", "model", "errors", "intset"}
 
 
+def test_oracle_shares_no_evaluation_code_with_the_solver():
+    # the oracle imports `expr` for `evaluate`; the closures the solver
+    # lowers predicates to stay out of it
+    assert not names_read(SRC / "verify.py") & {"lower", "_LOWERED"}
+
+
 def test_model_imports_neither_compiler_nor_oracle():
     assert not GRAPH["model"] & {"compiler", "verify"}
 

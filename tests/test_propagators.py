@@ -28,8 +28,7 @@ def iset(*values):
 
 
 def run_root(spec, domains):
-    problem = Problem(["V%d" % i for i in range(len(domains))],
-                      list(domains), [spec])
+    problem = Problem(list(domains), [spec])
     engine = Engine(problem)
     ok = engine.propagate_fixpoint()
     return ok, engine.store
@@ -235,7 +234,7 @@ def test_element_root_call_on_a_wide_table_is_fast(monkeypatch):
     cells = [iset(*rng.sample(range(10 ** 6), 2)) for _ in range(n)]
     domains = [IntegerSet.interval(1, n)] + cells + [IntegerSet.interval(0, 10 ** 6)]
     spec = _element_spec(VarRef(0), [VarRef(j + 1) for j in range(n)], VarRef(n + 1))
-    engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
+    engine = Engine(Problem(domains, [spec]))
     scanned = count_range_scans(monkeypatch)
     assert engine.propagate_fixpoint()
     assert scanned[0] <= 8 * n
@@ -255,7 +254,7 @@ def test_element_root_call_on_a_fragmented_index_is_fast(monkeypatch):
     index = IntegerSet.from_values(range(1, n + 1, 2))
     domains = [index] + cells + [IntegerSet.interval(0, 10 ** 6)]
     spec = _element_spec(VarRef(0), [VarRef(j + 1) for j in range(n)], VarRef(n + 1))
-    engine = Engine(Problem(["V%d" % i for i in range(n + 2)], domains, [spec]))
+    engine = Engine(Problem(domains, [spec]))
     scanned = count_range_scans(monkeypatch)
     assert engine.propagate_fixpoint()
     assert scanned[0] <= 8 * n
@@ -414,8 +413,7 @@ def test_cumulative_energy_unsat_schedule_fails_at_the_root():
     spec = PropagatorSpec("Cumulative", tuple(range(12)), {
         "tasks": [[VarRef(i), d, h] for i, (d, h) in enumerate(tasks)],
         "capacity": 3})
-    problem = Problem(["S%d" % i for i in range(12)],
-                      [IntegerSet.interval(0, 18 - d) for d, _ in tasks], [spec])
+    problem = Problem([IntegerSet.interval(0, 18 - d) for d, _ in tasks], [spec])
     result = Engine(problem).solve(limit=None, node_limit=1000)
     assert result.complete
     assert result.solutions == []
