@@ -9,7 +9,7 @@ Standard output carries only ``s``/``v``/``c`` lines:
 
 Diagnostics go to standard error. Exit codes: 0 for SATISFIABLE or
 UNSATISFIABLE, 2 for UNKNOWN (resource budget exhausted), 1 for
-input/parse/compile errors, 3 when --verify catches a wrong solution.
+usage/input/parse/compile errors, 3 when --verify catches a wrong solution.
 """
 
 from __future__ import annotations
@@ -146,11 +146,14 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
 def main(argv: Optional[List[str]] = None) -> None:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ValueError as e:
-        parser.error(str(e))
+        try:
+            config = config_from_args(parser.parse_args(argv))
+        except ValueError as e:
+            parser.error(str(e))
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, and 2 is UNKNOWN's code; --help 0
+        sys.exit(EXIT_ERROR if e.code else EXIT_OK)
     sys.exit(run(config))
 
 

@@ -57,16 +57,22 @@ class Propagator:
         raise NotImplementedError
 
 
-class TableSupportsProp(Propagator):
-    """Generalized arc consistency by simple tabular reduction (STR).
+class TableProp(Propagator):
+    """Simple tabular reduction (STR) for both semantics of a table.
 
     `valid` holds the tuples whose every value is still in its domain. It
     starts as the spec's own tuple list and shrinks with the domains; the
-    store trails it, so backtracking brings the longer list back."""
+    store trails it, so backtracking brings the longer list back. A
+    `supports` table keeps in each domain the values that some valid tuple
+    uses (generalized arc consistency). In a `conflicts` table the valid
+    tuples are the conflicts that can still match: the table fails when one
+    matches a full assignment and prunes their values from its last free
+    variable."""
 
     def __init__(self, spec: PropagatorSpec):
         super().__init__(spec)
         self.valid = spec.data["tuples"]
+        self.supports = spec.kind == "TableSupports"
 
     def filter(self, store):
         scope = self.spec.scope
@@ -83,9 +89,19 @@ class TableSupportsProp(Propagator):
                 members = {x for x in {t[k] for t in kept} if x in d}
             kept = [t for t in kept if t[k] in members]
         if not kept:
-            return FAILED
+            return FAILED if self.supports else SUBSUMED
         if len(kept) < len(valid):
             store.save(vars(self), "valid", kept)
+        if not self.supports:
+            free = [k for k, size in enumerate(sizes) if size > 1]
+            if not free:  # a valid conflict is the full assignment
+                return FAILED
+            if len(free) > 1:
+                return OK
+            k = free[0]
+            store.update(scope[k], store.domain(scope[k]).difference(
+                IntegerSet.from_values(t[k] for t in kept)))
+            return SUBSUMED
         subsumed = True
         for k, v in enumerate(scope):
             supported = {t[k] for t in kept}
@@ -94,29 +110,6 @@ class TableSupportsProp(Propagator):
             if len(supported) > 1:
                 subsumed = False
         return SUBSUMED if subsumed else OK
-
-
-class TableConflictsProp(Propagator):
-    """Forbidden tuples: each listed tuple must differ from the scope in at
-    least one position."""
-
-    def filter(self, store):
-        scope = self.spec.scope
-        doms = [store.domain(v) for v in scope]
-        active = [t for t in self.spec.data["tuples"]
-                  if all(t[k] in doms[k] for k in range(len(scope)))]
-        if not active:
-            return SUBSUMED
-        unassigned = [k for k in range(len(scope)) if not store.assigned(scope[k])]
-        if not unassigned:
-            # some active conflict matches the full assignment exactly
-            return FAILED
-        if len(unassigned) == 1:
-            k = unassigned[0]
-            store.update(scope[k], doms[k].difference(
-                IntegerSet.from_values(t[k] for t in active)))
-            return SUBSUMED
-        return OK
 
 
 class LinearRelProp(Propagator):
@@ -541,8 +534,8 @@ class ExprCheckProp(Propagator):
 
 
 PROPAGATOR_CLASSES = {
-    "TableSupports": TableSupportsProp,
-    "TableConflicts": TableConflictsProp,
+    "TableSupports": TableProp,
+    "TableConflicts": TableProp,
     "LinearRel": LinearRelProp,
     "AllDifferent": AllDifferentProp,
     "Among": CountingProp,

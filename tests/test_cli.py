@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import pathlib
 import re
@@ -533,6 +534,26 @@ def test_bad_time_limit_rejected(value):
         cli.config_from_args(args)
 
 
+@pytest.mark.parametrize("argv", [
+    ["foo.xml", "--limit", "0"], ["foo.xml", "--time-limit", "nan"],
+    ["foo.xml", "--bogus"], []])
+def test_usage_error_exits_with_the_input_error_code(argv, capsys):
+    # argparse's own code, 2, is UNKNOWN's
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: xcsolve") and "xcsolve: error: " in err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: xcsolve")
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, TINY_ALLDIFF)
     # the child imports the package this test imported, however pytest
@@ -603,8 +624,28 @@ ELEMENTS = instance_xml(
      _element("c4", list("KCA"), "K [ C 2 A ] 3")],
 )
 
+
+def _conflicts_xml():
+    # adjacent variables differ and each triple sums to a multiple of 3,
+    # both said by conflicts tables; forward checking fails under every
+    # heuristic pair
+    names = list("ABCDEF")
+    relations = [
+        {"name": "same", "arity": 2, "semantics": "conflicts",
+         "tuples": [(a, a) for a in range(5)]},
+        {"name": "sum", "arity": 3, "semantics": "conflicts",
+         "tuples": [t for t in itertools.product(range(5), repeat=3) if sum(t) % 3]}]
+    pairs = ["AB", "BC", "CD", "DE", "EF", "FA", "AD"]
+    triples = ["ACE", "BDF", "ABE"]
+    constraints = (
+        [{"name": "p" + s, "scope": list(s), "reference": "same"} for s in pairs]
+        + [{"name": "t" + s, "scope": list(s), "reference": "sum"} for s in triples])
+    return instance_xml([(n, list(range(5))) for n in names], constraints, relations)
+
+
 GENERATED = {"latin4": latin_xml(4, globals_=True), "linear_lex": LINEAR_LEX,
-             "elements": ELEMENTS, "erring": ERRING_XML}
+             "elements": ELEMENTS, "erring": ERRING_XML,
+             "conflicts": _conflicts_xml()}
 
 # (nodes, failures, propagations) under --all, one triple per heuristic pair
 # in HEURISTIC_PAIRS order, for every corpus instance and a few generated
@@ -622,6 +663,8 @@ SEARCH_COUNTS = {
     "predicate.xml": [(18, 0, 9), (18, 0, 7)] * 3,
     "relations_mixed.xml": [(10, 0, 11)] * 6,
     "weightedsum.xml": [(22, 0, 8), (22, 0, 7)] * 3,
+    "conflicts": [(246, 56, 523), (246, 56, 523), (182, 24, 433),
+                  (182, 24, 433), (230, 48, 615), (230, 48, 615)],
     "elements": [(52, 7, 116), (66, 14, 134), (40, 1, 97), (42, 2, 107),
                  (52, 7, 112), (66, 14, 123)],
     # an evaluation that raises rejects its value in the one-free-variable

@@ -442,26 +442,37 @@ def test_alldifferent_free_variables_are_restored_after_solve():
     assert second.stats is not first.stats and engine.stats is second.stats
 
 
-def test_table_reduction_is_undone_on_backtrack():
-    spec = PropagatorSpec("TableSupports", (0, 1),
-                          {"tuples": [(1, 1), (1, 2), (2, 2), (3, 1)]})
-    problem = Problem([iset(1, 2, 3), iset(1, 2)], [spec])
+@pytest.mark.parametrize("kind, after_y, after_x", [
+    # supports keep the values a valid tuple uses
+    ("TableSupports", [iset(1, 2), iset(2), iset(1)], [iset(2), iset(2), iset(1)]),
+    # conflicts prune only their last free variable
+    ("TableConflicts", [iset(1, 2, 3), iset(2), iset(1, 2)],
+     [iset(2), iset(2), iset(2)]),
+], ids=["supports", "conflicts"])
+def test_table_reduction_is_undone_on_backtrack(kind, after_y, after_x):
+    spec = PropagatorSpec(kind, (0, 1, 2), {
+        "tuples": [(1, 1, 1), (1, 2, 1), (2, 2, 1), (3, 1, 2)]})
+    problem = Problem([iset(1, 2, 3), iset(1, 2), iset(1, 2)], [spec])
     engine = Engine(problem)
     prop = engine.props[0]
+    assert engine.propagate_fixpoint()
+    assert prop.valid is spec.data["tuples"]
     engine.store.push()
     engine.store.assign(1, 2)
     assert engine.propagate_fixpoint()
-    assert prop.valid == [(1, 2), (2, 2)]
-    assert engine.store.domain(0) == iset(1, 2)
+    assert prop.valid == [(1, 2, 1), (2, 2, 1)]
+    assert list(engine.store.snapshot()) == after_y
     engine.store.push()
     engine.store.assign(0, 2)
     assert engine.propagate_fixpoint()
-    assert prop.valid == [(2, 2)]
+    assert prop.valid == [(2, 2, 1)]
+    assert list(engine.store.snapshot()) == after_x
     engine.store.undo()
-    assert prop.valid == [(1, 2), (2, 2)]
+    assert prop.valid == [(1, 2, 1), (2, 2, 1)]
+    assert list(engine.store.snapshot()) == after_y
     engine.store.undo()
     assert prop.valid is spec.data["tuples"]
-    assert engine.store.domain(0) == iset(1, 2, 3)
+    assert list(engine.store.snapshot()) == problem.domains
 
 
 def test_decision_wakes_only_watchers_of_the_changed_variable():
@@ -510,15 +521,25 @@ def test_expr_checks_wake_only_on_fixed_variables():
     assert (stats.nodes, stats.failures, stats.propagations) == (830, 324, 3924)
 
 
-def test_table_work_is_bounded_by_the_table_not_the_domain_width():
+@pytest.mark.parametrize("kind, root, limit, first", [
+    ("TableSupports", iset(-10 ** 12, 0, 5), None,
+     [[-10 ** 12, 0], [0, 10 ** 12], [5, 5]]),
+    # two free variables prune nothing at the root; x = -10^12 then
+    # removes 0 from y, and x != -10^12 filters the tuples on a domain
+    # of 2 * 10^12 values
+    ("TableConflicts", IntegerSet.interval(-10 ** 12, 10 ** 12), 3,
+     [[-10 ** 12, 5], [-10 ** 12, 10 ** 12], [-10 ** 12 + 1, 0]]),
+], ids=["supports", "conflicts"])
+def test_table_work_is_bounded_by_the_table_not_the_domain_width(
+        kind, root, limit, first):
     wide = IntegerSet.interval(-10 ** 12, 10 ** 12)
-    spec = PropagatorSpec("TableSupports", (0, 1),
+    spec = PropagatorSpec(kind, (0, 1),
                           {"tuples": [(0, 10 ** 12), (-10 ** 12, 0), (5, 5)]})
     problem = Problem([wide, iset(0, 5, 10 ** 12)], [spec])
     started = time.monotonic()
     engine = Engine(problem)
     assert engine.propagate_fixpoint()
-    assert engine.store.domain(0) == iset(-10 ** 12, 0, 5)
-    result = Engine(problem).solve(limit=None)
+    assert engine.store.domain(0) == root
+    result = Engine(problem).solve(limit=limit)
     assert time.monotonic() - started < 1.0
-    assert result.solutions == [[-10 ** 12, 0], [0, 10 ** 12], [5, 5]]
+    assert result.solutions == first

@@ -76,6 +76,77 @@ def test_conflicts_full_match_fails():
     assert build_propagator(spec).prune(store) == FAILED
 
 
+def test_both_table_kinds_share_one_class():
+    classes = propagators.PROPAGATOR_CLASSES
+    assert classes["TableSupports"] is classes["TableConflicts"]
+
+
+def fitting(scope, tuples, domains):
+    """The tuples whose every value is in its domain, in table order."""
+    return [t for t in tuples if all(t[k] in domains[v] for k, v in enumerate(scope))]
+
+
+def expected_table_call(kind, scope, tuples, domains):
+    """What one call of a table propagator gives, by brute force: the
+    outcome, the domains after it, and its domain update calls."""
+    fits = fitting(scope, tuples, domains)
+    after = list(domains)
+    if kind == "TableSupports":
+        # a value stays exactly when some tuple that fits the domains uses it
+        if not fits:
+            return FAILED, after, 0
+        updates = 0
+        for k, v in enumerate(scope):
+            used = {t[k] for t in fits}
+            if used != domains[v]:
+                after[v], updates = used, updates + 1
+        single = all(len(after[v]) == 1 for v in scope)
+        return (SUBSUMED if single else OK), after, updates
+    # forward checking: a conflict that fits stays possible until only one
+    # variable is free, which then loses the conflicts' values
+    if not fits:
+        return SUBSUMED, after, 0
+    free = [k for k, v in enumerate(scope) if len(domains[v]) > 1]
+    if not free:
+        return FAILED, after, 0
+    if len(free) > 1:
+        return OK, after, 0
+    k = free[0]
+    after[scope[k]] = domains[scope[k]] - {t[k] for t in fits}
+    return (SUBSUMED if after[scope[k]] else FAILED), after, 1
+
+
+@st.composite
+def _table_calls(draw):
+    """A table over some of up to four variables, domains with holes in
+    -2..4, and rows from -3..5 that may fall outside them or repeat, as
+    lists or tuples."""
+    count = draw(st.integers(1, 4))
+    domains = [draw(st.sets(st.integers(-2, 4), min_size=1, max_size=4))
+               for _ in range(count)]
+    scope = tuple(draw(st.permutations(range(count)))[:draw(st.integers(1, count))])
+    row = st.lists(st.integers(-3, 5), min_size=len(scope), max_size=len(scope))
+    rows = draw(st.lists(row, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    tuples = [draw(st.sampled_from([list, tuple]))(r) for r in rows]
+    return draw(st.sampled_from(["TableSupports", "TableConflicts"])), scope, tuples, domains
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_table_calls())
+def test_table_call_matches_brute_force(call):
+    kind, scope, tuples, domains = call
+    store = CountingStore([IntegerSet.from_values(d) for d in domains])
+    prop = build_propagator(PropagatorSpec(kind, scope, {"tuples": tuples}))
+    outcome, after, updates = expected_table_call(kind, scope, tuples, domains)
+    assert prop.prune(store) == outcome
+    assert store.updates == updates
+    if outcome != FAILED:
+        assert [set(d) for d in store.snapshot()] == after
+    # the valid tuples are the ones that fit, kept only while there are any
+    assert prop.valid == (fitting(scope, tuples, domains) or tuples)
+
+
 # -- linear -------------------------------------------------------------------
 
 
