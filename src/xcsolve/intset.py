@@ -1,99 +1,225 @@
-"""Finite integer sets stored as sorted, disjoint, non-adjacent closed intervals.
+"""Finite integer sets in one of two canonical forms.
 
-The canonical form is the one the rest of the toolchain relies on: intervals
-are ascending, pairwise disjoint, and never touch (hi + 1 < next lo), so
-structural equality is set equality.
+A set whose span (max - min + 1) is at most SPAN is a mask: a Python int
+whose bit k says whether `min + k` is a member, bit 0 set, stored with that
+minimum. Each operation on two masks is a shift and a mask: `size` is a
+bit count, `is_singleton` a comparison with 1. A wider set is a tuple of
+sorted, disjoint, non-adjacent closed intervals (hi + 1 < next lo), so a
+domain such as 0..10**12 costs one interval and not 10**12 bits.
+
+The form follows from the members alone and each form is canonical, so
+structural equality is set equality and `hash` agrees with it. `ranges`
+gives the intervals of either form; for a mask it builds them, so the
+solver's hot paths use the set operations instead.
+
+No operation costs more for sets far apart than for sets side by side: a
+mask is shifted left only by less than SPAN, and a right shift by any
+distance, 2**64 included, is one step that yields 0. Sets at 0 and at
+10**18 never build a 10**18-bit integer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import count
 from operator import itemgetter
 from typing import Iterable, Iterator, Tuple
 
+# the widest span (max - min + 1) a set keeps as a mask
+SPAN = 1 << 12
+
+_lo = itemgetter(0)
+_hi = itemgetter(1)
+_new = object.__new__
+# the positions of the set bits of each byte value, for iterating a mask
+_OCTET_BITS = [tuple(k for k in range(8) if octet >> k & 1) for octet in range(256)]
+
+
+def _runs(low: int, bits: int) -> Tuple[Tuple[int, int], ...]:
+    """The intervals of the mask `bits` with bit 0 at `low`, ascending."""
+    if bits == 1:  # what a search step removes from a wide domain
+        return ((low, low),)
+    out = []
+    while bits:
+        gap = (bits & -bits).bit_length() - 1
+        bits >>= gap
+        low += gap
+        run = (bits ^ (bits + 1)).bit_length() - 1  # the trailing ones
+        out.append((low, low + run - 1))
+        bits >>= run
+        low += run
+    return tuple(out)
+
+
+def _window(ranges, base: int, width: int) -> int:
+    """The members of the canonical intervals `ranges` in
+    [base, base + width) as a mask with bit 0 at `base`. Only the
+    intervals that meet the window are read, so the cost is bounded by
+    `width` and not by the set."""
+    top = base + width - 1
+    bits = 0
+    for k in range(bisect_left(ranges, base, key=_hi), len(ranges)):
+        lo, hi = ranges[k]
+        if lo > top:
+            break
+        lo, hi = max(lo, base), min(hi, top)
+        bits |= ((1 << (hi - lo + 1)) - 1) << (lo - base)
+    return bits
+
 
 class IntegerSet:
-    """Immutable set of integers, interval-encoded."""
+    """Immutable set of integers: a mask when narrow, intervals when wide."""
 
-    __slots__ = ("ranges",)
+    # `_min` is the least member (0 for the empty set), `_bits` the mask
+    # (None for a wide set) and `_wide` the intervals (None for a mask)
+    __slots__ = ("_min", "_bits", "_wide")
 
     def __init__(self, ranges: Tuple[Tuple[int, int], ...] = ()):
         # `ranges` must already be canonical; use the builders below otherwise.
-        self.ranges = ranges
+        base = ranges[0][0] if ranges else 0
+        if ranges and ranges[-1][1] - base >= SPAN:
+            self._min, self._bits, self._wide = base, None, ranges
+        else:
+            self._min, self._bits, self._wide = base, _window(ranges, base, SPAN), None
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Tuple[int, int]]) -> "IntegerSet":
         """Build from arbitrary [lo, hi] intervals, merging into canonical form."""
-        pending = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
-        merged: list[tuple[int, int]] = []
-        for lo, hi in pending:
-            if merged and lo <= merged[-1][1] + 1:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return cls(tuple(merged))
+        pending = [(lo, hi) for lo, hi in intervals if lo <= hi]
+        if not pending:
+            return EMPTY
+        base = min(map(_lo, pending))
+        if max(map(_hi, pending)) - base < SPAN:
+            bits = 0
+            for lo, hi in pending:
+                bits |= ((1 << (hi - lo + 1)) - 1) << (lo - base)
+            return _mask(base, bits)
+        return _merge(sorted(pending))
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntegerSet":
+        values = set(values)
+        if not values:
+            return EMPTY
+        base = min(values)
+        if max(values) - base < SPAN:
+            bits = 0
+            for v in values:
+                bits |= 1 << (v - base)
+            return _mask(base, bits)
         out = []
         start = prev = None
-        for v in sorted(set(values)):
+        for v in sorted(values):
             if v - 1 != prev:  # a gap: close the run so far, open a new one
                 if prev is not None:
                     out.append((start, prev))
                 start = v
             prev = v
-        if prev is not None:
-            out.append((start, prev))
+        out.append((start, prev))
         return cls(tuple(out))
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntegerSet":
-        return cls(((lo, hi),)) if lo <= hi else cls(())
+        if hi - lo < SPAN:
+            return _mask(lo, (1 << (hi - lo + 1)) - 1) if lo <= hi else EMPTY
+        return cls(((lo, hi),))
+
+    @classmethod
+    def union_all(cls, sets: Iterable["IntegerSet"]) -> "IntegerSet":
+        """The union of `sets`: one OR per set when the union fits in a
+        mask, otherwise one sort of all their intervals, so that n sets
+        never cost n pairwise unions."""
+        sets = [s for s in sets if s._bits != 0]
+        if not sets:
+            return EMPTY
+        base = min(s._min for s in sets)
+        if max(s.max_value() for s in sets) - base < SPAN:  # masks, all of them
+            bits = 0
+            for s in sets:
+                bits |= s._bits << (s._min - base)
+            return _mask(base, bits)
+        return _merge(sorted(r for s in sets for r in s.ranges))
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """The canonical intervals; built anew for a mask."""
+        if self._bits is None:
+            return self._wide
+        return _runs(self._min, self._bits)
+
+    def range_count(self) -> int:
+        """len(self.ranges), without building them."""
+        bits = self._bits
+        if bits is None:
+            return len(self._wide)
+        return (bits & ~(bits << 1)).bit_count()  # the bits that start a run
+
     def is_empty(self) -> bool:
-        return not self.ranges
+        return self._bits == 0
 
     def is_singleton(self) -> bool:
-        r = self.ranges
-        return len(r) == 1 and r[0][0] == r[0][1]
+        return self._bits == 1
 
     def value(self) -> int:
         """The single member; only valid when is_singleton()."""
-        if not self.is_singleton():
+        if self._bits != 1:
             raise ValueError("IntegerSet is not a singleton: %r" % (self,))
-        return self.ranges[0][0]
+        return self._min
 
     def min_value(self) -> int:
-        return self.ranges[0][0]
+        """The least member; the set must not be empty."""
+        return self._min
 
     def max_value(self) -> int:
-        return self.ranges[-1][1]
+        """The greatest member; the set must not be empty."""
+        bits = self._bits
+        if bits is None:
+            return self._wide[-1][1]
+        return self._min + bits.bit_length() - 1
 
     def size(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.ranges)
+        bits = self._bits
+        if bits is None:
+            return sum(hi - lo + 1 for lo, hi in self._wide)
+        return bits.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        for lo, hi in self.ranges:
-            if v < lo:
-                return False
-            if v <= hi:
-                return True
-        return False
+        bits = self._bits
+        if bits is None:
+            ranges = self._wide
+            k = bisect_right(ranges, v, key=_lo) - 1
+            return k >= 0 and v <= ranges[k][1]
+        offset = v - self._min
+        return 0 <= offset < SPAN and bits >> offset & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        for lo, hi in self.ranges:
-            yield from range(lo, hi + 1)
+        bits = self._bits
+        if bits is None:
+            return (v for lo, hi in self._wide for v in range(lo, hi + 1))
+        low = self._min
+        if not bits & (bits + 1):  # one interval
+            return iter(range(low, low + bits.bit_length()))
+        octets = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+        return iter([at + k for at, octet in zip(count(low, 8), octets)
+                     for k in _OCTET_BITS[octet]])
 
     def intersects(self, other: "IntegerSet") -> bool:
+        a, b = self._bits, other._bits
+        if a is not None and b is not None:
+            if self._min > other._min:
+                a, b = b, a
+            return b & a >> abs(other._min - self._min) != 0
+        if a is not None:
+            return a & _window(other._wide, self._min, a.bit_length()) != 0
+        if b is not None:
+            return b & _window(self._wide, other._min, b.bit_length()) != 0
         # look each range of the shorter set up in the longer one: the first
         # range there that ends at or after `lo` is the only candidate
-        shorter, longer = sorted((self.ranges, other.ranges), key=len)
+        shorter, longer = sorted((self._wide, other._wide), key=len)
         for lo, hi in shorter:
-            k = bisect_left(longer, lo, key=itemgetter(1))
+            k = bisect_left(longer, lo, key=_hi)
             if k < len(longer) and longer[k][0] <= hi:
                 return True
         return False
@@ -101,8 +227,17 @@ class IntegerSet:
     # -- derivations ------------------------------------------------------
 
     def intersect(self, other: "IntegerSet") -> "IntegerSet":
+        a, b = self._bits, other._bits
+        if a is not None and b is not None:
+            if self._min > other._min:
+                self, other, a, b = other, self, b, a
+            return _mask(other._min, b & a >> (other._min - self._min))
+        if a is None and b is not None:
+            self, other, a = other, self, b
+        if a is not None:  # `self` is the mask, `other` wide
+            return _mask(self._min, a & _window(other._wide, self._min, a.bit_length()))
         out = []
-        a, b = self.ranges, other.ranges
+        a, b = self._wide, other._wide
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
@@ -117,23 +252,46 @@ class IntegerSet:
 
     def clamp(self, lo=None, hi=None) -> "IntegerSet":
         """Restrict to [lo, hi]; either bound may be None (unbounded)."""
-        if lo is None:
-            lo = self.ranges[0][0] if self.ranges else 0
-        if hi is None:
-            hi = self.ranges[-1][1] if self.ranges else -1
-        return self.intersect(IntegerSet.interval(lo, hi))
+        bits = self._bits
+        if bits is None:
+            return self.intersect(IntegerSet.interval(
+                self._min if lo is None else lo,
+                self.max_value() if hi is None else hi))
+        low = self._min
+        top = low + bits.bit_length() - 1
+        if lo is None or lo < low:
+            lo = low
+        if hi is None or hi > top:
+            hi = top
+        if lo == low and hi == top:
+            return self
+        if lo > hi:
+            return EMPTY
+        return _mask(lo, bits >> (lo - low) & ((1 << (hi - lo + 1)) - 1))
 
     def union(self, other: "IntegerSet") -> "IntegerSet":
-        return IntegerSet.from_intervals(list(self.ranges) + list(other.ranges))
+        return IntegerSet.union_all((self, other))
 
     def difference(self, other: "IntegerSet") -> "IntegerSet":
+        a, b = self._bits, other._bits
+        if a is not None:
+            if b is None:
+                cut = _window(other._wide, self._min, a.bit_length())
+            else:
+                offset = other._min - self._min
+                if offset >= SPAN:
+                    return self
+                cut = b << offset if offset >= 0 else b >> -offset
+            if not a & cut:
+                return self
+            return _mask(self._min, a & ~cut)
         b = other.ranges
         if not b:
             return self
         out = []
         n = len(b)
         j = 0
-        for lo, hi in self.ranges:
+        for lo, hi in self._wide:
             # skip the ranges of `other` wholly below this one; the rest cut
             # it into pieces, left to right
             while j < n and b[j][1] < lo:
@@ -154,13 +312,45 @@ class IntegerSet:
     # -- dunder plumbing --------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerSet) and self.ranges == other.ranges
+        return (isinstance(other, IntegerSet) and self._bits == other._bits
+                and self._min == other._min and self._wide == other._wide)
 
     def __hash__(self) -> int:
-        return hash(self.ranges)
+        return hash((self._min, self._bits, self._wide))
 
     def __repr__(self) -> str:
         parts = []
         for lo, hi in self.ranges:
             parts.append(str(lo) if lo == hi else "%d..%d" % (lo, hi))
         return "{%s}" % " ".join(parts)
+
+
+EMPTY = IntegerSet()
+
+
+def _merge(intervals) -> IntegerSet:
+    """The set of the [lo, hi] intervals, sorted and none empty."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1] + 1:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return IntegerSet(tuple(merged))
+
+
+def _mask(low: int, bits: int) -> IntegerSet:
+    """The set of the mask `bits` with bit 0 at `low`, made canonical:
+    shifted down to its least member. `bits` holds at most SPAN bits."""
+    if not bits & 1:
+        if not bits:
+            return EMPTY
+        gap = (bits & -bits).bit_length() - 1
+        bits >>= gap
+        low += gap
+    s = _new(IntegerSet)
+    s._min = low
+    s._bits = bits
+    s._wide = None
+    return s

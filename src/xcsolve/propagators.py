@@ -216,8 +216,7 @@ class AllDifferentProp(Propagator):
             taken_set = IntegerSet.from_values(taken)
             for v in free:
                 store.update(v, store.domain(v).difference(taken_set))
-        union = IntegerSet.from_intervals(
-            r for v in free for r in store.domain(v).ranges)
+        union = IntegerSet.union_all(store.domain(v) for v in free)
         if union.size() < len(free):
             return FAILED
         return OK
@@ -240,7 +239,7 @@ class CountingProp(Propagator):
     def filter(self, store):
         data = self.spec.data
         vars_ = data["vars"]
-        members = self.members
+        members, value_set = self.members, self.value_set
         count_var = data["count_var"]
 
         lb = ub = 0
@@ -252,7 +251,7 @@ class CountingProp(Propagator):
                     lb += 1
                     ub += 1
                 continue
-            hits = sum(1 for value in members if value in d)
+            hits = d.intersect(value_set).size()
             if not hits:
                 continue
             ub += 1
@@ -276,9 +275,9 @@ class CountingProp(Propagator):
             # value; at the lower one every undecided variable must
             for v in undecided:
                 if lb == need_hi:
-                    store.update(v, store.domain(v).difference(self.value_set))
+                    store.update(v, store.domain(v).difference(value_set))
                 else:
-                    store.intersect(v, self.value_set)
+                    store.intersect(v, value_set)
         if lb == ub and (count_var is None or store.assigned(count_var)):
             return SUBSUMED
         return OK
@@ -302,8 +301,7 @@ class ElementProp(Propagator):
             return FAILED
         if isinstance(index, ex.VarRef):
             store.update(index.index, IntegerSet.from_values(j + base for j in valid))
-        reachable = IntegerSet.from_intervals(
-            r for j in valid for r in _term_domain(store, table[j]).ranges)
+        reachable = IntegerSet.union_all(_term_domain(store, table[j]) for j in valid)
         if isinstance(value, ex.VarRef):
             store.intersect(value.index, reachable)
         elif value not in reachable:
@@ -505,7 +503,7 @@ class ExprCheckProp(Propagator):
         old = self.memo.get(key, _UNTESTED)
         tested, rejected = old
         untested = domain.difference(tested)
-        if untested.ranges:
+        if not untested.is_empty():
             new_rejected = []
             for candidate in untested:
                 values[free] = candidate
@@ -523,12 +521,12 @@ class ExprCheckProp(Propagator):
             if new_rejected:
                 rejected = rejected.union(IntegerSet.from_values(new_rejected))
             self.memo[key] = new = (tested, rejected)
-            self.memo_ranges += sum(len(s.ranges) for s in new) - sum(
-                len(s.ranges) for s in old)
+            self.memo_ranges += sum(s.range_count() for s in new) - sum(
+                s.range_count() for s in old)
             if self.memo_ranges > MEMO_RANGES:
                 self.memo.clear()
                 self.memo_ranges = 0
-        if rejected.ranges:
+        if not rejected.is_empty():
             store.update(u, domain.difference(rejected))
         return SUBSUMED
 

@@ -330,6 +330,23 @@ def test_wide_not_all_equal_stays_shallow(tmp_path):
     assert err == ""
 
 
+def test_values_far_apart_solve_at_once(tmp_path):
+    # each domain spans 10**12 or more, so it is stored as intervals; what
+    # propagation derives is narrow and lies 10**12 from the rest
+    far = 10 ** 12
+    xml = instance_xml(
+        [("X", [0, far]), ("Y", [0, far]), ("Z", [-far, 0, far])],
+        [{"name": "c0", "scope": ["X", "Y", "Z"], "reference": "global:alldifferent"},
+         {"name": "c1", "scope": ["X", "Y"], "reference": "p0", "parameters": "X Y"}],
+        predicates=[{"name": "p0", "params": ["A", "B"], "body": "eq(add(A,B),%d)" % far}])
+    started = time.perf_counter()
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml), mode="all", verify=True))
+    assert time.perf_counter() - started < 5
+    assert code == EXIT_OK
+    assert out == "s SATISFIABLE\nv 0 %d %d\nv %d 0 %d\n" % (far, -far, far, -far)
+    assert err == ""
+
+
 def test_unsupported_extension_is_input_error():
     code, out, err = run_cli(RunConfig(str(CORPUS / "reject_wcsp.xml")))
     assert code == EXIT_ERROR

@@ -1,13 +1,14 @@
 """The import graph of the package, read with `ast`: the oracle stays
 independent of the compiler and the solver, and the model below both.
 Also the package's public names, so that dropping one is a deliberate edit,
-an import that nothing in its file uses, and a definition that nothing
-reads."""
+an import that nothing in its file uses, a definition that nothing reads,
+and a set's representation read outside `intset`."""
 
 import ast
 import pathlib
 
 import xcsolve
+from xcsolve.intset import IntegerSet
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "xcsolve"
@@ -133,6 +134,17 @@ def test_no_unread_definitions():
               for path in sorted(SRC.glob("*.py"))
               for name, line in definitions(path) if name not in read]
     assert unread == []
+
+
+def test_only_intset_reads_the_set_representation():
+    # `ranges` builds intervals from a mask, and the mask fields are one
+    # form's alone: elsewhere a set is read through its operations
+    fields = {"ranges", *IntegerSet.__slots__}
+    readers = ["%s:%d: .%s" % (path.name, node.lineno, node.attr)
+               for path in sorted(SRC.glob("*.py")) if path.name != "intset.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert readers == []
 
 
 def wipeout_sites() -> tuple:

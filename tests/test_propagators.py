@@ -280,10 +280,10 @@ def test_element_out_of_range_index_fails():
 
 
 def count_range_scans(monkeypatch):
-    """Make the IntegerSet operations that walk ranges, membership, union
-    and intersection, add up the ranges each call may walk; returns the
-    one-item list that holds the sum."""
-    scanned = [0]
+    """Make the IntegerSet operations that walk ranges add up the ranges
+    each call may walk; returns a two-item list: the sum for membership,
+    union and intersection, then the sum for the n-ary `union_all`."""
+    scanned = [0, 0]
 
     def counted(operation):
         def call(self, other):
@@ -291,8 +291,15 @@ def count_range_scans(monkeypatch):
             return operation(self, other)
         return call
 
+    def counted_union_all(cls, sets):
+        sets = list(sets)
+        scanned[1] += sum(len(s.ranges) for s in sets)
+        return union_all(cls, sets)
+
     for name in ("__contains__", "union", "intersect"):
         monkeypatch.setattr(IntegerSet, name, counted(getattr(IntegerSet, name)))
+    union_all = IntegerSet.union_all.__func__
+    monkeypatch.setattr(IntegerSet, "union_all", classmethod(counted_union_all))
     return scanned
 
 
@@ -309,6 +316,8 @@ def test_element_root_call_on_a_wide_table_is_fast(monkeypatch):
     scanned = count_range_scans(monkeypatch)
     assert engine.propagate_fixpoint()
     assert scanned[0] <= 8 * n
+    # each of the two calls reads each cell's two ranges once
+    assert scanned[1] <= 4 * n
     store = engine.store
     assert store.domain(0) == IntegerSet.interval(1, n)
     assert [store.domain(j + 1) for j in range(n)] == cells
@@ -329,6 +338,8 @@ def test_element_root_call_on_a_fragmented_index_is_fast(monkeypatch):
     scanned = count_range_scans(monkeypatch)
     assert engine.propagate_fixpoint()
     assert scanned[0] <= 8 * n
+    # each of the two calls reads the two ranges of each valid cell once
+    assert scanned[1] <= 2 * n
     store = engine.store
     assert store.domain(0) == index
     assert [store.domain(j + 1) for j in range(n)] == cells
@@ -688,7 +699,7 @@ def test_counting_reads_a_fixed_variable_without_scanning_its_ranges(monkeypatch
     store = DomainStore([iset(v) for v in (1, 2, 3, 4, 5, 6, 1, 8, 3, 0)])
     scanned = count_range_scans(monkeypatch)
     assert build_propagator(spec).prune(store) == SUBSUMED
-    assert scanned[0] == 0
+    assert scanned == [0, 0]
 
 
 def test_conflicts_prune_the_last_variable_in_one_update():
