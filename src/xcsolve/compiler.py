@@ -3,7 +3,8 @@
 Each constraint becomes one or more `PropagatorSpec`s over dense variable
 indices. An intensional constraint of a recognizable linear shape, binary
 disequality `ne(X,Y)` included, compiles to a `LinearRel`, as `weightedSum`
-does; other predicates become expression checks. Each `{value occurrences}`
+does, when its arithmetic cannot leave 64 bits over the root domains; other
+predicates become expression checks. Each `{value occurrences}`
 pair of `global_cardinality` becomes an `among`-shaped counter, and
 `disjunctive` a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are
 decomposed into generic expression checks, the other globals get a
@@ -11,7 +12,9 @@ dedicated propagator kind.
 
 The compiler reads what `model.resolve_references` bound to each
 constraint: a predicate's ground body, or a global's parsed parameters
-(the grammar is the `model.GLOBALS` table).
+(the grammar is the `model.GLOBALS` table). A global with a propagator of
+its own takes those parameters as its spec's data; `element` adds its
+index base to a copy.
 """
 
 from __future__ import annotations
@@ -80,12 +83,43 @@ def _linear_terms(e: ex.Expr) -> Optional[Tuple[Dict[int, int], int]]:
     return coeffs, const
 
 
-def _recognize_linear(ground: ex.Expr) -> Optional[PropagatorSpec]:
+def _range64(e: ex.Expr, domains: List[IntegerSet]) -> Optional[Tuple[int, int]]:
+    """The least and greatest value of the linear expression `e` over
+    `domains`, by interval arithmetic; None when the value of some `neg`,
+    `add`, `sub` or `mul` node in it may leave the 64-bit range, where the
+    evaluator raises."""
+    if isinstance(e, ex.IntLiteral):
+        return e.value, e.value
+    if isinstance(e, ex.VarRef):
+        d = domains[e.index]
+        return d.min_value(), d.max_value()
+    ranges = [_range64(a, domains) for a in e.args]
+    if None in ranges:
+        return None
+    if e.op == "mul":
+        (a, b), (c, d) = ranges
+        corners = (a * c, a * d, b * c, b * d)
+        lo, hi = min(corners), max(corners)
+    else:
+        lo = hi = 0
+        for sign, (a, b) in zip(_SIGNS[e.op], ranges):
+            lo, hi = (lo + a, hi + b) if sign > 0 else (lo - b, hi - a)
+    return (lo, hi) if ex.INT64_MIN <= lo and hi <= ex.INT64_MAX else None
+
+
+def _recognize_linear(ground: ex.Expr,
+                      domains: List[IntegerSet]) -> Optional[PropagatorSpec]:
+    """A LinearRel for `ground` when it relates two linear sides whose
+    arithmetic stays inside 64 bits over `domains`: beyond them the
+    evaluator, and so the oracle, rejects what a sum over unbounded
+    integers would accept."""
     if not (isinstance(ground, ex.Apply) and ground.op in RELOPS):
         return None
     left = _linear_terms(ground.args[0])
     right = _linear_terms(ground.args[1])
     if left is None or right is None:
+        return None
+    if any(_range64(side, domains) is None for side in ground.args):
         return None
     terms = [(c, ex.VarRef(v)) for v, c in left[0].items()]
     terms += [(-c, ex.VarRef(v)) for v, c in right[0].items()]
@@ -139,28 +173,21 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
     if name in ("among", "atleast", "atmost", "global_cardinality"):
         kind = {"among": "Among", "atleast": "AtLeast", "atmost": "AtMost",
                 "global_cardinality": "GlobalCardinality"}[name]
-        specs = []
-        for s in sig:
-            watched = s.vars if s.count_var is None else s.vars + [s.count_var]
-            specs.append(PropagatorSpec(kind, tuple(watched), {
-                "vars": s.vars, "values": s.values,
-                "lo": s.lo, "hi": s.hi, "count_var": s.count_var,
-            }))
-        return specs
+        return [PropagatorSpec(kind, tuple(s["vars"] if s["count_var"] is None
+                                           else s["vars"] + [s["count_var"]]), s)
+                for s in sig]
     if name == "element":
-        scope = _var_indices([sig.index] + sig.table + [sig.value])
-        return [PropagatorSpec("Element", scope, {
-            "index": sig.index, "table": sig.table, "value": sig.value,
-            "base": element_base,
-        })]
+        scope = _var_indices([sig["index"], *sig["table"], sig["value"]])
+        return [PropagatorSpec("Element", scope, dict(sig, base=element_base))]
     if name == "cumulative":
-        return [_cumulative_spec(sig.tasks, sig.capacity)]
+        return [_cumulative_spec(sig)]
     if name == "disjunctive":
         # the tasks that take time share a resource of capacity 1; a task of
         # duration 0 may still not fall strictly inside another one, which a
         # profile cannot see, so each such pair keeps its own check
         proper = [(o, d, 1) for o, d in sig if d > 0]
-        specs = [_cumulative_spec(proper, 1)] if len(proper) >= 2 else []
+        specs = ([_cumulative_spec({"tasks": proper, "capacity": 1})]
+                 if len(proper) >= 2 else [])
         for i, (oi, di) in enumerate(sig):
             for oj, dj in sig[i + 1:]:
                 if (di == 0) != (dj == 0):
@@ -182,8 +209,7 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
         return specs
     if name in ("lex_less", "lex_lesseq"):
         kind = "LexLess" if name == "lex_less" else "LexLessEq"
-        return [PropagatorSpec(kind, _var_indices(sig.xs + sig.ys),
-                               {"xs": sig.xs, "ys": sig.ys})]
+        return [PropagatorSpec(kind, _var_indices(sig["xs"] + sig["ys"]), sig)]
     if name == "not_all_equal":
         if len(sig) < 2:
             raise CompileError(
@@ -194,13 +220,12 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
                  for v in sig[1:]]
         return [_expr_check(_or_all(parts))]
     assert name == "weightedsum"
-    return [linear_spec(sig.terms, sig.op, sig.rhs)]
+    return [linear_spec(*sig)]
 
 
-def _cumulative_spec(tasks: List[Tuple[Term, int, int]],
-                     capacity: int) -> PropagatorSpec:
-    scope = _var_indices([origin for origin, _, _ in tasks])
-    return PropagatorSpec("Cumulative", scope, {"tasks": tasks, "capacity": capacity})
+def _cumulative_spec(data: dict) -> PropagatorSpec:
+    scope = _var_indices([origin for origin, _, _ in data["tasks"]])
+    return PropagatorSpec("Cumulative", scope, data)
 
 
 def _var_indices(terms: List[Term]) -> Tuple[int, ...]:
@@ -208,15 +233,15 @@ def _var_indices(terms: List[Term]) -> Tuple[int, ...]:
     return tuple(t.index for t in terms if isinstance(t, ex.VarRef))
 
 
-def compile_constraint(c: ResolvedConstraint,
-                       element_base: int) -> List[PropagatorSpec]:
+def compile_constraint(c: ResolvedConstraint, element_base: int,
+                       domains: List[IntegerSet]) -> List[PropagatorSpec]:
     ref = c.ref
     if isinstance(ref, RelationRef):
         kind = "TableSupports" if ref.relation.semantics == "supports" else "TableConflicts"
         # shared, not copied: propagators only read it
         return [PropagatorSpec(kind, tuple(c.scope), {"tuples": ref.relation.tuples})]
     if isinstance(ref, PredicateRef):
-        return [_recognize_linear(ref.body)
+        return [_recognize_linear(ref.body, domains)
                 or PropagatorSpec("ExprCheck", tuple(ref.refs), {"expr": ref.body})]
     return compile_global(c, element_base)
 
@@ -225,12 +250,13 @@ def compile_instance(instance: ResolvedInstance, element_base: int = 1) -> Probl
     """Compile every resolved constraint, in declaration order.
 
     `element_base` is the index of an `element` table's first entry;
-    benchmark corpora index from 1.
+    benchmark corpora index from 1. The root domains decide whether a
+    linear predicate's arithmetic fits in 64 bits.
     """
     problem = Problem(list(instance.domains))
     for c in instance.constraints:
         try:
-            specs = compile_constraint(c, element_base)
+            specs = compile_constraint(c, element_base, instance.domains)
         except CompileError:
             raise
         except Exception as e:  # surface the constraint name on any lowering bug

@@ -127,7 +127,9 @@ class PredicateRef:
 @dataclass
 class GlobalRef:
     name: str
-    sig: object = None  # the parsed parameters, as parse_global builds them
+    # what parse_global builds from the parameters: the data that both the
+    # propagator and the oracle read, so neither may write into it
+    sig: object = None
 
 
 ConstraintRef = Union[RelationRef, PredicateRef, GlobalRef]
@@ -501,41 +503,6 @@ def _fail(c: ResolvedConstraint, message: str, signature: str):
     )
 
 
-@dataclass
-class CountingSig:
-    vars: List[int]
-    values: List[int]
-    lo: Optional[int]
-    hi: Optional[int]
-    count_var: Optional[int]
-
-
-@dataclass
-class ElementSig:
-    index: Term
-    table: List[Term]
-    value: Term
-
-
-@dataclass
-class CumulativeSig:
-    tasks: List[Tuple[Term, int, int]]  # (origin, duration, height)
-    capacity: int
-
-
-@dataclass
-class LexSig:
-    xs: List[Term]
-    ys: List[Term]
-
-
-@dataclass
-class WeightedSumSig:
-    terms: List[Tuple[int, Term]]  # (coefficient, variable-or-constant)
-    op: str
-    rhs: int
-
-
 def _fits(tok: ParamToken, kind) -> bool:
     """Whether `tok` is of `kind`: "var", "int", "nat" (a nonnegative int),
     "term" (a var or an int) or "relop"; ``[kind]`` is a list of that kind,
@@ -559,37 +526,48 @@ def _indices(xs: List[ex.VarRef]) -> List[int]:
     return [x.index for x in xs]
 
 
-def _exactly(xs: List[ex.VarRef], values: List[int], count: Term) -> CountingSig:
+def _counter(xs: List[ex.VarRef], values: List[int], lo: Optional[int] = None,
+             hi: Optional[int] = None, count_var: Optional[int] = None) -> dict:
+    """How many of `xs` take a value in `values` lies in `lo..hi` (None:
+    unbounded) and, when given, is the value of variable `count_var`."""
+    return {"vars": _indices(xs), "values": values, "lo": lo, "hi": hi,
+            "count_var": count_var}
+
+
+def _exactly(xs: List[ex.VarRef], values: List[int], count: Term) -> dict:
     """Exactly `count` of `xs` take a value in `values`."""
     if isinstance(count, int):
-        return CountingSig(_indices(xs), values, count, count, None)
-    return CountingSig(_indices(xs), values, None, None, count.index)
+        return _counter(xs, values, count, count)
+    return _counter(xs, values, count_var=count.index)
 
 
-def _lex(xs: List[Term], ys: List[Term]) -> Optional[LexSig]:
-    return LexSig(xs, ys) if xs and len(xs) == len(ys) else None
+def _lex(xs: List[Term], ys: List[Term]) -> Optional[dict]:
+    return {"xs": xs, "ys": ys} if xs and len(xs) == len(ys) else None
 
 
 # each supported global: its signature, the kind of each parameter, and what
-# the parameters build (None when they fit their kinds but not the global);
-# the order is that of the "supported:" list in the error for any other name
+# the parameters build (None when they fit their kinds but not the global),
+# which is the data its propagator and the oracle read; the order is that of
+# the "supported:" list in the error for any other name
 GLOBALS = {
     "alldifferent": ("(optional) [x1 ... xn]", (["var"],), _indices),
     "among": ("N [x1 ... xn] [v1 ... vk]", ("term", ["var"], ["int"]),
               lambda n, xs, values: [_exactly(xs, values, n)]),
     "atleast": ("k [x1 ... xn] v", ("int", ["var"], "int"),
-                lambda k, xs, v: [CountingSig(_indices(xs), [v], k, None, None)]),
+                lambda k, xs, v: [_counter(xs, [v], lo=k)]),
     "atmost": ("k [x1 ... xn] v", ("int", ["var"], "int"),
-               lambda k, xs, v: [CountingSig(_indices(xs), [v], None, k, None)]),
+               lambda k, xs, v: [_counter(xs, [v], hi=k)]),
     "cumulative": ("[ {origin duration height} ... ] capacity",
                    (("term", "nat", "nat"), "int"),
-                   lambda tasks, capacity: CumulativeSig(list(map(tuple, tasks)), capacity)),
+                   lambda tasks, capacity: {"tasks": list(map(tuple, tasks)),
+                                            "capacity": capacity}),
     "diffn": ("[ {x y width height} ... ]", (("term",) * 4,),
               lambda boxes: list(map(tuple, boxes))),
     "disjunctive": ("[ {origin duration} ... ]", (("term", "nat"),),
                     lambda tasks: list(map(tuple, tasks))),
     "element": ("i [t1 ... tn] v", ("term", ["term"], "term"),
-                lambda i, table, v: ElementSig(i, table, v) if table else None),
+                lambda i, table, v: ({"index": i, "table": table, "value": v}
+                                     if table else None)),
     "global_cardinality": ("[x1 ... xn] [ {v1 o1} {v2 o2} ... ]",
                            (["var"], ("int", "term")),
                            lambda xs, pairs: [_exactly(xs, [v], o) for v, o in pairs]),
@@ -598,7 +576,7 @@ GLOBALS = {
     "not_all_equal": ("(optional) [x1 ... xn]", (["var"],), _indices),
     "weightedsum": ("[ {c1 x1} {c2 x2} ... ] <relop/> K",
                     (("int", "term"), "relop", "int"),
-                    lambda terms, op, rhs: WeightedSumSig(list(map(tuple, terms)), op, rhs)),
+                    lambda terms, op, rhs: (list(map(tuple, terms)), op, rhs)),
 }
 
 

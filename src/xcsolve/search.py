@@ -154,7 +154,14 @@ class Engine:
         """Search until `limit` solutions are found (1 by default; None
         enumerates them all), the tree is exhausted, or a node or time
         budget runs out. The time budget starts here and also holds inside
-        a fixpoint. Each call counts into a fresh `self.stats`."""
+        a fixpoint. Each call counts into a fresh `self.stats`. Raises
+        ValueError for a `limit` below 1 or a negative or NaN budget."""
+        if limit is not None and limit < 1:
+            raise ValueError("solution limit must be positive, got %r" % limit)
+        if node_limit is not None and node_limit < 0:
+            raise ValueError("node limit must be nonnegative, got %r" % node_limit)
+        if time_limit is not None and not time_limit >= 0:  # nan too
+            raise ValueError("time limit must be nonnegative, got %r" % time_limit)
         deadline = None if time_limit is None else time.monotonic() + time_limit
         solutions: List[List[int]] = []
         stats = self.stats = SearchStats()

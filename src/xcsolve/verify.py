@@ -28,23 +28,24 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
         return len(set(vs)) == len(vs)
     if name in ("among", "atleast", "atmost", "global_cardinality"):
         for s in sig:
-            counted = set(s.values)
-            count = sum(1 for v in s.vars if values[v] in counted)
-            if s.count_var is not None and count != values[s.count_var]:
+            counted = set(s["values"])
+            count = sum(1 for v in s["vars"] if values[v] in counted)
+            if s["count_var"] is not None and count != values[s["count_var"]]:
                 return False
-            if (s.lo is not None and count < s.lo) or (s.hi is not None and count > s.hi):
+            if ((s["lo"] is not None and count < s["lo"])
+                    or (s["hi"] is not None and count > s["hi"])):
                 return False
         return True
     if name == "element":
-        i = _term_value(sig.index, values) - element_base
-        if not (0 <= i < len(sig.table)):
+        i = _term_value(sig["index"], values) - element_base
+        if not (0 <= i < len(sig["table"])):
             return False
-        return _term_value(sig.table[i], values) == _term_value(sig.value, values)
+        return _term_value(sig["table"][i], values) == _term_value(sig["value"], values)
     if name == "cumulative":
         # heights are nonnegative, so the load can only rise where a task
         # starts: checking it at every start checks it everywhere
-        tasks = [(_term_value(o, values), d, h) for o, d, h in sig.tasks if d > 0]
-        return all(sum(h for s, d, h in tasks if s <= start < s + d) <= sig.capacity
+        tasks = [(_term_value(o, values), d, h) for o, d, h in sig["tasks"] if d > 0]
+        return all(sum(h for s, d, h in tasks if s <= start < s + d) <= sig["capacity"]
                    for start, _, _ in tasks)
     if name == "disjunctive":
         spans = [(_term_value(o, values), d) for o, d in sig]
@@ -65,15 +66,16 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
                     return False
         return True
     if name in ("lex_less", "lex_lesseq"):
-        xs = tuple(_term_value(t, values) for t in sig.xs)
-        ys = tuple(_term_value(t, values) for t in sig.ys)
+        xs = tuple(_term_value(t, values) for t in sig["xs"])
+        ys = tuple(_term_value(t, values) for t in sig["ys"])
         return xs < ys if name == "lex_less" else xs <= ys
     if name == "not_all_equal":
         vs = [values[v] for v in sig]
         return len(set(vs)) > 1
     assert name == "weightedsum"
-    total = sum(coeff * _term_value(t, values) for coeff, t in sig.terms)
-    return ex.OPERATIONS[sig.op](total, sig.rhs) == 1
+    terms, op, rhs = sig
+    total = sum(coeff * _term_value(t, values) for coeff, t in terms)
+    return ex.OPERATIONS[op](total, rhs) == 1
 
 
 def verify_solution(instance: ResolvedInstance, values: List[int],

@@ -10,7 +10,8 @@ import time
 import pytest
 
 import xcsolve
-from xcsolve import cli
+from xcsolve import (BranchStrategy, Engine, cli, parse_instance, resolve_references,
+                     verify_solution)
 from xcsolve.cli import (
     EXIT_BAD_SOLUTION,
     EXIT_ERROR,
@@ -22,7 +23,8 @@ from xcsolve.errors import CLIP
 from xcsolve.expr import MAX_DEPTH
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
-from helpers import ERRING_XML, TINY_ALLDIFF, instance_xml, latin_xml, pigeonhole_xml
+from helpers import (ERRING_XML, TINY_ALLDIFF, brute_force, instance_xml, latin_xml,
+                     load, pigeonhole_xml)
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -711,3 +713,47 @@ def test_search_counts_are_pinned(tmp_path, name):
         counts.append(tuple(int(stats[key])
                             for key in ("nodes", "failures", "propagations")))
     assert counts == SEARCH_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_COUNTS))
+def test_solving_leaves_every_reference_as_resolved(name):
+    # a global's propagator reads the very object the oracle reads, so no
+    # search or check may write into it
+    xml = GENERATED[name] if name in GENERATED else (CORPUS / name).read_bytes()
+    instance, problem = load(xml)
+    for var, val in HEURISTIC_PAIRS:
+        for values in Engine(problem, BranchStrategy(var, val)).solve(limit=None).solutions:
+            assert verify_solution(instance, values)
+    fresh = resolve_references(parse_instance(xml))
+    assert [c.ref for c in instance.constraints] == [c.ref for c in fresh.constraints]
+
+
+def _predicate_xml(variables, body):
+    scope = [name for name, _ in variables]
+    return instance_xml(
+        variables,
+        [{"name": "c0", "scope": scope, "reference": "p0", "parameters": " ".join(scope)}],
+        predicates=[{"name": "p0", "params": [name.lower() for name in scope],
+                     "body": body}])
+
+
+# linear predicates whose sums leave 64 bits for some values of the root
+# domains: the evaluator raises there, so those values are no solution
+OVERFLOWS = [
+    _predicate_xml([("A", [0, 2 ** 62]), ("B", [0, 2 ** 62])], "ge(add(a,b),0)"),
+    _predicate_xml([("A", [0, 1, 2, 3])],
+                   "ge(add(mul(5000000000000000000,a),mul(-5000000000000000000,a)),0)"),
+]
+
+
+@pytest.mark.parametrize("var, val", HEURISTIC_PAIRS)
+@pytest.mark.parametrize("xml", OVERFLOWS, ids=["sum", "product"])
+def test_a_sum_beyond_64_bits_is_a_violation(tmp_path, xml, var, val):
+    path = write(tmp_path, xml)
+    code, out, err = run_cli(RunConfig(path, mode="all", var_heuristic=var,
+                                       val_heuristic=val, verify=True))
+    assert (code, err) == (EXIT_OK, "")
+    found = [[int(v) for v in line.split()[1:]] for line in out.splitlines()
+             if line.startswith("v ")]
+    instance, _ = load(xml)
+    assert sorted(found) == sorted(brute_force(instance))

@@ -131,6 +131,26 @@ def test_nonlinear_stays_exprcheck():
     assert set(spec.scope) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("body, values, kind", [
+    ("ge(add(P0,P1),0)", list(range(11)), "LinearRel"),
+    ("ge(add(P0,P1),0)", [0, 2 ** 62 - 1], "LinearRel"),
+    ("ge(add(P0,P1),0)", [0, 2 ** 62], "ExprCheck"),
+    ("ge(sub(P0,P1),0)", [-2 ** 62, 2 ** 62 - 1], "LinearRel"),
+    ("ge(sub(P0,P1),0)", [-2 ** 62, 2 ** 62], "ExprCheck"),
+    ("ge(0,mul(3,P0))", [-2 ** 61, 2 ** 61], "LinearRel"),
+    ("ge(0,mul(5,P0))", [-2 ** 61, 2 ** 61], "ExprCheck"),
+    ("ge(neg(P0),P1)", [-2 ** 63, 0], "ExprCheck"),
+])
+def test_a_predicate_is_linear_only_while_its_arithmetic_fits_in_64_bits(
+        body, values, kind):
+    # beyond 64 bits the evaluator raises, so the oracle rejects the values
+    xml = _intension(body, ["P0", "P1"], [("A", values), ("B", values)],
+                     ["A", "B"], "A B")
+    _, problem = load(xml)
+    [spec] = problem.propagators
+    assert spec.kind == kind
+
+
 def test_repeated_formal_merges_coefficients():
     xml = _intension("eq(add(P0,P0),P1)", ["P0", "P1"],
                      [("X", [0, 1, 2, 3])], ["X"], "X 4")

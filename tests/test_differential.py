@@ -97,6 +97,51 @@ def test_search_matches_brute_force_on_multi_constraint_instances(xml, var, val)
         assert verify_solution(instance, values)
 
 
+# values near the edges of 64 bits, where a sum of two may overflow, and
+# small ones, where none does; predicates with sums, differences, scaled
+# terms and negation, the linear shape among them
+EDGE_VALUES = [-2 ** 62 - 1, -2 ** 62, -1, 0, 1, 2 ** 62 - 1, 2 ** 62]
+EDGE_PREDICATES = {
+    2: ["ge(add(P0,P1),0)", "lt(sub(P0,P1),1)", "ne(neg(P0),P1)",
+        "le(add(mul(2,P0),P1),P1)", "eq(add(P0,P0),P1)", "ne(mul(P0,P1),0)"],
+    3: ["ge(add(add(P0,P1),P2),0)", "le(sub(P0,P1),P2)", "ne(add(P0,P1),P2)",
+        "gt(add(mul(-3,P0),P1),sub(P2,1))", "eq(max(add(P0,P1),P2),P2)"],
+}
+
+
+@st.composite
+def edge_instances(draw):
+    """2-4 variables over values near the 64-bit edges and 2-4 predicates
+    over them, so that some assignments overflow an intermediate sum."""
+    n = draw(st.integers(2, 4))
+    names = ["V%d" % i for i in range(n)]
+    variables = [(name, draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=1,
+                                      max_size=3, unique=True)))
+                 for name in names]
+    constraints, predicates = [], []
+    for c in range(draw(st.integers(2, 4))):
+        vs = draw(st.lists(st.sampled_from(names), min_size=2,
+                           max_size=min(3, n), unique=True))
+        formals = ["P%d" % i for i in range(len(vs))]
+        predicates.append({"name": "p%d" % c, "params": formals,
+                           "body": draw(st.sampled_from(EDGE_PREDICATES[len(vs)]))})
+        constraints.append({"name": "c%d" % c, "scope": vs, "reference": "p%d" % c,
+                            "parameters": " ".join(vs)})
+    return instance_xml(variables, constraints, predicates=predicates)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edge_instances())
+def test_search_matches_brute_force_where_sums_leave_64_bits(xml):
+    instance, problem = load(xml)
+    expected = sorted(brute_force(instance))
+    for var in VAR_HEURISTICS:
+        for val in VAL_HEURISTICS:
+            result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
+            assert result.complete
+            assert sorted(result.solutions) == expected
+
+
 @st.composite
 def mixed_instances(draw):
     """(xml, element_base): 3-5 variables over subsets of 0..3 and 2-4

@@ -338,6 +338,18 @@ def test_zero_time_budget_yields_incomplete():
     assert result.solutions == []
 
 
+@pytest.mark.parametrize("budget", [
+    {"limit": 0}, {"limit": -5}, {"node_limit": -1},
+    {"time_limit": -0.5}, {"time_limit": float("nan")},
+])
+def test_a_budget_solve_cannot_honour_is_rejected(budget):
+    _, problem = load(TINY_ALLDIFF)
+    engine = Engine(problem)
+    with pytest.raises(ValueError):
+        engine.solve(**budget)
+    assert engine.store.depth() == 0
+
+
 def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
     # X - Y = 1 and Y - X = 1 over 0..10^6 move one bound per propagation,
     # so the root fixpoint runs far past the budget unless it reads the clock

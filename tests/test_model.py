@@ -554,6 +554,13 @@ SIGNATURES = {
     "weightedsum": "[ {c1 x1} {c2 x2} ... ] <relop/> K",
 }
 
+
+def counted(vars_, values, lo, hi, count_var):
+    """The dict a counting global builds for one counted group."""
+    return {"vars": vars_, "values": values, "lo": lo, "hi": hi,
+            "count_var": count_var}
+
+
 # (global, <parameters> body or None for none, the sig it parses into or
 # None when it is rejected); the scope is X Y Z W, and no body, an empty one
 # or `[ ]` stands for it where the list is optional
@@ -570,42 +577,42 @@ GLOBAL_PARAMETER_CASES = [
     ("not_all_equal", "[ ]", [0, 1, 2, 3]),
     ("not_all_equal", "[ W Y ]", [3, 1]),
     ("not_all_equal", "[ [ X ] ]", None),
-    ("among", "2 [ X Y ] [ 1 2 ]", [model.CountingSig([0, 1], [1, 2], 2, 2, None)]),
-    ("among", "Z [ X Y ] [ 1 ]", [model.CountingSig([0, 1], [1], None, None, 2)]),
-    ("among", "-1 [ ] [ ]", [model.CountingSig([], [], -1, -1, None)]),
+    ("among", "2 [ X Y ] [ 1 2 ]", [counted([0, 1], [1, 2], 2, 2, None)]),
+    ("among", "Z [ X Y ] [ 1 ]", [counted([0, 1], [1], None, None, 2)]),
+    ("among", "-1 [ ] [ ]", [counted([], [], -1, -1, None)]),
     ("among", None, None),
     ("among", "[ X Y ] [ 1 ]", None),
     ("among", "2 [ X 1 ] [ 1 ]", None),
     ("among", "2 [ X ] [ Y ]", None),
     ("among", "[ 1 ] [ X ] [ 1 ]", None),
-    ("atleast", "1 [ X Y ] 2", [model.CountingSig([0, 1], [2], 1, None, None)]),
+    ("atleast", "1 [ X Y ] 2", [counted([0, 1], [2], 1, None, None)]),
     ("atleast", "1 [ X Y ]", None),
     ("atleast", "Z [ X Y ] 2", None),
     ("atleast", "1 [ X Y ] Z", None),
-    ("atmost", "1 [ X Y ] 2", [model.CountingSig([0, 1], [2], None, 1, None)]),
-    ("atmost", "-1 [ ] 0", [model.CountingSig([], [0], None, -1, None)]),
+    ("atmost", "1 [ X Y ] 2", [counted([0, 1], [2], None, 1, None)]),
+    ("atmost", "-1 [ ] 0", [counted([], [0], None, -1, None)]),
     ("atmost", "1 [ X Y ] 2 3", None),
     ("atmost", "1 [ X 2 ] 2", None),
     ("atmost", "1 [ X Y ] [ 2 ]", None),
-    ("element", "X [ Y 3 Z ] W", model.ElementSig(X, [Y, 3, Z], W)),
-    ("element", "1 [ 2 ] -3", model.ElementSig(1, [2], -3)),
+    ("element", "X [ Y 3 Z ] W", {"index": X, "table": [Y, 3, Z], "value": W}),
+    ("element", "1 [ 2 ] -3", {"index": 1, "table": [2], "value": -3}),
     ("element", "X [ ] W", None),
     ("element", "X [ Y ]", None),
     ("element", "[ X ] [ Y ] W", None),
     ("element", "X [ [ Y ] ] W", None),
     ("element", "X [ Y ] le", None),
     ("global_cardinality", "[ X Y ] [ { 1 1 } { 2 Z } ]",
-     [model.CountingSig([0, 1], [1], 1, 1, None),
-      model.CountingSig([0, 1], [2], None, None, 2)]),
+     [counted([0, 1], [1], 1, 1, None),
+      counted([0, 1], [2], None, None, 2)]),
     ("global_cardinality", "[ X Y ] [ ]", []),
     ("global_cardinality", "[ X Y ]", None),
     ("global_cardinality", "[ X Y ] [ { Z 1 } ]", None),
     ("global_cardinality", "[ X Y ] [ { 1 1 2 } ]", None),
     ("global_cardinality", "[ X 1 ] [ { 1 1 } ]", None),
     ("cumulative", "[ { X 2 1 } { 3 1 2 } ] 2",
-     model.CumulativeSig([(X, 2, 1), (3, 1, 2)], 2)),
-    ("cumulative", "[ { X 0 0 } ] -1", model.CumulativeSig([(X, 0, 0)], -1)),
-    ("cumulative", "[ ] 0", model.CumulativeSig([], 0)),
+     {"tasks": [(X, 2, 1), (3, 1, 2)], "capacity": 2}),
+    ("cumulative", "[ { X 0 0 } ] -1", {"tasks": [(X, 0, 0)], "capacity": -1}),
+    ("cumulative", "[ ] 0", {"tasks": [], "capacity": 0}),
     ("cumulative", "[ { X -1 1 } ] 2", None),
     ("cumulative", "[ { X 1 -1 } ] 2", None),
     ("cumulative", "[ { X Y 1 } ] 2", None),
@@ -622,16 +629,16 @@ GLOBAL_PARAMETER_CASES = [
     ("diffn", "[ { X Y 1 } ]", None),
     ("diffn", "[ { X Y [ 1 ] 2 } ]", None),
     ("diffn", "[ { X Y 1 2 } ] [ ]", None),
-    ("lex_less", "[ X 1 ] [ Y Z ]", model.LexSig([X, 1], [Y, Z])),
+    ("lex_less", "[ X 1 ] [ Y Z ]", {"xs": [X, 1], "ys": [Y, Z]}),
     ("lex_less", "[ X ] [ Y Z ]", None),
     ("lex_less", "[ ] [ ]", None),
     ("lex_less", "[ X ]", None),
-    ("lex_lesseq", "[ X Y ] [ 0 W ]", model.LexSig([X, Y], [0, W])),
+    ("lex_lesseq", "[ X Y ] [ 0 W ]", {"xs": [X, Y], "ys": [0, W]}),
     ("lex_lesseq", "[ X Y ] [ Z ]", None),
     ("lex_lesseq", "[ X ] [ { Y } ]", None),
     ("weightedsum", "[ { 1 X } { -2 3 } ] <le/> 4",
-     model.WeightedSumSig([(1, X), (-2, 3)], "le", 4)),
-    ("weightedsum", "[ ] ge -1", model.WeightedSumSig([], "ge", -1)),
+     ([(1, X), (-2, 3)], "le", 4)),
+    ("weightedsum", "[ ] ge -1", ([], "ge", -1)),
     ("weightedsum", "[ { 1 X } ] 4 4", None),
     ("weightedsum", "[ { 1 X } ] X 4", None),
     ("weightedsum", "[ { X 1 } ] eq 4", None),
