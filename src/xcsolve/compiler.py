@@ -2,9 +2,10 @@
 
 Each constraint becomes one or more `PropagatorSpec`s over dense variable
 indices. An intensional constraint of a recognizable linear shape, binary
-disequality `ne(X,Y)` included, compiles to a `LinearRel`, as `weightedSum`
-does, when its arithmetic cannot leave 64 bits over the root domains; other
-predicates become expression checks. Each `{value occurrences}`
+disequality `ne(X,Y)` included, compiles to a `LinearRel` when its
+arithmetic cannot leave 64 bits over the root domains; other predicates
+become expression checks. A `weightedSum` is read as the predicate it
+stands for, under the same rule. Each `{value occurrences}`
 pair of `global_cardinality` becomes an `among`-shaped counter, and
 `disjunctive` a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are
 decomposed into generic expression checks, the other globals get a
@@ -166,7 +167,8 @@ def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
     ]
 
 
-def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorSpec]:
+def compile_global(c: ResolvedConstraint, element_base: int,
+                   domains: List[IntegerSet]) -> List[PropagatorSpec]:
     name, sig = c.ref.name, c.ref.sig
     if name == "alldifferent":
         return [PropagatorSpec("AllDifferent", tuple(sig), {})]
@@ -220,7 +222,36 @@ def compile_global(c: ResolvedConstraint, element_base: int) -> List[PropagatorS
                  for v in sig[1:]]
         return [_expr_check(_or_all(parts))]
     assert name == "weightedsum"
-    return [linear_spec(*sig)]
+    return [_weighted_sum(c, sig, domains)]
+
+
+def _weighted_sum(c: ResolvedConstraint, sig, domains: List[IntegerSet]) -> PropagatorSpec:
+    """The predicate op(add(add(mul(c1,t1),mul(c2,t2)),...),rhs) that a
+    weightedSum stands for: a LinearRel when `_range64` keeps each of its
+    nodes inside 64 bits, term by term so that a long sum needs no deep
+    recursion, and otherwise an expression check, which can nest only as
+    deep as a parsed predicate."""
+    terms, op, rhs = sig
+    products = [ex.Apply("mul", (ex.IntLiteral(coeff), term_expr(term)))
+                for coeff, term in terms]
+    lo = hi = 0
+    for product in products:
+        bounds = _range64(product, domains)
+        if bounds is None or not (ex.INT64_MIN <= lo + bounds[0]
+                                  and hi + bounds[1] <= ex.INT64_MAX):
+            break
+        lo, hi = lo + bounds[0], hi + bounds[1]
+    else:
+        return linear_spec(terms, op, rhs)
+    if len(products) >= ex.MAX_DEPTH:
+        raise CompileError(
+            "constraint %s: weightedSum of %d terms may leave 64 bits, and "
+            "its predicate would nest deeper than %d operators"
+            % (clip(c.name), len(products), ex.MAX_DEPTH))
+    total = products[0]
+    for product in products[1:]:
+        total = ex.Apply("add", (total, product))
+    return _expr_check(ex.Apply(op, (total, ex.IntLiteral(rhs))))
 
 
 def _cumulative_spec(data: dict) -> PropagatorSpec:
@@ -243,7 +274,7 @@ def compile_constraint(c: ResolvedConstraint, element_base: int,
     if isinstance(ref, PredicateRef):
         return [_recognize_linear(ref.body, domains)
                 or PropagatorSpec("ExprCheck", tuple(ref.refs), {"expr": ref.body})]
-    return compile_global(c, element_base)
+    return compile_global(c, element_base, domains)
 
 
 def compile_instance(instance: ResolvedInstance, element_base: int = 1) -> Problem:

@@ -67,49 +67,79 @@ class TableProp(Propagator):
     uses (generalized arc consistency). In a `conflicts` table the valid
     tuples are the conflicts that can still match: the table fails when one
     matches a full assignment and prunes their values from its last free
-    variable."""
+    variable.
+
+    `memory` pairs `valid` with `seen`, the scope's domains as the last
+    call that returned OK left them, and the store trails the pair as one.
+    Every valid tuple's k-th value lies in `seen[k]`, and an IntegerSet is
+    immutable, so a column whose domain is still the object `seen[k]`
+    cannot drop a tuple: a call filters only the other columns (STR2's
+    rule, Lecoutre, Constraints 16(4), 2011). When no column changed, the
+    domains are those an OK call left, on which STR prunes nothing and
+    returns OK again."""
 
     def __init__(self, spec: PropagatorSpec):
         super().__init__(spec)
-        self.valid = spec.data["tuples"]
+        self.memory = spec.data["tuples"], (None,) * len(spec.scope)
         self.supports = spec.kind == "TableSupports"
+
+    @property
+    def valid(self):
+        return self.memory[0]
 
     def filter(self, store):
         scope = self.spec.scope
-        valid = kept = self.valid
-        sizes = []
-        for k, v in enumerate(scope):
-            d = store.domain(v)
-            sizes.append(d.size())
+        valid, seen = self.memory
+        domains = [store.domain(v) for v in scope]
+        kept = valid
+        changed = False
+        for k, d in enumerate(domains):
+            if d is seen[k]:
+                continue
+            changed = True
+            if d.is_singleton():
+                value = d.value()
+                kept = [t for t in kept if t[k] == value]
+                continue
             # the domain's values, or only those the tuples still use when
             # fewer, so that a wide domain costs no more than the table
-            if sizes[k] <= len(kept):
+            if d.size() <= len(kept):
                 members = set(d)
             else:
                 members = {x for x in {t[k] for t in kept} if x in d}
             kept = [t for t in kept if t[k] in members]
+        if not changed:
+            return OK
         if not kept:
             return FAILED if self.supports else SUBSUMED
-        if len(kept) < len(valid):
-            store.save(vars(self), "valid", kept)
-        if not self.supports:
+        if len(kept) == len(valid):
+            kept = valid  # shared, not an equal copy
+        sizes = [d.size() for d in domains]
+        if self.supports:
+            outcome = SUBSUMED
+            for k, v in enumerate(scope):
+                if sizes[k] == 1:
+                    continue  # its one value is every valid tuple's
+                supported = {t[k] for t in kept}
+                if len(supported) < sizes[k]:
+                    # remember the very object the store now holds
+                    domains[k] = IntegerSet.from_values(supported)
+                    store.update(v, domains[k])
+                if len(supported) > 1:
+                    outcome = OK
+        else:
             free = [k for k, size in enumerate(sizes) if size > 1]
-            if not free:  # a valid conflict is the full assignment
-                return FAILED
-            if len(free) > 1:
-                return OK
+            # no free variable: a valid conflict is the full assignment
+            outcome = OK if len(free) > 1 else SUBSUMED if free else FAILED
+        # only an OK call's domains are `seen`: called again on the same
+        # domains, a subsumed or failed table filters anew
+        store.save(vars(self), "memory",
+                   (kept, tuple(domains) if outcome == OK else seen))
+        if outcome == SUBSUMED and not self.supports:
             k = free[0]
-            store.update(scope[k], store.domain(scope[k]).difference(
+            store.update(scope[k], domains[k].difference(
                 IntegerSet.from_values(t[k] for t in kept)))
-            return SUBSUMED
-        subsumed = True
-        for k, v in enumerate(scope):
-            supported = {t[k] for t in kept}
-            if len(supported) < sizes[k]:
-                store.update(v, IntegerSet.from_values(supported))
-            if len(supported) > 1:
-                subsumed = False
-        return SUBSUMED if subsumed else OK
+        return outcome
 
 
 class LinearRelProp(Propagator):
@@ -284,9 +314,25 @@ class CountingProp(Propagator):
 
 
 class ElementProp(Propagator):
-    """table[index] = value with a configurable index base."""
+    """table[index] = value with a configurable index base.
+
+    When no variable appears twice in the scope, a call on the domains a
+    call that returned OK left prunes nothing and returns OK again, so
+    `seen` keeps those domains: the call that finds each scope domain to be
+    the very object in `seen` returns OK at once. Which domains those are
+    is a fact about their values, so `seen` needs no trail."""
+
+    seen = None
+
+    def __init__(self, spec: PropagatorSpec):
+        super().__init__(spec)
+        self.distinct = len(set(spec.scope)) == len(spec.scope)
 
     def filter(self, store):
+        scope, seen = self.spec.scope, self.seen
+        if seen is not None and all(
+                store.domain(v) is d for v, d in zip(scope, seen)):
+            return OK
         data = self.spec.data
         table = data["table"]
         base = data["base"]
@@ -320,6 +366,8 @@ class ElementProp(Propagator):
                 store.update(cell.index, vdom)
             if vdom.is_singleton():
                 return SUBSUMED
+        if self.distinct:
+            self.seen = [store.domain(v) for v in scope]
         return OK
 
 

@@ -3,10 +3,11 @@
 Domains are immutable IntegerSets replaced wholesale on update. One trail
 of `(owner, key, old)` entries records every change to search state, the
 domains (`owner` is the domain list) and whatever goes through `save`
-(subsumed propagators, the valid tuples of a table, `failed`), so
-backtracking restores each choice point exactly. An update that empties a
-domain sets `failed` and raises `Wipeout`, so no caller goes on to read that
-domain. A domain empty from the start leaves `failed` set for good.
+(subsumed propagators, a table's valid tuples with the domains its last
+call left, `failed`), so backtracking restores each choice point exactly.
+An update that empties a domain sets `failed` and raises `Wipeout`, so no
+caller goes on to read that domain. A domain empty from the start leaves
+`failed` set for good.
 """
 
 from __future__ import annotations

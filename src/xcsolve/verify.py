@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from . import expr as ex
+from .errors import EvalError
 from .model import PredicateRef, RelationRef, ResolvedInstance
 
 # the most verdicts one predicate keeps before its cache is cleared
@@ -73,8 +74,15 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
         vs = [values[v] for v in sig]
         return len(set(vs)) > 1
     assert name == "weightedsum"
+    # folded as the predicate it stands for: an overflow is a violation
     terms, op, rhs = sig
-    total = sum(coeff * _term_value(t, values) for coeff, t in terms)
+    mul, add = ex.OPERATIONS["mul"], ex.OPERATIONS["add"]
+    total = 0
+    try:
+        for coeff, t in terms:
+            total = add(total, mul(coeff, _term_value(t, values)))
+    except EvalError:
+        return False
     return ex.OPERATIONS[op](total, rhs) == 1
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -662,9 +663,26 @@ def _conflicts_xml():
     return instance_xml([(n, list(range(5))) for n in names], constraints, relations)
 
 
+def _supports_xml():
+    # nine variables of four values in 0..5 and sixteen binary supports
+    # tables, each allowing about 60% of its pairs, drawn from one seed;
+    # 49 solutions, and STR's search fails under every heuristic pair
+    rng = random.Random(5)
+    variables = [("V%d" % i, sorted(rng.sample(range(6), 4))) for i in range(9)]
+    domains = dict(variables)
+    pairs = rng.sample(list(itertools.combinations(domains, 2)), 16)
+    relations = [{"name": "r%d" % i, "arity": 2, "semantics": "supports",
+                  "tuples": [t for t in itertools.product(domains[a], domains[b])
+                             if rng.random() < 0.6]}
+                 for i, (a, b) in enumerate(pairs)]
+    constraints = [{"name": "c%d" % i, "scope": [a, b], "reference": "r%d" % i}
+                   for i, (a, b) in enumerate(pairs)]
+    return instance_xml(variables, constraints, relations)
+
+
 GENERATED = {"latin4": latin_xml(4, globals_=True), "linear_lex": LINEAR_LEX,
              "elements": ELEMENTS, "erring": ERRING_XML,
-             "conflicts": _conflicts_xml()}
+             "conflicts": _conflicts_xml(), "supports": _supports_xml()}
 
 # (nodes, failures, propagations) under --all, one triple per heuristic pair
 # in HEURISTIC_PAIRS order, for every corpus instance and a few generated
@@ -694,6 +712,8 @@ SEARCH_COUNTS = {
                (206, 8, 2381), (212, 11, 2603)],
     "linear_lex": [(16, 3, 70), (16, 3, 67), (16, 3, 58), (16, 3, 60),
                    (16, 3, 74), (18, 4, 85)],
+    "supports": [(106, 5, 928), (106, 5, 941), (106, 5, 710), (104, 4, 697),
+                 (100, 2, 537), (100, 2, 566)],
 }
 
 
@@ -757,3 +777,47 @@ def test_a_sum_beyond_64_bits_is_a_violation(tmp_path, xml, var, val):
              if line.startswith("v ")]
     instance, _ = load(xml)
     assert sorted(found) == sorted(brute_force(instance))
+
+
+# A + B >= 0 over {0, 2^62}, as a predicate and as a weightedSum: both keep
+# the evaluator's 64-bit rule, so A = B = 2^62 is no solution of either
+SUM_FORMS = [
+    OVERFLOWS[0],
+    instance_xml([("A", [0, 2 ** 62]), ("B", [0, 2 ** 62])],
+                 [_weighted_sum("c0", ["A", "B"], [(1, "A"), (1, "B")], "ge", 0)]),
+]
+
+
+@pytest.mark.parametrize("var, val", HEURISTIC_PAIRS)
+def test_a_weighted_sum_beyond_64_bits_is_its_predicate(tmp_path, var, val):
+    found = []
+    for k, xml in enumerate(SUM_FORMS):
+        path = write(tmp_path, xml, "form%d.xml" % k)
+        code, out, err = run_cli(RunConfig(path, mode="all", var_heuristic=var,
+                                           val_heuristic=val, verify=True))
+        assert (code, err) == (EXIT_OK, "")
+        found.append(sorted(line for line in out.splitlines() if line.startswith("v ")))
+    assert found[0] == found[1] == ["v 0 0", "v 0 %d" % 2 ** 62, "v %d 0" % 2 ** 62]
+
+
+def _long_sum_xml(count, top):
+    names = ["X%d" % i for i in range(count)]
+    return instance_xml([(name, [0, 1, top]) for name in names],
+                        [_weighted_sum("c0", names, [(1, name) for name in names],
+                                       "le", 5 * count)])
+
+
+@pytest.mark.parametrize("count, top, code", [
+    (1200, 5, EXIT_OK),  # a LinearRel of any length
+    (MAX_DEPTH - 1, 2 ** 62, EXIT_OK),  # an expression check at the nesting limit
+    (MAX_DEPTH, 2 ** 62, EXIT_ERROR),
+])
+def test_a_long_weighted_sum_solves_or_is_one_error_line(tmp_path, count, top, code):
+    path = write(tmp_path, _long_sum_xml(count, top))
+    got, out, err = run_cli(RunConfig(path, verify=True))
+    assert got == code
+    if code == EXIT_OK:
+        assert out.splitlines()[:2] == ["s SATISFIABLE", "v" + " 0" * count]
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: constraint 'c0': weightedSum of %d terms" % count)
