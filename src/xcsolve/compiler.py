@@ -4,8 +4,8 @@ Each constraint becomes one or more `PropagatorSpec`s over dense variable
 indices. An intensional constraint of a recognizable linear shape, binary
 disequality `ne(X,Y)` included, compiles to a `LinearRel` when its
 arithmetic cannot leave 64 bits over the root domains; other predicates
-become expression checks. A `weightedSum` is read as the predicate it
-stands for, under the same rule. Each `{value occurrences}`
+become expression checks. A `weightedSum` arrives as the ground predicate
+it stands for and is lowered the same way. Each `{value occurrences}`
 pair of `global_cardinality` becomes an `among`-shaped counter, and
 `disjunctive` a `Cumulative` of capacity 1; `diffn` and `not_all_equal` are
 decomposed into generic expression checks, the other globals get a
@@ -127,14 +127,11 @@ def _recognize_linear(ground: ex.Expr,
     return linear_spec(terms, ground.op, right[1] - left[1])
 
 
-def linear_spec(terms: Sequence[Tuple[int, Term]], op: str, rhs: int) -> PropagatorSpec:
-    """Build a LinearRel from (coefficient, term) pairs, folding constants."""
+def linear_spec(terms: Sequence[Tuple[int, ex.VarRef]], op: str, rhs: int) -> PropagatorSpec:
+    """Build a LinearRel from (coefficient, variable) pairs."""
     coeffs: Dict[int, int] = {}
-    for coeff, term in terms:
-        if isinstance(term, ex.VarRef):
-            coeffs[term.index] = coeffs.get(term.index, 0) + coeff
-        else:
-            rhs -= coeff * term
+    for coeff, var in terms:
+        coeffs[var.index] = coeffs.get(var.index, 0) + coeff
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
     pairs = sorted(coeffs.items())
     return PropagatorSpec(
@@ -151,12 +148,12 @@ def _expr_check(e: ex.Expr) -> PropagatorSpec:
     return PropagatorSpec("ExprCheck", tuple(ex.var_refs(e)), {"expr": e})
 
 
-def _or_all(parts: List[ex.Expr]) -> ex.Expr:
-    # balanced, so that the nesting grows with the log of the part count
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return ex.Apply("or", (_or_all(parts[:mid]), _or_all(parts[mid:])))
+def _predicate(ground: ex.Expr, refs: List[int],
+               domains: List[IntegerSet]) -> PropagatorSpec:
+    """A LinearRel where `_recognize_linear` finds one, else an expression
+    check over `refs`, the variables `ground` reads."""
+    return (_recognize_linear(ground, domains)
+            or PropagatorSpec("ExprCheck", tuple(refs), {"expr": ground}))
 
 
 def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
@@ -195,7 +192,7 @@ def compile_global(c: ResolvedConstraint, element_base: int,
                 if (di == 0) != (dj == 0):
                     parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
                                            term_expr(oj), ex.IntLiteral(dj))
-                    specs.append(_expr_check(_or_all(parts)))
+                    specs.append(_expr_check(ex.balanced("or", parts)))
         return specs
     if name == "diffn":
         specs = []
@@ -207,7 +204,7 @@ def compile_global(c: ResolvedConstraint, element_base: int,
                                        term_expr(xj), term_expr(wj))
                 parts += _no_overlap_1d(term_expr(yi), term_expr(hi),
                                         term_expr(yj), term_expr(hj))
-                specs.append(_expr_check(_or_all(parts)))
+                specs.append(_expr_check(ex.balanced("or", parts)))
         return specs
     if name in ("lex_less", "lex_lesseq"):
         kind = "LexLess" if name == "lex_less" else "LexLessEq"
@@ -220,38 +217,9 @@ def compile_global(c: ResolvedConstraint, element_base: int,
             )
         parts = [ex.Apply("ne", (ex.VarRef(sig[0]), ex.VarRef(v)))
                  for v in sig[1:]]
-        return [_expr_check(_or_all(parts))]
+        return [_expr_check(ex.balanced("or", parts))]
     assert name == "weightedsum"
-    return [_weighted_sum(c, sig, domains)]
-
-
-def _weighted_sum(c: ResolvedConstraint, sig, domains: List[IntegerSet]) -> PropagatorSpec:
-    """The predicate op(add(add(mul(c1,t1),mul(c2,t2)),...),rhs) that a
-    weightedSum stands for: a LinearRel when `_range64` keeps each of its
-    nodes inside 64 bits, term by term so that a long sum needs no deep
-    recursion, and otherwise an expression check, which can nest only as
-    deep as a parsed predicate."""
-    terms, op, rhs = sig
-    products = [ex.Apply("mul", (ex.IntLiteral(coeff), term_expr(term)))
-                for coeff, term in terms]
-    lo = hi = 0
-    for product in products:
-        bounds = _range64(product, domains)
-        if bounds is None or not (ex.INT64_MIN <= lo + bounds[0]
-                                  and hi + bounds[1] <= ex.INT64_MAX):
-            break
-        lo, hi = lo + bounds[0], hi + bounds[1]
-    else:
-        return linear_spec(terms, op, rhs)
-    if len(products) >= ex.MAX_DEPTH:
-        raise CompileError(
-            "constraint %s: weightedSum of %d terms may leave 64 bits, and "
-            "its predicate would nest deeper than %d operators"
-            % (clip(c.name), len(products), ex.MAX_DEPTH))
-    total = products[0]
-    for product in products[1:]:
-        total = ex.Apply("add", (total, product))
-    return _expr_check(ex.Apply(op, (total, ex.IntLiteral(rhs))))
+    return [_predicate(sig, ex.var_refs(sig), domains)]
 
 
 def _cumulative_spec(data: dict) -> PropagatorSpec:
@@ -272,8 +240,7 @@ def compile_constraint(c: ResolvedConstraint, element_base: int,
         # shared, not copied: propagators only read it
         return [PropagatorSpec(kind, tuple(c.scope), {"tuples": ref.relation.tuples})]
     if isinstance(ref, PredicateRef):
-        return [_recognize_linear(ref.body, domains)
-                or PropagatorSpec("ExprCheck", tuple(ref.refs), {"expr": ref.body})]
+        return [_predicate(ref.body, ref.refs, domains)]
     return compile_global(c, element_base, domains)
 
 

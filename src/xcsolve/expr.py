@@ -174,6 +174,15 @@ def substitute(body: Expr, formal_params: Sequence[str],
     return walk(body)
 
 
+def balanced(op: str, parts: Sequence[Expr]) -> Expr:
+    """`op` over one or more `parts`, split in halves so that the tree
+    nests only as deep as the log of the part count."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return Apply(op, (balanced(op, parts[:mid]), balanced(op, parts[mid:])))
+
+
 def var_refs(e: Expr) -> List[int]:
     """Distinct variable indices, in first-appearance order."""
     seen: Dict[int, None] = {}
@@ -256,9 +265,10 @@ OPERATIONS: Dict[str, Callable[..., int]] = {
 }
 
 
-def evaluate(expr: Expr, assignment: Dict[int, int]) -> int:
-    """Evaluate a ground expression; raises EvalError on div/mod by zero,
-    overflow, or a negative pow exponent."""
+def evaluate(expr: Expr, assignment: Union[Dict[int, int], List[int]]) -> int:
+    """Evaluate a ground expression, reading variable `i` at
+    `assignment[i]`; raises EvalError on div/mod by zero, overflow, or a
+    negative pow exponent."""
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, VarRef):
@@ -337,7 +347,7 @@ def lower(expr: Expr, slots: Dict[int, int]) -> Callable[[List[int]], int]:
     return _LOWERED[expr.op](*[lower(a, slots) for a in expr.args])
 
 
-def satisfied(expr: Expr, assignment: Dict[int, int]) -> bool:
+def satisfied(expr: Expr, assignment: Union[Dict[int, int], List[int]]) -> bool:
     """Constraint reading of an expression: true iff it evaluates to 1.
 
     An erroring evaluation (division by zero, overflow) counts as unsatisfied.

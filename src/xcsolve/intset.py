@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 # the widest span (max - min + 1) a set keeps as a mask
 SPAN = 1 << 12
@@ -37,8 +37,6 @@ _OCTET_BITS = [tuple(k for k in range(8) if octet >> k & 1) for octet in range(2
 
 def _runs(low: int, bits: int) -> Tuple[Tuple[int, int], ...]:
     """The intervals of the mask `bits` with bit 0 at `low`, ascending."""
-    if bits == 1:  # what a search step removes from a wide domain
-        return ((low, low),)
     out = []
     while bits:
         gap = (bits & -bits).bit_length() - 1
@@ -107,16 +105,7 @@ class IntegerSet:
             for v in values:
                 bits |= 1 << (v - base)
             return _mask(base, bits)
-        out = []
-        start = prev = None
-        for v in sorted(values):
-            if v - 1 != prev:  # a gap: close the run so far, open a new one
-                if prev is not None:
-                    out.append((start, prev))
-                start = v
-            prev = v
-        out.append((start, prev))
-        return cls(tuple(out))
+        return _merge((v, v) for v in sorted(values))
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntegerSet":
@@ -204,6 +193,18 @@ class IntegerSet:
         octets = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
         return iter([at + k for at, octet in zip(count(low, 8), octets)
                      for k in _OCTET_BITS[octet]])
+
+    def select(self, rows: List[tuple], k: int) -> List[tuple]:
+        """The rows whose k-th value is a member, in order: one comparison
+        each for a single value, a bit test each on a mask, a bisect each
+        on intervals."""
+        bits = self._bits
+        if bits is None:
+            return [t for t in rows if t[k] in self]
+        low = self._min
+        if bits == 1:
+            return [t for t in rows if t[k] == low]
+        return [t for t in rows if t[k] >= low and bits >> (t[k] - low) & 1]
 
     def intersects(self, other: "IntegerSet") -> bool:
         a, b = self._bits, other._bits

@@ -128,7 +128,8 @@ class PredicateRef:
 class GlobalRef:
     name: str
     # what parse_global builds from the parameters: the data that both the
-    # propagator and the oracle read, so neither may write into it
+    # propagator and the oracle read, so neither may write into it; for a
+    # weightedSum, the ground predicate it stands for
     sig: object = None
 
 
@@ -545,6 +546,14 @@ def _lex(xs: List[Term], ys: List[Term]) -> Optional[dict]:
     return {"xs": xs, "ys": ys} if xs and len(xs) == len(ys) else None
 
 
+def _weighted_sum(terms: List[List], op: str, rhs: int) -> ex.Expr:
+    """The ground predicate op(add(...mul(ci,ti)...), rhs), its sum split in
+    halves so that it nests log n deep; an empty sum is 0."""
+    products = [ex.Apply("mul", (ex.IntLiteral(c), term_expr(t))) for c, t in terms]
+    total = ex.balanced("add", products) if products else ex.IntLiteral(0)
+    return ex.Apply(op, (total, ex.IntLiteral(rhs)))
+
+
 # each supported global: its signature, the kind of each parameter, and what
 # the parameters build (None when they fit their kinds but not the global),
 # which is the data its propagator and the oracle read; the order is that of
@@ -575,8 +584,7 @@ GLOBALS = {
     "lex_lesseq": ("[x1 ... xn] [y1 ... yn]", (["term"], ["term"]), _lex),
     "not_all_equal": ("(optional) [x1 ... xn]", (["var"],), _indices),
     "weightedsum": ("[ {c1 x1} {c2 x2} ... ] <relop/> K",
-                    (("int", "term"), "relop", "int"),
-                    lambda terms, op, rhs: (list(map(tuple, terms)), op, rhs)),
+                    (("int", "term"), "relop", "int"), _weighted_sum),
 }
 
 

@@ -94,20 +94,9 @@ class TableProp(Propagator):
         kept = valid
         changed = False
         for k, d in enumerate(domains):
-            if d is seen[k]:
-                continue
-            changed = True
-            if d.is_singleton():
-                value = d.value()
-                kept = [t for t in kept if t[k] == value]
-                continue
-            # the domain's values, or only those the tuples still use when
-            # fewer, so that a wide domain costs no more than the table
-            if d.size() <= len(kept):
-                members = set(d)
-            else:
-                members = {x for x in {t[k] for t in kept} if x in d}
-            kept = [t for t in kept if t[k] in members]
+            if d is not seen[k]:
+                changed = True
+                kept = d.select(kept, k)
         if not changed:
             return OK
         if not kept:
@@ -314,25 +303,9 @@ class CountingProp(Propagator):
 
 
 class ElementProp(Propagator):
-    """table[index] = value with a configurable index base.
-
-    When no variable appears twice in the scope, a call on the domains a
-    call that returned OK left prunes nothing and returns OK again, so
-    `seen` keeps those domains: the call that finds each scope domain to be
-    the very object in `seen` returns OK at once. Which domains those are
-    is a fact about their values, so `seen` needs no trail."""
-
-    seen = None
-
-    def __init__(self, spec: PropagatorSpec):
-        super().__init__(spec)
-        self.distinct = len(set(spec.scope)) == len(spec.scope)
+    """table[index] = value with a configurable index base."""
 
     def filter(self, store):
-        scope, seen = self.spec.scope, self.seen
-        if seen is not None and all(
-                store.domain(v) is d for v, d in zip(scope, seen)):
-            return OK
         data = self.spec.data
         table = data["table"]
         base = data["base"]
@@ -366,8 +339,6 @@ class ElementProp(Propagator):
                 store.update(cell.index, vdom)
             if vdom.is_singleton():
                 return SUBSUMED
-        if self.distinct:
-            self.seen = [store.domain(v) for v in scope]
         return OK
 
 

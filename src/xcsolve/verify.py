@@ -2,7 +2,8 @@
 definitions, never against propagators.
 
 Relations are checked by tuple membership, predicates by expression
-evaluation, globals by their catalog definitions written out directly.
+evaluation, globals by their catalog definitions written out directly,
+except `weightedSum`, which is the predicate `model.GLOBALS` builds.
 The oracle reads each predicate's ground body and each global's parsed
 parameters from the reference `resolve_references` made for it; it
 imports nothing from the compiler or the propagators."""
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import List
 
 from . import expr as ex
-from .errors import EvalError
 from .model import PredicateRef, RelationRef, ResolvedInstance
 
 # the most verdicts one predicate keeps before its cache is cleared
@@ -74,16 +74,7 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
         vs = [values[v] for v in sig]
         return len(set(vs)) > 1
     assert name == "weightedsum"
-    # folded as the predicate it stands for: an overflow is a violation
-    terms, op, rhs = sig
-    mul, add = ex.OPERATIONS["mul"], ex.OPERATIONS["add"]
-    total = 0
-    try:
-        for coeff, t in terms:
-            total = add(total, mul(coeff, _term_value(t, values)))
-    except EvalError:
-        return False
-    return ex.OPERATIONS[op](total, rhs) == 1
+    return ex.satisfied(sig, values)  # the ground predicate it stands for
 
 
 def verify_solution(instance: ResolvedInstance, values: List[int],

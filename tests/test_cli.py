@@ -807,17 +807,15 @@ def _long_sum_xml(count, top):
                                        "le", 5 * count)])
 
 
-@pytest.mark.parametrize("count, top, code", [
-    (1200, 5, EXIT_OK),  # a LinearRel of any length
-    (MAX_DEPTH - 1, 2 ** 62, EXIT_OK),  # an expression check at the nesting limit
-    (MAX_DEPTH, 2 ** 62, EXIT_ERROR),
+# a sum that may leave 64 bits is an expression check whose halved sum
+# nests log n deep, so no length reaches the nesting limit
+@pytest.mark.parametrize("count, top", [
+    (1200, 5),  # a LinearRel of any length
+    (MAX_DEPTH - 1, 2 ** 62),
+    (5000, 2 ** 62),
 ])
-def test_a_long_weighted_sum_solves_or_is_one_error_line(tmp_path, count, top, code):
+def test_a_long_weighted_sum_solves(tmp_path, count, top):
     path = write(tmp_path, _long_sum_xml(count, top))
     got, out, err = run_cli(RunConfig(path, verify=True))
-    assert got == code
-    if code == EXIT_OK:
-        assert out.splitlines()[:2] == ["s SATISFIABLE", "v" + " 0" * count]
-    else:
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: constraint 'c0': weightedSum of %d terms" % count)
+    assert (got, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == ["s SATISFIABLE", "v" + " 0" * count]

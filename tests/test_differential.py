@@ -6,7 +6,11 @@ predicates, alldifferent, cumulative and disjunctive; the second draws from
 every family of `helpers.FAMILIES`, with repeated variables, constants and
 count variables in the parameter lists and either element base. The engine
 must find exactly the brute-force solution set, and every solution must
-pass the oracle."""
+pass the oracle. A seeded test also holds both to a `weightedSum`
+solution set that it computes with code of its own."""
+
+import random
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +144,83 @@ def test_search_matches_brute_force_where_sums_leave_64_bits(xml):
             result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
             assert result.complete
             assert sorted(result.solutions) == expected
+
+
+# -- weightedSum against a definition written out here ------------------------
+
+# what a weightedSum means, computed without the package: the products
+# c*t added in a tree split in halves, the left half the shorter, and an
+# assignment where some product or partial sum leaves 64 bits is no solution
+RELATIONS = {"eq": int.__eq__, "ne": int.__ne__, "ge": int.__ge__,
+             "gt": int.__gt__, "le": int.__le__, "lt": int.__lt__}
+
+
+def _fits64(v):
+    return -2 ** 63 <= v < 2 ** 63
+
+
+def _halved_sum(products):
+    """The sum of `products`, or None where a partial sum leaves 64 bits."""
+    if not products:
+        return 0
+    if len(products) == 1:
+        return products[0]
+    mid = len(products) // 2
+    left, right = _halved_sum(products[:mid]), _halved_sum(products[mid:])
+    if left is None or right is None or not _fits64(left + right):
+        return None
+    return left + right
+
+
+def _weighted_sum_holds(terms, op, rhs, values):
+    products = [c * (values[t] if isinstance(t, str) else t) for c, t in terms]
+    if not all(map(_fits64, products)):
+        return False
+    total = _halved_sum(products)
+    return total is not None and RELATIONS[op](total, rhs)
+
+
+def _weighted_sum_case(rng):
+    """(variables, terms, op, rhs): 1-4 variables over 1-3 values, small
+    ones or ones near 2^62, and up to 5 terms, which may repeat a variable
+    or be constants."""
+    values = [-2 ** 62, -3, -1, 0, 1, 2, 2 ** 62 - 1, 2 ** 62]
+    variables = [("V%d" % i, sorted(rng.sample(values, rng.randint(1, 3))))
+                 for i in range(rng.randint(1, 4))]
+    names = [name for name, _ in variables]
+    terms = [(rng.choice([-2, -1, -1, 0, 1, 1, 2]),
+              rng.choice(names + [rng.choice([-2, 3, 2 ** 62])]))
+             for _ in range(rng.randint(0, 5))]
+    return variables, terms, rng.choice(sorted(RELATIONS)), rng.choice([-1, 0, 2, 2 ** 62])
+
+
+# A + B - C >= 0 over {0, 2^62}: the halved sum adds B - C first, so
+# A = B = C = 2^62 is a solution, where a left fold would overflow
+ABC_CASE = ([(name, [0, 2 ** 62]) for name in "ABC"],
+            [(1, "A"), (1, "B"), (-1, "C")], "ge", 0)
+
+
+def test_weighted_sums_match_a_definition_written_out():
+    rng = random.Random(25)
+    cases = [ABC_CASE] + [_weighted_sum_case(rng) for _ in range(300)]
+    for k, (variables, terms, op, rhs) in enumerate(cases):
+        names = [name for name, _ in variables]
+        scope = list(dict.fromkeys(t for _, t in terms if t in names)) or names[:1]
+        xml = instance_xml(variables, [{
+            "name": "c0", "scope": scope, "reference": "global:weightedSum",
+            "parameters": "[ %s ] %s %d" % (" ".join("{ %d %s }" % w for w in terms),
+                                           op, rhs)}])
+        expected = [list(point) for point in product(*(d for _, d in variables))
+                    if _weighted_sum_holds(terms, op, rhs, dict(zip(names, point)))]
+        if k == 0:
+            assert [2 ** 62] * 3 in expected
+        instance, problem = load(xml)
+        assert brute_force(instance) == expected, xml
+        for var in VAR_HEURISTICS:
+            for val in VAL_HEURISTICS:
+                result = Engine(problem, BranchStrategy(var, val)).solve(limit=None)
+                assert result.complete
+                assert sorted(result.solutions) == expected, xml
 
 
 @st.composite

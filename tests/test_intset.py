@@ -156,6 +156,9 @@ def test_operations_match_a_set_model(xs, ys, zs):
                      for v in (min(m), max(m)) for d in (-1, 0, 1)})
     for v in probes:
         assert (v in a) == (v in xs)
+    # rows whose second value lies below, in, between or beyond the members
+    rows = [(None, v) for v in probes + sorted(ys)[:64]]
+    assert a.select(rows, 1) == [t for t in rows if t[1] in xs]
     for lo in [None] + probes[::3]:
         for hi in [None] + probes[1::3]:
             check_form(a.clamp(lo, hi), {v for v in xs if (lo is None or v >= lo)

@@ -2,7 +2,8 @@
 independent of the compiler and the solver, and the model below both.
 Also the package's public names, so that dropping one is a deliberate edit,
 an import that nothing in its file uses, a definition that nothing reads,
-and a set's representation read outside `intset`."""
+a set's representation read outside `intset`, and a weightedSum that
+reaches the compiler and the oracle as its predicate."""
 
 import ast
 import pathlib
@@ -145,6 +146,38 @@ def test_only_intset_reads_the_set_representation():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in fields]
     assert readers == []
+
+
+def branch(path: pathlib.Path, opening: str) -> list:
+    """Every node of the statements that follow the `assert`, or of the
+    body of the `if`, whose test reads `opening` in the file at `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        for stmts in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            for k, stmt in enumerate(stmts if isinstance(stmts, list) else []):
+                if isinstance(stmt, (ast.Assert, ast.If)) \
+                        and ast.unparse(stmt.test) == opening:
+                    code = stmts[k + 1:] if isinstance(stmt, ast.Assert) else stmt.body
+                    return [n for s in code for n in ast.walk(s)]
+    raise AssertionError("%s: no branch on %s" % (path.name, opening))
+
+
+def callees(nodes: list) -> set:
+    return {ast.unparse(n.func) for n in nodes if isinstance(n, ast.Call)}
+
+
+def test_a_weighted_sum_is_lowered_and_checked_as_its_predicate():
+    # `model.GLOBALS` builds the predicate a weightedSum stands for; the
+    # compiler and the oracle each take it down their predicate path, with
+    # no loop, no `add`/`mul` and no nesting limit of their own for it
+    for name in ("compiler.py", "verify.py"):
+        path = SRC / name
+        weighted = branch(path, "name == 'weightedsum'")
+        assert not [n for n in weighted if isinstance(
+            n, (ast.For, ast.While, ast.comprehension))]
+        assert not [n for n in weighted if isinstance(n, ast.Constant)
+                    and n.value in ("add", "mul")]
+        assert callees(weighted) & callees(branch(path, "isinstance(ref, PredicateRef)"))
+        assert not names_read(path) & {"MAX_DEPTH", "OPERATIONS"}
 
 
 def wipeout_sites() -> tuple:

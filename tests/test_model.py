@@ -18,7 +18,7 @@ from xcsolve import (
     resolve_references,
 )
 from xcsolve.errors import integer_error
-from xcsolve.expr import Apply, VarRef
+from xcsolve.expr import Apply, IntLiteral as Literal, VarRef
 from xcsolve.intset import IntegerSet
 from xcsolve import model
 from xcsolve.model import TUPLE_MEMO, GlobalRef, PredicateRef, RelationRef
@@ -555,6 +555,10 @@ SIGNATURES = {
 }
 
 
+def product_of(coeff, term):
+    return Apply("mul", (Literal(coeff), term))
+
+
 def counted(vars_, values, lo, hi, count_var):
     """The dict a counting global builds for one counted group."""
     return {"vars": vars_, "values": values, "lo": lo, "hi": hi,
@@ -636,9 +640,14 @@ GLOBAL_PARAMETER_CASES = [
     ("lex_lesseq", "[ X Y ] [ 0 W ]", {"xs": [X, Y], "ys": [0, W]}),
     ("lex_lesseq", "[ X Y ] [ Z ]", None),
     ("lex_lesseq", "[ X ] [ { Y } ]", None),
+    # a weightedSum builds its predicate, the sum split in halves
     ("weightedsum", "[ { 1 X } { -2 3 } ] <le/> 4",
-     ([(1, X), (-2, 3)], "le", 4)),
-    ("weightedsum", "[ ] ge -1", ([], "ge", -1)),
+     Apply("le", (Apply("add", (product_of(1, X), product_of(-2, Literal(3)))),
+                  Literal(4)))),
+    ("weightedsum", "[ { 1 X } { 1 Y } { -1 Z } ] ge 0",
+     Apply("ge", (Apply("add", (product_of(1, X), Apply("add", (
+         product_of(1, Y), product_of(-1, Z))))), Literal(0)))),
+    ("weightedsum", "[ ] ge -1", Apply("ge", (Literal(0), Literal(-1)))),
     ("weightedsum", "[ { 1 X } ] 4 4", None),
     ("weightedsum", "[ { 1 X } ] X 4", None),
     ("weightedsum", "[ { X 1 } ] eq 4", None),
