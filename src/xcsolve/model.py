@@ -11,6 +11,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from xml.parsers.expat import ErrorString
 
 from . import expr as ex
 from .errors import (
@@ -50,7 +51,8 @@ _KNOWN_ATTRS = {
 }
 
 # the most entries (group texts and distinct tuples) one document's tuple
-# memo takes; a list it has no room for is read by the one-pass bulk path
+# memos take, summed over arities; a list they have no room for is read by
+# the one-pass bulk path
 TUPLE_MEMO = 1 << 16
 
 # Nested parameter tokens: int literal, bare name, or a bracketed group.
@@ -187,35 +189,50 @@ def parse_tuples(text: str, arity: int,
     """Parse the abridged ``|``-separated tuple-list notation, in document
     order, duplicates preserved.
 
-    `seen` is a memo shared by the lists of one document. It maps each
+    `seen` is a memo shared by the lists of one document, one `_TupleMemo`
+    per arity, so that a hit always has the list's arity. Each maps a
     group's raw text to its tuple, and each tuple to itself, so every
-    distinct group text is read once and equal tuples are one object. A
-    list is read through it only when it has room for the whole list, at
-    two entries per group; any other list is read without it."""
+    distinct group text is read once and equal tuples are one object; a
+    list's hits are served in one pass. A list is read through the memo
+    only when the memos together have room for the whole list, at two
+    entries per group; any other list is read without it."""
     if not text.strip():
         return []
     groups = text.count("|") + 1
-    if seen is not None and len(seen) + 2 * groups <= TUPLE_MEMO:
-        tuples: List[Tuple[int, ...]] = []
-        for i, group in enumerate(text.split("|")):
-            t = seen.get(group)
-            if t is None or len(t) != arity:
-                t = _parse_group(group, i, arity)
-                t = seen[group] = seen.setdefault(t, t)
-            tuples.append(t)
-        return tuples
-    # one pass when the shape is exact: `groups` groups of `arity` tokens,
-    # a separator at every (arity+1)-th position
-    tokens = text.replace("|", " | ").split()
-    if (arity > 0 and len(tokens) == groups * (arity + 1) - 1
-            and tokens[arity::arity + 1].count("|") == groups - 1):
-        del tokens[arity::arity + 1]
+    if seen is not None and sum(map(len, seen.values())) + 2 * groups <= TUPLE_MEMO:
+        memo = seen.setdefault(arity, _TupleMemo(arity))
         try:
-            return list(zip(*[map(int, tokens)] * arity))
-        except ValueError:
-            pass
+            return list(map(memo.__getitem__, text.split("|")))
+        except FormatError:
+            pass  # the per-tuple loop numbers the bad group
+    else:
+        # one pass when the shape is exact: `groups` groups of `arity`
+        # tokens, a separator at every (arity+1)-th position
+        tokens = text.replace("|", " | ").split()
+        if (arity > 0 and len(tokens) == groups * (arity + 1) - 1
+                and tokens[arity::arity + 1].count("|") == groups - 1):
+            del tokens[arity::arity + 1]
+            try:
+                return list(zip(*[map(int, tokens)] * arity))
+            except ValueError:
+                pass
     # the per-tuple loop words every error
     return [_parse_group(group, i, arity) for i, group in enumerate(text.split("|"))]
+
+
+class _TupleMemo(dict):
+    """One arity's part of a document's tuple memo: group text -> tuple, and
+    tuple -> itself. A miss reads the group and interns its tuple; the
+    group's number in its list is not known here, so `parse_tuples` words a
+    miss's error again through the per-tuple loop."""
+
+    def __init__(self, arity: int):
+        self.arity = arity
+
+    def __missing__(self, group: str) -> Tuple[int, ...]:
+        t = _parse_group(group, 0, self.arity)
+        t = self[group] = self.setdefault(t, t)
+        return t
 
 
 def _parse_group(group: str, i: int, arity: int) -> Tuple[int, ...]:
@@ -375,7 +392,7 @@ def parse_instance(document) -> InstanceModel:
         root = ET.fromstring(document)
     except ET.ParseError as e:
         line, column = e.position
-        raise XmlError("malformed XML: %s" % e.msg if hasattr(e, "msg") else str(e),
+        raise XmlError("malformed XML: %s" % ErrorString(e.code),
                        line=line, column=column) from None
     except LookupError as e:
         raise XmlError("malformed XML: %s" % e) from None
@@ -406,7 +423,7 @@ def parse_instance(document) -> InstanceModel:
     for el, name in _items(root, diag, "variable", mandatory=True, count_required=True):
         model.variables.append(VariableDef(name, _require_attr(el, "domain")))
 
-    tuple_memo: dict = {}
+    tuple_memo: Dict[int, _TupleMemo] = {}
     for el, name in _items(root, diag, "relation"):
         arity = _int_attr(el, "arity", required=True)
         semantics = _require_attr(el, "semantics")

@@ -20,9 +20,6 @@ from .store import DomainStore
 VAR_HEURISTICS = ("input", "min-dom", "max-deg")
 VAL_HEURISTICS = ("min", "max")
 
-# propagate_fixpoint reads the clock once per this many propagations
-DEADLINE_EVERY = 256
-
 
 class DeadlineExpired(Exception):
     """The time budget ran out inside a fixpoint; not a failure."""
@@ -105,7 +102,7 @@ class Engine:
         one. A propagator runs whenever a variable it watches has changed
         since the last call, a decision included, or, for a fix watcher,
         has become fixed. Raises DeadlineExpired once `self.deadline` has
-        passed, read every `DEADLINE_EVERY` propagations.
+        passed, read before every propagation.
         """
         store, active, stats = self.store, self.active, self.stats
         watchers, fix_watchers = self.watchers, self.fix_watchers
@@ -132,8 +129,7 @@ class Engine:
                         queued[watcher] = True
             if not queue:
                 return True
-            if (deadline is not None and not stats.propagations % DEADLINE_EVERY
-                    and time.monotonic() >= deadline):
+            if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExpired
             k = queue.popleft()
             queued[k] = False

@@ -130,6 +130,17 @@ def test_malformed_xml_is_input_error(tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("xml, message", [
+    ("<instance><domains>", "no element found (line 1, column 19)"),
+    ("<instance>\n<domains></instance>", "mismatched tag (line 2, column 11)"),
+])
+def test_a_malformed_xml_line_states_its_position_once(tmp_path, xml, message):
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml)))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: malformed XML: %s\n" % message
+
+
 def test_latin1_document_with_declared_encoding_solves(tmp_path):
     xml = TINY_ALLDIFF.replace("<instance>", '<?xml version="1.0" '
                                'encoding="ISO-8859-1"?>\n<instance>', 1)

@@ -2,11 +2,13 @@ import dataclasses
 import pathlib
 import random
 import time
+import types
 
 import pytest
 
 from xcsolve import BranchStrategy, Engine, verify_solution
 from xcsolve import expr as ex
+from xcsolve import search
 from xcsolve.compiler import Problem, PropagatorSpec, linear_spec
 from xcsolve.intset import IntegerSet
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
@@ -368,6 +370,29 @@ def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
     assert engine.store.snapshot() == before
     assert engine.store.depth() == 0
     assert engine.deadline is None
+
+
+def test_no_propagation_starts_after_the_clock_read_that_passes_the_deadline(
+        monkeypatch):
+    # the same chain under a clock that stands still for 40 reads and then
+    # jumps past the budget; each read notes the propagations made so far.
+    # solve() reads it twice before the root fixpoint, which then reads it
+    # before each propagation
+    specs = [linear_spec([(1, ex.VarRef(0)), (-1, ex.VarRef(1))], "eq", 1),
+             linear_spec([(1, ex.VarRef(1)), (-1, ex.VarRef(0))], "eq", 1)]
+    engine = Engine(Problem([IntegerSet.interval(0, 10**6)] * 2, specs))
+    reads = []
+
+    def monotonic():
+        reads.append(engine.stats.propagations)
+        return 0.0 if len(reads) < 40 else 1e9
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=monotonic))
+    result = engine.solve(time_limit=1.0)
+    assert not result.complete
+    assert reads == [0, 0] + list(range(38))
+    assert result.stats.propagations == 37
+    assert engine.store.depth() == 0
 
 
 def test_constraints_sharing_a_relation_share_its_tuples():

@@ -1,4 +1,5 @@
 import random
+import xml.etree.ElementTree as ET
 from functools import partial
 from itertools import product
 
@@ -191,10 +192,22 @@ def record_groups(monkeypatch):
     return read
 
 
+def memo_entries(seen):
+    return sum(map(len, seen.values()))
+
+
+def filled_memo(entries):
+    """A document's memo holding `entries` filler entries under an arity
+    that no list here has, so that no list reads or writes them."""
+    filler = model._TupleMemo(99)
+    filler.update(dict.fromkeys(range(-entries, 0)))
+    return {99: filler}
+
+
 # memos with room for six new groups, for one, and for none
-PARTLY_FULL_MEMO = dict.fromkeys(range(12 - TUPLE_MEMO, 0))
-NEARLY_FULL_MEMO = dict.fromkeys(range(2 - TUPLE_MEMO, 0))
-FULL_MEMO = dict.fromkeys(range(-TUPLE_MEMO, 0))
+PARTLY_FULL_MEMO = filled_memo(TUPLE_MEMO - 12)
+NEARLY_FULL_MEMO = filled_memo(TUPLE_MEMO - 2)
+FULL_MEMO = filled_memo(TUPLE_MEMO)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -209,7 +222,7 @@ def test_a_shared_memo_matches_the_per_tuple_loop(cases):
         got = []
         for text, arity in cases:
             got.append(outcome(partial(parse_tuples, seen=seen), text, arity))
-            assert len(seen) <= TUPLE_MEMO
+            assert memo_entries(seen) <= TUPLE_MEMO
         assert got == expected
     parsed = [t for tuples in got if isinstance(tuples, list) for t in tuples]
     assert all(type(t) is tuple for t in parsed)
@@ -230,7 +243,7 @@ def test_a_full_memo_grows_no_further(monkeypatch):
     # list never reaches the per-tuple parser
     seen = NEARLY_FULL_MEMO.copy()
     assert parse_tuples("1 2", 2, seen) == [(1, 2)]
-    assert len(seen) == TUPLE_MEMO
+    assert memo_entries(seen) == TUPLE_MEMO
     read = record_groups(monkeypatch)
     for memo, text in [(FULL_MEMO, "1 2"), (NEARLY_FULL_MEMO, "1 2|3 4"),
                        (NEARLY_FULL_MEMO, "1 2|1 2")]:
@@ -248,6 +261,50 @@ def test_a_list_that_fills_the_memo_reads_each_group_once(monkeypatch):
     with pytest.raises(FormatError, match=r"^tuple 2: "):
         parse_tuples("1 2|3 4|5 x|7 8", 2, NEARLY_FULL_MEMO.copy())
     assert read == [0, 1, 2]
+
+
+def test_each_distinct_group_text_is_read_once(monkeypatch):
+    rng = random.Random(26)
+    pairs = list(product(range(40), repeat=2))
+    relations = [{"name": "r%d" % k, "arity": 2, "semantics": "supports",
+                  "tuples": rng.sample(pairs, rng.randint(1, 30))}
+                 for k in range(200)]
+    xml = instance_xml([("A", list(range(40)))], [], relations)
+    read = []
+
+    def parse_group(group, i, arity):
+        read.append(group)
+        return PARSE_GROUP(group, i, arity)
+
+    monkeypatch.setattr(model, "_parse_group", parse_group)
+    parsed = parse_instance(xml)
+    assert [r.tuples for r in parsed.relations] == [r["tuples"] for r in relations]
+    texts = [g for el in ET.fromstring(xml).iter("relation")
+             for g in el.text.split("|")]
+    assert sorted(read) == sorted(set(texts))
+    assert len(read) < len(texts)
+
+
+def test_a_memo_hit_never_crosses_arities():
+    seen = {}
+    assert parse_tuples("1 2|3 4", 2, seen) == [(1, 2), (3, 4)]
+    with pytest.raises(FormatError) as raised:
+        parse_tuples("1 2", 3, seen)
+    assert str(raised.value) == "tuple 0 has 2 value(s), expected arity 3"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("5 x", "tuple %d: bad integer token 'x'"),
+    ("5", "tuple %d has 1 value(s), expected arity 2"),
+])
+def test_a_bad_group_after_memo_hits_is_numbered_from_the_list_start(bad, message):
+    seen = {}
+    parse_tuples("1 2|3 4|5 6", 2, seen)
+    for k in range(4):
+        text = "|".join(["1 2", "3 4", "5 6"][:k] + [bad, "7 8"])
+        with pytest.raises(FormatError) as raised:
+            parse_tuples(text, 2, seen)
+        assert str(raised.value) == message % k
 
 
 def test_tuples_edge_cases_match_the_per_tuple_loop():
