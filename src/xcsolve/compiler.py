@@ -21,6 +21,7 @@ index base to a copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
@@ -57,74 +58,40 @@ class Problem:
 _SIGNS = {"neg": (-1,), "add": (1, 1), "sub": (1, -1)}
 
 
-def _linear_terms(e: ex.Expr) -> Optional[Tuple[Dict[int, int], int]]:
-    """Return (coefficients by variable, constant) when `e` is linear."""
+def _linear(e: ex.Expr, domains: List[IntegerSet]
+            ) -> Optional[Tuple[Dict[int, int], int, int, int]]:
+    """(coefficients by variable, constant, least value, greatest value) of
+    `e` when it is linear. The values come from interval arithmetic over
+    `domains`; None also when some `neg`, `add`, `sub` or `mul` node may
+    leave the 64-bit range, where the evaluator raises."""
     if isinstance(e, ex.IntLiteral):
-        return {}, e.value
+        return {}, e.value, e.value, e.value
     if isinstance(e, ex.VarRef):
-        return {e.index: 1}, 0
+        d = domains[e.index]
+        return {e.index: 1}, 0, d.min_value(), d.max_value()
     if not (isinstance(e, ex.Apply) and (e.op in _SIGNS or e.op == "mul")):
         return None
-    forms = [_linear_terms(a) for a in e.args]
+    forms = [_linear(a, domains) for a in e.args]
     if None in forms:
         return None
     if e.op == "mul":
-        # one side must be constant: it scales the other
-        (left, lk), (right, rk) = forms
-        if left and right:
+        # one side must be constant, a single value: it scales the other
+        (terms, k, a, b), (fixed, factor, _, _) = forms[::-1] if forms[1][0] else forms
+        if fixed:
             return None
-        factor, (coeffs, const) = (lk, forms[1]) if not left else (rk, forms[0])
-        return {v: factor * c for v, c in coeffs.items()}, factor * const
-    coeffs: Dict[int, int] = {}
-    const = 0
-    for sign, (terms, k) in zip(_SIGNS[e.op], forms):
-        for v, c in terms.items():
-            coeffs[v] = coeffs.get(v, 0) + sign * c
-        const += sign * k
-    return coeffs, const
-
-
-def _range64(e: ex.Expr, domains: List[IntegerSet]) -> Optional[Tuple[int, int]]:
-    """The least and greatest value of the linear expression `e` over
-    `domains`, by interval arithmetic; None when the value of some `neg`,
-    `add`, `sub` or `mul` node in it may leave the 64-bit range, where the
-    evaluator raises."""
-    if isinstance(e, ex.IntLiteral):
-        return e.value, e.value
-    if isinstance(e, ex.VarRef):
-        d = domains[e.index]
-        return d.min_value(), d.max_value()
-    ranges = [_range64(a, domains) for a in e.args]
-    if None in ranges:
-        return None
-    if e.op == "mul":
-        (a, b), (c, d) = ranges
-        corners = (a * c, a * d, b * c, b * d)
-        lo, hi = min(corners), max(corners)
+        coeffs = {v: factor * c for v, c in terms.items()}
+        const = factor * k
+        lo, hi = sorted((factor * a, factor * b))
     else:
-        lo = hi = 0
-        for sign, (a, b) in zip(_SIGNS[e.op], ranges):
+        coeffs, const, lo, hi = {}, 0, 0, 0
+        for sign, (terms, k, a, b) in zip(_SIGNS[e.op], forms):
+            for v, c in terms.items():
+                coeffs[v] = coeffs.get(v, 0) + sign * c
+            const += sign * k
             lo, hi = (lo + a, hi + b) if sign > 0 else (lo - b, hi - a)
-    return (lo, hi) if ex.INT64_MIN <= lo and hi <= ex.INT64_MAX else None
-
-
-def _recognize_linear(ground: ex.Expr,
-                      domains: List[IntegerSet]) -> Optional[PropagatorSpec]:
-    """A LinearRel for `ground` when it relates two linear sides whose
-    arithmetic stays inside 64 bits over `domains`: beyond them the
-    evaluator, and so the oracle, rejects what a sum over unbounded
-    integers would accept."""
-    if not (isinstance(ground, ex.Apply) and ground.op in RELOPS):
-        return None
-    left = _linear_terms(ground.args[0])
-    right = _linear_terms(ground.args[1])
-    if left is None or right is None:
-        return None
-    if any(_range64(side, domains) is None for side in ground.args):
-        return None
-    terms = [(c, ex.VarRef(v)) for v, c in left[0].items()]
-    terms += [(-c, ex.VarRef(v)) for v, c in right[0].items()]
-    return linear_spec(terms, ground.op, right[1] - left[1])
+    if ex.INT64_MIN <= lo and hi <= ex.INT64_MAX:
+        return coeffs, const, lo, hi
+    return None
 
 
 def linear_spec(terms: Sequence[Tuple[int, ex.VarRef]], op: str, rhs: int) -> PropagatorSpec:
@@ -150,10 +117,18 @@ def _expr_check(e: ex.Expr) -> PropagatorSpec:
 
 def _predicate(ground: ex.Expr, refs: List[int],
                domains: List[IntegerSet]) -> PropagatorSpec:
-    """A LinearRel where `_recognize_linear` finds one, else an expression
-    check over `refs`, the variables `ground` reads."""
-    return (_recognize_linear(ground, domains)
-            or PropagatorSpec("ExprCheck", tuple(refs), {"expr": ground}))
+    """A LinearRel when `ground` relates two sides that `_linear` reads:
+    beyond 64 bits the evaluator, and so the oracle, rejects what a sum over
+    unbounded integers would accept. Else an expression check over `refs`,
+    the variables `ground` reads."""
+    if isinstance(ground, ex.Apply) and ground.op in RELOPS:
+        left = _linear(ground.args[0], domains)
+        right = left and _linear(ground.args[1], domains)
+        if right:
+            terms = [(c, ex.VarRef(v)) for v, c in left[0].items()]
+            terms += [(-c, ex.VarRef(v)) for v, c in right[0].items()]
+            return linear_spec(terms, ground.op, right[1] - left[1])
+    return PropagatorSpec("ExprCheck", tuple(refs), {"expr": ground})
 
 
 def _no_overlap_1d(a_start: ex.Expr, a_len: ex.Expr, b_start: ex.Expr,
@@ -187,24 +162,20 @@ def compile_global(c: ResolvedConstraint, element_base: int,
         proper = [(o, d, 1) for o, d in sig if d > 0]
         specs = ([_cumulative_spec({"tasks": proper, "capacity": 1})]
                  if len(proper) >= 2 else [])
-        for i, (oi, di) in enumerate(sig):
-            for oj, dj in sig[i + 1:]:
-                if (di == 0) != (dj == 0):
-                    parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
-                                           term_expr(oj), ex.IntLiteral(dj))
-                    specs.append(_expr_check(ex.balanced("or", parts)))
+        for (oi, di), (oj, dj) in combinations(sig, 2):
+            if (di == 0) != (dj == 0):
+                parts = _no_overlap_1d(term_expr(oi), ex.IntLiteral(di),
+                                       term_expr(oj), ex.IntLiteral(dj))
+                specs.append(_expr_check(ex.balanced("or", parts)))
         return specs
     if name == "diffn":
         specs = []
-        for i in range(len(sig)):
-            for j in range(i + 1, len(sig)):
-                (xi, yi, wi, hi) = sig[i]
-                (xj, yj, wj, hj) = sig[j]
-                parts = _no_overlap_1d(term_expr(xi), term_expr(wi),
-                                       term_expr(xj), term_expr(wj))
-                parts += _no_overlap_1d(term_expr(yi), term_expr(hi),
-                                        term_expr(yj), term_expr(hj))
-                specs.append(_expr_check(ex.balanced("or", parts)))
+        for (xi, yi, wi, hi), (xj, yj, wj, hj) in combinations(sig, 2):
+            parts = _no_overlap_1d(term_expr(xi), term_expr(wi),
+                                   term_expr(xj), term_expr(wj))
+            parts += _no_overlap_1d(term_expr(yi), term_expr(hi),
+                                    term_expr(yj), term_expr(hj))
+            specs.append(_expr_check(ex.balanced("or", parts)))
         return specs
     if name in ("lex_less", "lex_lesseq"):
         kind = "LexLess" if name == "lex_less" else "LexLessEq"

@@ -221,20 +221,9 @@ def _mod(a: int, b: int) -> int:
 def _int_pow(a: int, b: int) -> int:
     if b < 0:
         raise EvalError("pow with negative exponent")
-    if a in (0, 1):
-        return a if b else 1
-    if a == -1:
-        return -1 if b & 1 else 1
-    # square-and-multiply: |a| >= 2, so any b >= 64 overflows and the loop
-    # ends after at most 7 squarings
-    result = 1
-    while True:
-        if b & 1:
-            result = _check64(result * a)
-        b >>= 1
-        if not b:
-            return result
-        a = _check64(a * a)
+    # for |a| >= 2 any exponent of 64 or more overflows, and 0, 1 and -1 read
+    # only whether it is 0 and its parity: 64 or 65 stands for a larger one
+    return _check64(a ** min(b, 64 + (b & 1)))
 
 
 # operator -> the function of its argument values. `if` is the one operator

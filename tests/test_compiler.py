@@ -1,9 +1,11 @@
 import pathlib
+import random
+from itertools import product
 
 import pytest
 
 from xcsolve import CompileError, Engine, compile_instance
-from xcsolve.expr import VarRef
+from xcsolve.expr import VarRef, satisfied
 from xcsolve.intset import IntegerSet
 from xcsolve.propagators import PROPAGATOR_CLASSES
 
@@ -149,6 +151,53 @@ def test_a_predicate_is_linear_only_while_its_arithmetic_fits_in_64_bits(
     _, problem = load(xml)
     [spec] = problem.propagators
     assert spec.kind == kind
+
+
+# literals and domains at the edge of 64 bits, where an inner node of a
+# side can overflow while the side's own value fits
+_LITERALS = [0, 1, -1, 2, -3, 2 ** 62, -2 ** 62, 2 ** 62 - 1]
+_DOMAINS = [[0, 1, 2], [-1, 3], [5], [0, 2 ** 62], [-2 ** 62, 2 ** 62 - 1],
+            [-2 ** 62, 0, 2 ** 62 - 1]]
+_HOLDS = {"eq": int.__eq__, "ne": int.__ne__, "ge": int.__ge__,
+          "gt": int.__gt__, "le": int.__le__, "lt": int.__lt__}
+
+
+def _side(rng, formals, depth):
+    """A side over `formals` of neg, abs, add, sub and mul by a literal."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(formals) if rng.random() < 0.6 else str(rng.choice(_LITERALS))
+    op = rng.choice(["neg", "abs", "add", "add", "sub", "sub", "mul"])
+    if op in ("neg", "abs"):
+        return "%s(%s)" % (op, _side(rng, formals, depth - 1))
+    args = [_side(rng, formals, depth - 1) for _ in range(2)]
+    if op == "mul":
+        args[rng.randrange(2)] = str(rng.choice(_LITERALS))
+    return "%s(%s)" % (op, ",".join(args))
+
+
+def test_a_linearrel_accepts_exactly_what_its_predicate_accepts():
+    # the sum over unbounded integers must agree with `satisfied`, which
+    # rejects an assignment once any node leaves 64 bits
+    rng = random.Random(27)
+    linear = 0
+    for _ in range(3000):
+        variables = [("X%d" % i, rng.choice(_DOMAINS)) for i in range(rng.randint(1, 3))]
+        formals = ["P%d" % i for i in range(rng.randint(1, 3))]
+        effective = [rng.choice(variables)[0] for _ in formals]
+        body = "%s(%s,%s)" % (rng.choice(sorted(_HOLDS)), _side(rng, formals, 3),
+                              _side(rng, formals, 3))
+        xml = _intension(body, formals, variables, list(dict.fromkeys(effective)),
+                         " ".join(effective))
+        instance, problem = load(xml)
+        [spec] = problem.propagators
+        if spec.kind != "LinearRel":
+            continue
+        linear += 1
+        holds, ground = _HOLDS[spec.data["op"]], instance.constraints[0].ref.body
+        for point in product(*(values for _, values in variables)):
+            total = sum(c * point[v] for v, c in spec.data["terms"])
+            assert holds(total, spec.data["rhs"]) == satisfied(ground, point), xml
+    assert linear >= 500
 
 
 def test_repeated_formal_merges_coefficients():
