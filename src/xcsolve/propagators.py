@@ -64,7 +64,8 @@ class TableProp(Propagator):
     starts as the spec's own tuple list and shrinks with the domains; the
     store trails it, so backtracking brings the longer list back. A
     `supports` table keeps in each domain the values that some valid tuple
-    uses (generalized arc consistency). In a `conflicts` table the valid
+    uses (generalized arc consistency), and is subsumed once at most one
+    column holds more than one value. In a `conflicts` table the valid
     tuples are the conflicts that can still match: the table fails when one
     matches a full assignment and prunes their values from its last free
     variable.
@@ -80,6 +81,9 @@ class TableProp(Propagator):
 
     def __init__(self, spec: PropagatorSpec):
         super().__init__(spec)
+        if len(set(spec.scope)) < len(spec.scope):
+            # each column owns its variable's domain
+            raise ValueError("table scope repeats a variable: %r" % (spec.scope,))
         self.memory = spec.data["tuples"], (None,) * len(spec.scope)
         self.supports = spec.kind == "TableSupports"
 
@@ -105,7 +109,7 @@ class TableProp(Propagator):
             kept = valid  # shared, not an equal copy
         sizes = [d.size() for d in domains]
         if self.supports:
-            outcome = SUBSUMED
+            open_columns = 0
             for k, v in enumerate(scope):
                 if sizes[k] == 1:
                     continue  # its one value is every valid tuple's
@@ -114,8 +118,10 @@ class TableProp(Propagator):
                     # remember the very object the store now holds
                     domains[k] = IntegerSet.from_values(supported)
                     store.update(v, domains[k])
-                if len(supported) > 1:
-                    outcome = OK
+                open_columns += len(supported) > 1
+            # each value of one open column has a valid tuple through the
+            # fixed columns, so every completion is a tuple
+            outcome = OK if open_columns > 1 else SUBSUMED
         else:
             free = [k for k, size in enumerate(sizes) if size > 1]
             # no free variable: a valid conflict is the full assignment
@@ -246,7 +252,8 @@ class CountingProp(Propagator):
     `{value occurrences}` pair of global_cardinality.
 
     Maintains lower/upper bounds on |{i : x_i in S}| and confronts them
-    with the required count (a fixed interval or a count variable).
+    with the required count (a fixed interval or a count variable); it is
+    subsumed once both bounds lie inside the required count's interval.
     A fixed variable costs one lookup in `members`.
     """
 
@@ -297,7 +304,10 @@ class CountingProp(Propagator):
                     store.update(v, store.domain(v).difference(value_set))
                 else:
                     store.intersect(v, value_set)
-        if lb == ub and (count_var is None or store.assigned(count_var)):
+        # every completion counts inside the bounds; a fixed count
+        # variable, clamped to lb..ub, gives this only when lb == ub
+        if need_lo <= lb and ub <= need_hi and (
+                count_var is None or store.assigned(count_var)):
             return SUBSUMED
         return OK
 

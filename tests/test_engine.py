@@ -479,14 +479,16 @@ def test_alldifferent_free_variables_are_restored_after_solve():
     assert second.stats is not first.stats and engine.stats is second.stats
 
 
-@pytest.mark.parametrize("kind, after_y, after_x", [
-    # supports keep the values a valid tuple uses
-    ("TableSupports", [iset(1, 2), iset(2), iset(1)], [iset(2), iset(2), iset(1)]),
+@pytest.mark.parametrize("kind, after_y, after_x, valid_x", [
+    # supports keep the values a valid tuple uses; Y = 2 leaves X the one
+    # open column, so the table is subsumed and the X = 2 step skips it
+    ("TableSupports", [iset(1, 2), iset(2), iset(1)], [iset(2), iset(2), iset(1)],
+     [(1, 2, 1), (2, 2, 1)]),
     # conflicts prune only their last free variable
     ("TableConflicts", [iset(1, 2, 3), iset(2), iset(1, 2)],
-     [iset(2), iset(2), iset(2)]),
+     [iset(2), iset(2), iset(2)], [(2, 2, 1)]),
 ], ids=["supports", "conflicts"])
-def test_table_reduction_is_undone_on_backtrack(kind, after_y, after_x):
+def test_table_reduction_is_undone_on_backtrack(kind, after_y, after_x, valid_x):
     spec = PropagatorSpec(kind, (0, 1, 2), {
         "tuples": [(1, 1, 1), (1, 2, 1), (2, 2, 1), (3, 1, 2)]})
     problem = Problem([iset(1, 2, 3), iset(1, 2), iset(1, 2)], [spec])
@@ -499,15 +501,17 @@ def test_table_reduction_is_undone_on_backtrack(kind, after_y, after_x):
     assert engine.propagate_fixpoint()
     assert prop.valid == [(1, 2, 1), (2, 2, 1)]
     assert list(engine.store.snapshot()) == after_y
+    assert engine.active[0] == (kind == "TableConflicts")
     engine.store.push()
     engine.store.assign(0, 2)
     assert engine.propagate_fixpoint()
-    assert prop.valid == [(2, 2, 1)]
+    assert prop.valid == valid_x
     assert list(engine.store.snapshot()) == after_x
     engine.store.undo()
     assert prop.valid == [(1, 2, 1), (2, 2, 1)]
     assert list(engine.store.snapshot()) == after_y
     engine.store.undo()
+    assert engine.active[0]
     assert prop.valid is spec.data["tuples"]
     assert list(engine.store.snapshot()) == problem.domains
 

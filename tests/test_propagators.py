@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcsolve import Engine, propagators
@@ -81,6 +82,11 @@ def test_both_table_kinds_share_one_class():
     assert classes["TableSupports"] is classes["TableConflicts"]
 
 
+def completions(scope, domains):
+    """Every assignment of the scope's variables from their domains."""
+    return itertools.product(*(sorted(domains[v]) for v in scope))
+
+
 def fitting(scope, tuples, domains):
     """The tuples whose every value is in its domain, in table order."""
     return [t for t in tuples if all(t[k] in domains[v] for k, v in enumerate(scope))]
@@ -100,8 +106,9 @@ def expected_table_call(kind, scope, tuples, domains):
             used = {t[k] for t in fits}
             if used != domains[v]:
                 after[v], updates = used, updates + 1
-        single = all(len(after[v]) == 1 for v in scope)
-        return (SUBSUMED if single else OK), after, updates
+        # with at most one column open, every completion is a fitting tuple
+        open_columns = sum(len(after[v]) > 1 for v in scope)
+        return (SUBSUMED if open_columns <= 1 else OK), after, updates
     # forward checking: a conflict that fits stays possible until only one
     # variable is free, which then loses the conflicts' values
     if not fits:
@@ -134,6 +141,7 @@ def _table_calls(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_table_calls())
+@example(("TableSupports", (0, 1), [[1, 1], [2, 2]], [{1, 2}, {1, 2}]))  # two open
 def test_table_call_matches_brute_force(call):
     kind, scope, tuples, domains = call
     store = CountingStore([IntegerSet.from_values(d) for d in domains])
@@ -145,6 +153,19 @@ def test_table_call_matches_brute_force(call):
         assert [set(d) for d in store.snapshot()] == after
     # the valid tuples are the ones that fit, kept only while there are any
     assert prop.valid == (fitting(scope, tuples, domains) or tuples)
+    if outcome == SUBSUMED:
+        rows = set(map(tuple, tuples))
+        assert all((c in rows) == (kind == "TableSupports")
+                   for c in completions(scope, after))
+
+
+@pytest.mark.parametrize("kind", ["TableSupports", "TableConflicts"])
+def test_table_over_a_repeated_variable_is_refused(kind):
+    # each column would replace the one domain in turn, so X = 0 would pass
+    # for the pair (1, 0)
+    spec = PropagatorSpec(kind, (0, 0), {"tuples": [(1, 0)]})
+    with pytest.raises(ValueError, match="repeats a variable"):
+        Engine(Problem([IntegerSet.interval(0, 2)], [spec]))
 
 
 @pytest.mark.parametrize("kind", ["TableSupports", "TableConflicts"])
@@ -155,7 +176,7 @@ def test_table_calls_with_backtracking_match_one_call_each(kind):
     # OK without touching the store
     rng = random.Random(kind)
     repeats = 0
-    for _ in range(300):
+    for _ in range(600):
         count = rng.randint(2, 4)
         domains = [IntegerSet.from_values(rng.sample(range(-2, 5), rng.randint(1, 5)))
                    for _ in range(count)]
@@ -298,6 +319,61 @@ def test_atleast_impossible_fails():
                            "lo": 2, "hi": None, "count_var": None})
     ok, _ = run_root(spec, [iset(4, 7), iset(9)])
     assert not ok
+
+
+@st.composite
+def _counting_calls(draw):
+    """A counting global over up to four variables with domains of at most
+    3 values in 0..3, bounded by constants as its kind allows or, for
+    Among and GlobalCardinality, by a count variable over 0..4."""
+    kind = draw(st.sampled_from(["Among", "AtLeast", "AtMost", "GlobalCardinality"]))
+    n = draw(st.integers(1, 4))
+    width = 3 if kind == "Among" else 1
+    values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=width, unique=True))
+    data = {"vars": list(range(n)), "values": values,
+            "lo": None, "hi": None, "count_var": None}
+    domain = st.sets(st.integers(0, 3), min_size=1, max_size=3)
+    domains = [draw(domain) for _ in range(n)]
+    bound = st.integers(0, n + 1)
+    if kind == "AtLeast":
+        data["lo"] = draw(bound)
+    elif kind == "AtMost":
+        data["hi"] = draw(bound)
+    elif draw(st.booleans()):
+        data["lo"] = data["hi"] = draw(bound)
+    else:
+        data["count_var"] = n
+        domains.append(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    return kind, data, domains
+
+
+def _counts_fit(data, assignment):
+    count = sum(assignment[v] in data["values"] for v in data["vars"])
+    if data["count_var"] is not None:
+        return count == assignment[data["count_var"]]
+    return ((data["lo"] is None or data["lo"] <= count)
+            and (data["hi"] is None or count <= data["hi"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_counting_calls())
+def test_counting_call_matches_brute_force(call):
+    # one call removes no value that a solution uses, fails only when
+    # nothing satisfies, and is subsumed only when every completion of the
+    # domains it leaves satisfies
+    kind, data, domains = call
+    scope = tuple(range(len(domains)))
+    solutions = [c for c in completions(scope, domains) if _counts_fit(data, c)]
+    store = DomainStore([IntegerSet.from_values(d) for d in domains])
+    outcome = build_propagator(PropagatorSpec(kind, scope, data)).prune(store)
+    if outcome == FAILED:
+        assert not solutions
+        return
+    after = [set(d) for d in store.snapshot()]
+    for solution in solutions:
+        assert all(value in after[v] for v, value in enumerate(solution))
+    if outcome == SUBSUMED:
+        assert all(_counts_fit(data, c) for c in completions(scope, after))
 
 
 # -- element ------------------------------------------------------------------
