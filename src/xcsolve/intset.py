@@ -5,7 +5,9 @@ whose bit k says whether `min + k` is a member, bit 0 set, stored with that
 minimum. Each operation on two masks is a shift and a mask: `size` is a
 bit count, `is_singleton` a comparison with 1. A wider set is a tuple of
 sorted, disjoint, non-adjacent closed intervals (hi + 1 < next lo), so a
-domain such as 0..10**12 costs one interval and not 10**12 bits.
+domain such as 0..10**12 costs one interval and not 10**12 bits. The
+interval form has one walk, `_overlaps`, and a difference is an
+intersection with the gaps of the set taken away.
 
 The form follows from the members alone and each form is canonical, so
 structural equality is set equality and `hash` agrees with it. `ranges`
@@ -49,18 +51,27 @@ def _runs(low: int, bits: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
+def _overlaps(a, b) -> Iterator[Tuple[int, int]]:
+    """The non-empty intersections of the canonical intervals `a` and `b`,
+    ascending: each range of the shorter is found in the longer by bisection,
+    then walked forward while they overlap."""
+    if len(a) > len(b):
+        a, b = b, a
+    for lo, hi in a:
+        for k in range(bisect_left(b, lo, key=_hi), len(b)):
+            b_lo, b_hi = b[k]
+            if b_lo > hi:
+                break
+            yield (b_lo if b_lo > lo else lo), (b_hi if b_hi < hi else hi)
+
+
 def _window(ranges, base: int, width: int) -> int:
     """The members of the canonical intervals `ranges` in
     [base, base + width) as a mask with bit 0 at `base`. Only the
     intervals that meet the window are read, so the cost is bounded by
     `width` and not by the set."""
-    top = base + width - 1
     bits = 0
-    for k in range(bisect_left(ranges, base, key=_hi), len(ranges)):
-        lo, hi = ranges[k]
-        if lo > top:
-            break
-        lo, hi = max(lo, base), min(hi, top)
+    for lo, hi in _overlaps(ranges, ((base, base + width - 1),)):
         bits |= ((1 << (hi - lo + 1)) - 1) << (lo - base)
     return bits
 
@@ -216,14 +227,7 @@ class IntegerSet:
             return a & _window(other._wide, self._min, a.bit_length()) != 0
         if b is not None:
             return b & _window(self._wide, other._min, b.bit_length()) != 0
-        # look each range of the shorter set up in the longer one: the first
-        # range there that ends at or after `lo` is the only candidate
-        shorter, longer = sorted((self._wide, other._wide), key=len)
-        for lo, hi in shorter:
-            k = bisect_left(longer, lo, key=_hi)
-            if k < len(longer) and longer[k][0] <= hi:
-                return True
-        return False
+        return next(_overlaps(self._wide, other._wide), None) is not None
 
     # -- derivations ------------------------------------------------------
 
@@ -237,19 +241,7 @@ class IntegerSet:
             self, other, a = other, self, b
         if a is not None:  # `self` is the mask, `other` wide
             return _mask(self._min, a & _window(other._wide, self._min, a.bit_length()))
-        out = []
-        a, b = self._wide, other._wide
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntegerSet(tuple(out))
+        return IntegerSet(tuple(_overlaps(self._wide, other._wide)))
 
     def clamp(self, lo=None, hi=None) -> "IntegerSet":
         """Restrict to [lo, hi]; either bound may be None (unbounded)."""
@@ -286,29 +278,12 @@ class IntegerSet:
             if not a & cut:
                 return self
             return _mask(self._min, a & ~cut)
-        b = other.ranges
-        if not b:
-            return self
-        out = []
-        n = len(b)
-        j = 0
-        for lo, hi in self._wide:
-            # skip the ranges of `other` wholly below this one; the rest cut
-            # it into pieces, left to right
-            while j < n and b[j][1] < lo:
-                j += 1
-            k = j
-            while k < n:
-                cut_lo, cut_hi = b[k]
-                if cut_lo > hi:
-                    break
-                if cut_lo > lo:
-                    out.append((lo, cut_lo - 1))
-                lo = cut_hi + 1
-                k += 1
-            if lo <= hi:
-                out.append((lo, hi))
-        return IntegerSet(tuple(out))
+        # the set met with the gaps of `other` between its own bounds
+        low, top = self._min, self.max_value()
+        cut = list(_overlaps(other.ranges, ((low, top),)))
+        starts = [low] + [hi + 1 for _, hi in cut]
+        ends = [lo - 1 for lo, _ in cut] + [top]
+        return self.intersect(IntegerSet.from_intervals(zip(starts, ends)))
 
     # -- dunder plumbing --------------------------------------------------
 

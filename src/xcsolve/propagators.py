@@ -96,7 +96,7 @@ class TableProp(Propagator):
         valid, seen = self.memory
         domains = [store.domain(v) for v in scope]
         kept = valid
-        changed = False
+        changed = not scope  # a table over no variables is filtered once
         for k, d in enumerate(domains):
             if d is not seen[k]:
                 changed = True

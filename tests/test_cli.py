@@ -361,6 +361,22 @@ def test_values_far_apart_solve_at_once(tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize("semantics, tuples, solutions", [
+    ("supports", [], 0), ("conflicts", [(), ()], 0), ("supports", [(), ()], 9)])
+def test_a_table_over_no_variables_is_filtered(tmp_path, semantics, tuples, solutions):
+    # the relation's text is empty, or `|`: the empty tuple, read twice; a
+    # table that allows no tuple, or forbids the empty one, has no solution
+    xml = instance_xml(
+        [("X", [0, 1, 2]), ("Y", [0, 1, 2])],
+        [{"name": "c0", "scope": [], "reference": "r0"}],
+        [{"name": "r0", "arity": 0, "semantics": semantics, "tuples": tuples}])
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml), mode="all", verify=True))
+    assert (code, err) == (EXIT_OK, "")
+    status = check_grammar(out, nb_vars=2)
+    assert status == ("s SATISFIABLE" if solutions else "s UNSATISFIABLE")
+    assert out.count("\nv ") == solutions
+
+
 def test_unsupported_extension_is_input_error():
     code, out, err = run_cli(RunConfig(str(CORPUS / "reject_wcsp.xml")))
     assert code == EXIT_ERROR

@@ -201,3 +201,26 @@ def test_narrow_sets_far_apart_cost_no_more_than_near_ones(p, q):
         assert x.clamp(lo=min(beyond, x.min_value()), hi=max(beyond, x.max_value())) == x
     assert list(a) == [p, p + 2, p + 5]
     assert time.perf_counter() - started < 1
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_intersecting_wide_sets_reads_only_where_they_meet():
+    # each range of the shorter set is looked up in the longer by bisection;
+    # a merge of the two lists would read all 100,000 ranges
+    many = CountingTuple((4 * k, 4 * k + 1) for k in range(100_000))
+    fragmented = IntegerSet(many)
+    far = IntegerSet.interval(10 ** 12, 10 ** 12 + SPAN)
+    assert fragmented.ranges is many
+    many.reads = 0
+    assert fragmented.intersect(far).is_empty()
+    assert far.intersect(fragmented).is_empty()
+    assert many.reads <= 48

@@ -2,8 +2,9 @@
 independent of the compiler and the solver, and the model below both.
 Also the package's public names, so that dropping one is a deliberate edit,
 an import that nothing in its file uses, a definition that nothing reads,
-a set's representation read outside `intset`, and a weightedSum that
-reaches the compiler and the oracle as its predicate."""
+a set's representation read outside `intset`, one walk over a wide set's
+intervals, and a weightedSum that reaches the compiler and the oracle as
+its predicate."""
 
 import ast
 import pathlib
@@ -146,6 +147,30 @@ def test_only_intset_reads_the_set_representation():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in fields]
     assert readers == []
+
+
+def reading_functions(path: pathlib.Path, name: str) -> list:
+    """The functions of the file at `path`, as `Class.function`, that read
+    `name`, once for each read; `<module>` for a read outside them."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = (where + "." if where else "") + node.name
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)) \
+                and isinstance(node.ctx, ast.Load):
+            found.append(where or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_one_walk_over_interval_tuples():
+    # where two wide sets meet is found in `_overlaps` alone: the window a
+    # mask reads, `intersects`, `intersect` and `difference` all call it
+    assert reading_functions(SRC / "intset.py", "bisect_left") == ["_overlaps"]
 
 
 def branch(path: pathlib.Path, opening: str) -> list:
