@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
 from .errors import CompileError, clip
@@ -94,18 +94,11 @@ def _linear(e: ex.Expr, domains: List[IntegerSet]
     return None
 
 
-def linear_spec(terms: Sequence[Tuple[int, ex.VarRef]], op: str, rhs: int) -> PropagatorSpec:
-    """Build a LinearRel from (coefficient, variable) pairs."""
-    coeffs: Dict[int, int] = {}
-    for coeff, var in terms:
-        coeffs[var.index] = coeffs.get(var.index, 0) + coeff
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    pairs = sorted(coeffs.items())
-    return PropagatorSpec(
-        "LinearRel",
-        tuple(v for v, _ in pairs),
-        {"terms": [[v, c] for v, c in pairs], "op": op, "rhs": rhs},
-    )
+def linear_spec(coeffs: Dict[int, int], op: str, rhs: int) -> PropagatorSpec:
+    """Build a LinearRel from coefficients by variable; zeros drop out."""
+    pairs = sorted((v, c) for v, c in coeffs.items() if c != 0)
+    return PropagatorSpec("LinearRel", tuple(v for v, _ in pairs),
+                          {"terms": [[v, c] for v, c in pairs], "op": op, "rhs": rhs})
 
 
 # -- per-constraint lowering --------------------------------------------------
@@ -125,9 +118,10 @@ def _predicate(ground: ex.Expr, refs: List[int],
         left = _linear(ground.args[0], domains)
         right = left and _linear(ground.args[1], domains)
         if right:
-            terms = [(c, ex.VarRef(v)) for v, c in left[0].items()]
-            terms += [(-c, ex.VarRef(v)) for v, c in right[0].items()]
-            return linear_spec(terms, ground.op, right[1] - left[1])
+            coeffs = dict(left[0])
+            for v, c in right[0].items():
+                coeffs[v] = coeffs.get(v, 0) - c
+            return linear_spec(coeffs, ground.op, right[1] - left[1])
     return PropagatorSpec("ExprCheck", tuple(refs), {"expr": ground})
 
 

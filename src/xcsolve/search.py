@@ -21,8 +21,8 @@ VAR_HEURISTICS = ("input", "min-dom", "max-deg")
 VAL_HEURISTICS = ("min", "max")
 
 
-class DeadlineExpired(Exception):
-    """The time budget ran out inside a fixpoint; not a failure."""
+class BudgetSpent(Exception):
+    """The node or time budget of a search ran out; not a failure."""
 
 
 @dataclass
@@ -101,8 +101,9 @@ class Engine:
         `seeds` are the propagators to run first; None wakes every active
         one. A propagator runs whenever a variable it watches has changed
         since the last call, a decision included, or, for a fix watcher,
-        has become fixed. Raises DeadlineExpired once `self.deadline` has
-        passed, read before every propagation.
+        has become fixed. Raises BudgetSpent once `self.deadline` has
+        passed, read before every propagation; `solve` raises the same for a
+        spent node budget and catches both in one place.
         """
         store, active, stats = self.store, self.active, self.stats
         watchers, fix_watchers = self.watchers, self.fix_watchers
@@ -130,7 +131,7 @@ class Engine:
             if not queue:
                 return True
             if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExpired
+                raise BudgetSpent
             k = queue.popleft()
             queued[k] = False
             stats.propagations += 1
@@ -149,9 +150,12 @@ class Engine:
               time_limit: Optional[float] = None) -> SearchResult:
         """Search until `limit` solutions are found (1 by default; None
         enumerates them all), the tree is exhausted, or a node or time
-        budget runs out. The time budget starts here and also holds inside
-        a fixpoint. Each call counts into a fresh `self.stats`. Raises
-        ValueError for a `limit` below 1 or a negative or NaN budget."""
+        budget runs out; a spent budget raises BudgetSpent, caught here. The
+        time budget starts here and also holds inside a fixpoint. An open
+        choice point owns one trail frame, for its left branch x=v; its
+        right branch x!=v is taken in the parent's frame. Each call counts
+        into a fresh `self.stats`. Raises ValueError for a `limit` below 1
+        or a negative or NaN budget."""
         if limit is not None and limit < 1:
             raise ValueError("solution limit must be positive, got %r" % limit)
         if node_limit is not None and node_limit < 0:
@@ -162,22 +166,22 @@ class Engine:
         solutions: List[List[int]] = []
         stats = self.stats = SearchStats()
         complete = True
-        # decision stack: (var, value, took_right_branch)
-        decisions: List[Tuple[int, int, bool]] = []
+        # open choice points: (var, value, path length at its left branch)
+        decisions: List[Tuple[int, int, int]] = []
 
-        def budget_exceeded() -> bool:
-            return ((node_limit is not None and stats.nodes >= node_limit)
-                    or (deadline is not None and time.monotonic() >= deadline))
+        def check_budget():
+            if ((node_limit is not None and stats.nodes >= node_limit)
+                    or (deadline is not None and time.monotonic() >= deadline)):
+                raise BudgetSpent
 
-        if budget_exceeded():
-            return SearchResult(solutions, stats, False)
-        # root propagation wakes every propagator, in its own trail frame so
-        # that solve() leaves the store exactly as constructed and the
-        # engine can be reused
+        # root propagation wakes every propagator, in a frame of its own so
+        # that solve() leaves the store as constructed, for the next call
         self.store.push()
         self.deadline = deadline
         try:
+            check_budget()
             failed = not self.propagate_fixpoint()
+            depth = 0
             while True:
                 if not failed:
                     choice = self.strategy.select(self.store, self.degrees)
@@ -187,40 +191,30 @@ class Engine:
                         if limit is not None and len(solutions) >= limit:
                             break
                         failed = True  # exhaust this branch and keep enumerating
-                if failed:
-                    # backtrack to the deepest open left branch, then go right
-                    while decisions and decisions[-1][2]:
-                        decisions.pop()
-                        self.store.undo()
-                    if not decisions:
-                        break
-                    var, value, _ = decisions.pop()
-                    self.store.undo()
-                if budget_exceeded():
-                    complete = False
+                if failed and not decisions:
                     break
-                # one decision step: after a failure, the right branch x!=v of
-                # the decision just undone; otherwise a new left branch x=v
-                if not failed:
-                    var, value = choice
-                self.store.push()
-                decisions.append((var, value, failed))
-                stats.nodes += 1
-                stats.peak_depth = max(stats.peak_depth, len(decisions))
+                check_budget()
                 if failed:
+                    # the deepest choice point takes its right branch x!=v in
+                    # its parent's frame; x was unfixed, so x keeps a value
+                    var, value, depth = decisions.pop()
+                    self.store.undo()
                     self.store.remove_value(var, value)
                 else:
+                    var, value = choice
+                    depth += 1
+                    self.store.push()
+                    decisions.append((var, value, depth))
                     self.store.assign(var, value)
+                stats.nodes += 1
+                stats.peak_depth = max(stats.peak_depth, depth)
                 failed = not self.propagate_fixpoint(())
-        except DeadlineExpired:
+        except BudgetSpent:
             complete = False
         finally:
             self.deadline = None
 
         # unwind so the store returns to its root state
-        while decisions:
-            decisions.pop()
+        for _ in range(len(decisions) + 1):
             self.store.undo()
-        self.store.undo()  # the root-propagation frame
         return SearchResult(solutions, stats, complete)
-

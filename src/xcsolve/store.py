@@ -2,11 +2,13 @@
 
 Domains are immutable IntegerSets replaced wholesale on update. One trail
 of `(owner, key, old)` entries records every change to search state, the
-domains (`owner` is the domain list) and whatever goes through `save`
-(subsumed propagators, a table's valid tuples with the domains its last
-call left, `failed`), so backtracking restores each choice point exactly.
-An update that empties a domain sets `failed` and raises `Wipeout`, so no
-caller goes on to read that domain. A domain empty from the start leaves
+domains (`owner` is the domain list) and whatever goes through `save`:
+the engine's flags of subsumed propagators, a table's valid tuples with
+the domains its last call left, an alldifferent's free variables, and
+`failed`. `undo` restores the state at the matching `push`; a search
+pushes one frame for its root and one per open choice point. An update
+that empties a domain sets `failed` and raises `Wipeout`, so no caller
+goes on to read that domain. A domain empty from the start leaves
 `failed` set for good.
 """
 

@@ -10,6 +10,7 @@ imports nothing from the compiler or the propagators."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import List
 
 from . import expr as ex
@@ -50,22 +51,12 @@ def _check_global(name: str, sig, values: List[int], element_base: int) -> bool:
                    for start, _, _ in tasks)
     if name == "disjunctive":
         spans = [(_term_value(o, values), d) for o, d in sig]
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                (si, di), (sj, dj) = spans[i], spans[j]
-                if not (si + di <= sj or sj + dj <= si):
-                    return False
-        return True
+        return all(si + di <= sj or sj + dj <= si
+                   for (si, di), (sj, dj) in combinations(spans, 2))
     if name == "diffn":
         boxes = [tuple(_term_value(t, values) for t in box) for box in sig]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                (xi, yi, wi, hi) = boxes[i]
-                (xj, yj, wj, hj) = boxes[j]
-                if not (xi + wi <= xj or xj + wj <= xi
-                        or yi + hi <= yj or yj + hj <= yi):
-                    return False
-        return True
+        return all(xi + wi <= xj or xj + wj <= xi or yi + hi <= yj or yj + hj <= yi
+                   for (xi, yi, wi, hi), (xj, yj, wj, hj) in combinations(boxes, 2))
     if name in ("lex_less", "lex_lesseq"):
         xs = tuple(_term_value(t, values) for t in sig["xs"])
         ys = tuple(_term_value(t, values) for t in sig["ys"])

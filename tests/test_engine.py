@@ -25,7 +25,7 @@ def iset(*values):
 
 
 def not_equal(x, y):
-    return linear_spec([(1, ex.VarRef(x)), (-1, ex.VarRef(y))], "ne", 0)
+    return linear_spec({x: 1, y: -1}, "ne", 0)
 
 
 # -- domain store -------------------------------------------------------------
@@ -355,8 +355,8 @@ def test_a_budget_solve_cannot_honour_is_rejected(budget):
 def test_deadline_inside_a_fixpoint_unwinds_to_the_root():
     # X - Y = 1 and Y - X = 1 over 0..10^6 move one bound per propagation,
     # so the root fixpoint runs far past the budget unless it reads the clock
-    specs = [linear_spec([(1, ex.VarRef(0)), (-1, ex.VarRef(1))], "eq", 1),
-             linear_spec([(1, ex.VarRef(1)), (-1, ex.VarRef(0))], "eq", 1)]
+    specs = [linear_spec({0: 1, 1: -1}, "eq", 1),
+             linear_spec({1: 1, 0: -1}, "eq", 1)]
     problem = Problem([IntegerSet.interval(0, 10**6)] * 2, specs)
     engine = Engine(problem)
     before = engine.store.snapshot()
@@ -378,8 +378,8 @@ def test_no_propagation_starts_after_the_clock_read_that_passes_the_deadline(
     # jumps past the budget; each read notes the propagations made so far.
     # solve() reads it twice before the root fixpoint, which then reads it
     # before each propagation
-    specs = [linear_spec([(1, ex.VarRef(0)), (-1, ex.VarRef(1))], "eq", 1),
-             linear_spec([(1, ex.VarRef(1)), (-1, ex.VarRef(0))], "eq", 1)]
+    specs = [linear_spec({0: 1, 1: -1}, "eq", 1),
+             linear_spec({1: 1, 0: -1}, "eq", 1)]
     engine = Engine(Problem([IntegerSet.interval(0, 10**6)] * 2, specs))
     reads = []
 
