@@ -50,6 +50,13 @@ _KNOWN_ATTRS = {
     "functional": set(),
 }
 
+# the bytes (or characters) of the document handed to expat at a time
+XML_SLICE = 1 << 16
+
+# the elements an <instance> holds
+_SECTIONS = ("presentation", "domains", "variables", "relations", "predicates",
+             "constraints")
+
 # the most entries (group texts and distinct tuples) one document's tuple
 # memos take, summed over arities; a list they have no room for is read by
 # the one-pass bulk path
@@ -315,11 +322,32 @@ def _int_attr(el, attr: str, required: bool) -> Optional[int]:
         raise StructuralError("attribute %s=%s %s" % (attr, clip(value), problem)) from None
 
 
-def _child(root, tag: str):
-    for el in root:
+def _child(parent, tag: str, item: str = "", name: str = ""):
+    """`parent`'s <tag> child, or None. A second one is an error, worded for
+    a section of the document or, given an `item` and its `name`, for a
+    part of that item."""
+    found = None
+    for el in parent:
         if _local(el.tag) == tag:
-            return el
-    return None
+            if found is not None:
+                raise StructuralError("duplicate <%s> %s" % (
+                    tag, "in %s %s" % (item, clip(name)) if item else "section"))
+            found = el
+    return found
+
+
+def _text(el, item: str, name: str) -> str:
+    """`el`'s text, which must not hold an element: the text after one would
+    be lost."""
+    if len(el):
+        raise StructuralError("%s %s: unexpected element <%s> inside its text"
+                              % (item, clip(name), _local(el[0].tag)))
+    return el.text or ""
+
+
+def _unknown(el, parent) -> str:
+    return "warning: ignoring unknown element <%s> in <%s>" % (
+        _local(el.tag), _local(parent.tag))
 
 
 def _parameters_text(el) -> str:
@@ -332,10 +360,10 @@ def _parameters_text(el) -> str:
 
 
 def _reject_extensions(root):
-    presentation = _child(root, "presentation")
-    if presentation is not None:
-        kind = presentation.get("type")
-        if kind is not None and kind.upper() != "CSP":
+    for el in root:
+        kind = el.get("type")
+        if (_local(el.tag) == "presentation" and kind is not None
+                and kind.upper() != "CSP"):
             raise UnsupportedExtensionError(
                 "unsupported extension: instance type %s (only CSP is supported)" % clip(kind)
             )
@@ -367,6 +395,7 @@ def _items(root, diagnostics: List[str], item: str, mandatory: bool = False,
     names: set = set()
     for el in section:
         if _local(el.tag) != item:
+            diagnostics.append(_unknown(el, section))
             continue
         _check_attrs(el, diagnostics)
         name = _require_attr(el, "name")
@@ -379,23 +408,56 @@ def _items(root, diagnostics: List[str], item: str, mandatory: bool = False,
                            % (count_attr, declared, len(names), item))
 
 
-def parse_instance(document) -> InstanceModel:
-    """Parse an XCSP 2.1 document (bytes or str) into an InstanceModel.
-
-    Bytes go to expat undecoded, so that it honours the declared encoding.
-    Raises XmlError for malformed XML or an unknown declared encoding,
-    StructuralError for schema violations, UnsupportedExtensionError for
-    WCSP/QCSP content. Count drift (nb* attributes vs. actual content) only
-    adds diagnostics.
-    """
+def _read_xml(document, tuple_lists: dict):
+    """The root of `document`'s tree. Expat reads the document a slice at a
+    time, and each <relation> is read as it closes: its tuple list, or the
+    FormatError that reading it raised, goes into `tuple_lists` under the
+    element, and its text is dropped. A relation whose arity, semantics or
+    content the ordered pass will refuse is left to it."""
+    parser = ET.XMLPullParser(("end",))
+    tuple_memo: Dict[int, _TupleMemo] = {}
+    root = None
     try:
-        root = ET.fromstring(document)
+        for start in range(0, len(document), XML_SLICE):
+            parser.feed(document[start:start + XML_SLICE])
+            for _, root in parser.read_events():
+                if root.tag.endswith("relation") and _local(root.tag) == "relation":
+                    _read_relation(root, tuple_memo, tuple_lists)
+        parser.close()
     except ET.ParseError as e:
         line, column = e.position
         raise XmlError("malformed XML: %s" % ErrorString(e.code),
                        line=line, column=column) from None
     except LookupError as e:
         raise XmlError("malformed XML: %s" % e) from None
+    return root
+
+
+def _read_relation(el, tuple_memo: dict, tuple_lists: dict):
+    try:
+        arity = int(el.get("arity"))
+    except (TypeError, ValueError):
+        return
+    if arity < 0 or len(el) or el.get("semantics") not in ("supports", "conflicts"):
+        return
+    try:
+        tuple_lists[el] = parse_tuples(el.text or "", arity, tuple_memo)
+    except FormatError as e:
+        tuple_lists[el] = e
+    el.text = None
+
+
+def parse_instance(document) -> InstanceModel:
+    """Parse an XCSP 2.1 document (bytes or str) into an InstanceModel.
+
+    Bytes go to expat undecoded, so that it honours the declared encoding.
+    Raises XmlError for malformed XML or an unknown declared encoding,
+    StructuralError for schema violations, UnsupportedExtensionError for
+    WCSP/QCSP content. Count drift (nb* attributes vs. actual content) and
+    unknown attributes and elements only add diagnostics.
+    """
+    tuple_lists: Dict[object, Union[List[Tuple[int, ...]], FormatError]] = {}
+    root = _read_xml(document, tuple_lists)
     if _local(root.tag) != "instance":
         raise StructuralError("root element must be <instance>, found <%s>" % _local(root.tag))
     _reject_extensions(root)
@@ -406,11 +468,13 @@ def parse_instance(document) -> InstanceModel:
     presentation = _child(root, "presentation")
     if presentation is not None:
         _check_attrs(presentation, diag)
+    diag.extend(_unknown(el, root) for el in root if _local(el.tag) not in _SECTIONS)
 
     for el, name in _items(root, diag, "domain", count_required=True):
         count = _int_attr(el, "nbValues", required=True)
+        text = _text(el, "domain", name)
         try:
-            values = parse_integer_set(el.text or "")
+            values = parse_integer_set(text)
         except FormatError as e:
             raise FormatError("domain %s: %s" % (clip(name), e)) from None
         if values.size() != count:
@@ -423,18 +487,20 @@ def parse_instance(document) -> InstanceModel:
     for el, name in _items(root, diag, "variable", mandatory=True, count_required=True):
         model.variables.append(VariableDef(name, _require_attr(el, "domain")))
 
-    tuple_memo: Dict[int, _TupleMemo] = {}
     for el, name in _items(root, diag, "relation"):
         arity = _int_attr(el, "arity", required=True)
+        if arity < 0:
+            raise StructuralError("relation %s has negative arity %d" % (clip(name), arity))
         semantics = _require_attr(el, "semantics")
         if semantics not in ("supports", "conflicts"):
             raise StructuralError(
                 "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
             )
-        try:
-            tuples = parse_tuples(el.text or "", arity, tuple_memo)
-        except FormatError as e:
-            raise FormatError("relation %s: %s" % (clip(name), e)) from None
+        _text(el, "relation", name)
+        # _read_relation read every relation that passed the checks above
+        tuples = tuple_lists[el]
+        if isinstance(tuples, FormatError):
+            raise FormatError("relation %s: %s" % (clip(name), tuples))
         declared = _int_attr(el, "nbTuples", required=False)
         if declared is not None and declared != len(tuples):
             diag.append(
@@ -444,18 +510,19 @@ def parse_instance(document) -> InstanceModel:
         model.relations.append(RelationDef(name, arity, semantics, tuples))
 
     for el, name in _items(root, diag, "predicate"):
-        params_el = _child(el, "parameters")
+        params_el = _child(el, "parameters", "predicate", name)
         if params_el is None:
             raise StructuralError("predicate %s is missing <parameters>" % clip(name))
-        formals = _parse_formal_params(name, params_el.text or "")
-        expression_el = _child(el, "expression")
-        functional_el = _child(expression_el, "functional") if expression_el is not None else None
+        formals = _parse_formal_params(name, _text(params_el, "predicate", name))
+        expression_el = _child(el, "expression", "predicate", name)
+        functional_el = (_child(expression_el, "functional", "predicate", name)
+                         if expression_el is not None else None)
         if functional_el is None:
             raise StructuralError(
                 "predicate %s is missing <expression><functional>" % clip(name)
             )
         try:
-            body = ex.parse_functional(functional_el.text or "", formals)
+            body = ex.parse_functional(_text(functional_el, "predicate", name), formals)
         except FormatError as e:
             raise FormatError("predicate %s: %s" % (clip(name), e)) from None
         model.predicates.append(PredicateDef(name, formals, body))
@@ -469,7 +536,7 @@ def parse_instance(document) -> InstanceModel:
                 % (clip(name), len(scope), arity)
             )
         reference = _require_attr(el, "reference")
-        params_el = _child(el, "parameters")
+        params_el = _child(el, "parameters", "constraint", name)
         parameters = None
         if params_el is not None:
             try:

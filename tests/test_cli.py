@@ -517,6 +517,45 @@ def test_missing_constraints_section_is_one_error_line(tmp_path):
     assert err == "error: missing mandatory <constraints> section\n"
 
 
+FORBID_00 = instance_xml(
+    [("X", [0, 1]), ("Y", [0, 1])],
+    [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"}],
+    relations=[{"name": "r0", "arity": 2, "semantics": "conflicts", "tuples": [(0, 0)]}])
+
+
+def test_a_second_section_is_one_error_line_not_dropped(tmp_path):
+    assert run_cli(RunConfig(write(tmp_path, FORBID_00))) == (EXIT_OK, "s SATISFIABLE\nv 0 1\n", "")
+    xml = FORBID_00.replace("<constraints", '<constraints nbConstraints="0"/><constraints')
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml), verify=True))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: duplicate <constraints> section\n"
+
+
+def test_a_misspelt_constraint_draws_a_warning_and_leaves_stdout(tmp_path):
+    # stdout is as before: every assignment, the dropped constraint unread
+    xml = FORBID_00.replace("<constraint ", "<constrant ")
+    code, out, err = run_cli(RunConfig(write(tmp_path, xml), mode="all"))
+    assert code == EXIT_OK
+    assert out == "s SATISFIABLE\nv 0 0\nv 0 1\nv 1 0\nv 1 1\n"
+    assert err == ("warning: ignoring unknown element <constrant> in <constraints>\n"
+                   "warning: nbConstraints=1 but 0 constraint(s) declared\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('arity="2" ', "", "<relation> is missing mandatory attribute 'arity'"),
+    ('arity="2" ', 'arity="2x" ', "attribute arity='2x' is not an integer"),
+    ('arity="2" ', 'arity="-2" ', "relation 'r0' has negative arity -2"),
+    ('semantics="conflicts"', "", "<relation> is missing mandatory attribute 'semantics'"),
+    ("0 0<", "0 0<x/><", "relation 'r0': unexpected element <x> inside its text"),
+    (">0 1<", ">0<x/> 1<", "domain 'd0': unexpected element <x> inside its text"),
+])
+def test_a_relation_the_reader_leaves_is_one_error_line(tmp_path, old, new, message):
+    xml = FORBID_00.replace(old, new, 1)
+    assert xml != FORBID_00
+    assert run_cli(RunConfig(write(tmp_path, xml))) == (EXIT_ERROR, "", "error: %s\n" % message)
+
+
 def test_count_drift_is_one_warning_line(tmp_path):
     xml = instance_xml(
         [("X", [1, 2]), ("Y", [1, 2])],

@@ -1,4 +1,7 @@
+import pathlib
 import random
+import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from functools import partial
 from itertools import product
@@ -25,6 +28,8 @@ from xcsolve import model
 from xcsolve.model import TUPLE_MEMO, GlobalRef, PredicateRef, RelationRef
 
 from helpers import TINY_ALLDIFF, instance_xml
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 # -- abridged text content ----------------------------------------------------
@@ -494,6 +499,185 @@ def test_tuple_count_drift_is_diagnostic_not_error():
     assert model.diagnostics == [
         "warning: relation 'r0' declares nbTuples=3 but holds 2"]
     assert model.relations[0].tuples == [(1, 2), (2, 1)]
+
+
+# -- the reader: relations read as they close, errors in section order ----------
+
+
+TWO_RELATIONS = instance_xml(
+    [("X", [0, 1]), ("Y", [0, 1])],
+    [{"name": "c0", "scope": ["X", "Y"], "reference": "r0"},
+     {"name": "c1", "scope": ["X", "Y"], "reference": "r1"}],
+    relations=[{"name": "r%d" % i, "arity": 2, "semantics": "supports",
+                "tuples": [(0, 1), (1, 0)]} for i in range(2)],
+)
+BAD_LIST = TWO_RELATIONS.replace(">0 1|1 0</relation>", ">0 1|1 x</relation>", 1)
+
+
+def relations_xml(n: int, groups: int = 8000) -> str:
+    """`n` binary supports relations of `groups` tuples each, over 0..9."""
+    rng = random.Random(n)
+    texts = ["%d %d" % t for t in product(range(10), repeat=2)]
+    lines = ['<instance>', '<domains nbDomains="1">',
+             '<domain name="D" nbValues="10">0..9</domain>', '</domains>',
+             '<variables nbVariables="0"/>', '<relations nbRelations="%d">' % n]
+    lines += ['<relation name="r%d" arity="2" nbTuples="%d" semantics="supports">%s'
+              '</relation>' % (k, groups, "|".join(rng.choices(texts, k=groups)))
+              for k in range(n)]
+    lines += ['</relations>', '<constraints nbConstraints="0"/>', '</instance>']
+    return "\n".join(lines)
+
+
+def parse_excess(document) -> int:
+    """The peak traced memory inside `parse_instance`, minus what the model
+    it returns holds."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model_ = parse_instance(document)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model_.relations) > 0 and held > base
+    return peak - held
+
+
+def test_the_parse_peak_does_not_grow_with_the_relations():
+    # reading one list holds its groups as strings, many times its text, so
+    # the bound is on how the excess grows: 56 more relations of 32 kB text
+    # each may add less than one relation's text
+    text = len(re.search(r">([^<]*)</relation>", relations_xml(1)).group(1))
+    few, many = parse_excess(relations_xml(8)), parse_excess(relations_xml(64))
+    assert many - few < text
+
+
+def parse_outcome(document):
+    try:
+        return parse_instance(document)
+    except (FormatError, StructuralError, XmlError, UnsupportedExtensionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("size", [1, 7, 100, 4096])
+def test_a_document_read_in_slices_of_any_size_parses_alike(monkeypatch, size):
+    texts = [TINY_ALLDIFF, FIVE_SECTIONS, BAD_LIST, relations_xml(3, 50)]
+    texts += [path.read_text() for path in sorted(CORPUS.glob("*.xml"))]
+    documents = texts + [text.encode() for text in texts]
+    whole = list(map(parse_outcome, documents))
+    monkeypatch.setattr(model, "XML_SLICE", size)
+    assert list(map(parse_outcome, documents)) == whole
+
+
+def test_each_relation_is_read_once(monkeypatch):
+    texts = []
+    real = model.parse_tuples
+    monkeypatch.setattr(model, "parse_tuples",
+                        lambda text, *args: texts.append(text) or real(text, *args))
+    parsed = parse_instance(TWO_RELATIONS)
+    assert texts == ["0 1|1 0", "0 1|1 0"]
+    assert [r.tuples for r in parsed.relations] == [[(0, 1), (1, 0)]] * 2
+
+
+def test_malformed_xml_after_a_bad_list_is_the_xml_error():
+    xml = BAD_LIST.replace("</constraints>", "</constraint>")
+    with pytest.raises(XmlError, match="mismatched tag"):
+        parse_instance(xml)
+    with pytest.raises(FormatError, match=r"^relation 'r0': tuple 1: bad integer token 'x'$"):
+        parse_instance(BAD_LIST)
+
+
+def test_a_bad_domain_before_a_bad_list_is_the_domain_error():
+    xml = BAD_LIST.replace('nbValues="2">0 1<', 'nbValues="2">0 y<', 1)
+    with pytest.raises(FormatError, match=r"^domain 'd0': bad integer token 'y'$"):
+        parse_instance(xml)
+
+
+def test_a_duplicate_relation_name_holding_a_bad_list_is_the_duplicate_name():
+    xml = TWO_RELATIONS.replace('name="r1"', 'name="r0"').replace(
+        ">0 1|1 0</relation>\n</relations>", ">0 1|1 x</relation>\n</relations>")
+    assert xml.count("1 x") == 1 and xml.count('name="r0"') == 2
+    with pytest.raises(StructuralError, match=r"^duplicate relation name 'r0'$"):
+        parse_instance(xml)
+
+
+@pytest.mark.parametrize("arity, message", [
+    (None, "<relation> is missing mandatory attribute 'arity'"),
+    ("two", "attribute arity='two' is not an integer"),
+    ("-1", "relation 'r0' has negative arity -1"),
+])
+def test_a_missing_or_malformed_arity_is_a_structural_error(arity, message):
+    replacement = "" if arity is None else 'arity="%s"' % arity
+    xml = BAD_LIST.replace('arity="2"', replacement, 1)
+    with pytest.raises(StructuralError) as info:
+        parse_instance(xml)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("section", ["presentation", "domains", "variables", "relations",
+                                     "predicates", "constraints"])
+def test_a_repeated_section_is_an_error(section):
+    second = {"presentation": '<presentation format="XCSP 2.1"/>'}.get(
+        section, '<%s nb%s="0"/>' % (section, section[:-1].capitalize() + "s"))
+    xml = FIVE_SECTIONS.replace("</instance>", second + "</instance>")
+    with pytest.raises(StructuralError, match="^duplicate <%s> section$" % section):
+        parse_instance(xml)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("<parameters>", "<parameters>int Z</parameters><parameters>"),
+    ("<expression>", "<expression/><expression>"),
+    ("<functional>", "<functional>eq(A,B)</functional><functional>"),
+])
+def test_a_repeated_part_of_a_predicate_is_an_error(old, new):
+    xml = FIVE_SECTIONS.replace(old, new, 1)
+    with pytest.raises(StructuralError,
+                       match=r"^duplicate %s in predicate 'p0'$" % old):
+        parse_instance(xml)
+
+
+def test_a_repeated_constraint_parameters_is_an_error():
+    xml = instance_xml([("X", [0, 1])], [{"name": "c0", "scope": ["X"],
+                                         "reference": "global:alldifferent",
+                                         "parameters": "[ X ]"}])
+    xml = xml.replace("</parameters>", "</parameters><parameters/>")
+    with pytest.raises(StructuralError,
+                       match=r"^duplicate <parameters> in constraint 'c0'$"):
+        parse_instance(xml)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (">0 1|1 0</relation>", ">0 1<x/>|1 0</relation>",
+     "relation 'r0': unexpected element <x> inside its text"),
+    ('nbValues="2">0 1<', 'nbValues="2">0<x/> 1<',
+     "domain 'd0': unexpected element <x> inside its text"),
+    ("<parameters>int A", "<parameters><y/>int A",
+     "predicate 'p0': unexpected element <y> inside its text"),
+    ("<functional>ne(A,B)", "<functional>ne(A,<z/>B)",
+     "predicate 'p0': unexpected element <z> inside its text"),
+])
+def test_an_element_inside_a_text_is_an_error(old, new, message):
+    xml = FIVE_SECTIONS.replace(old, new, 1)
+    assert xml != FIVE_SECTIONS
+    with pytest.raises(StructuralError) as info:
+        parse_instance(xml)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parent, element, tag", [
+    ("instance", "<notes>x</notes>", "notes"),
+    ("domains", "<domian/>", "domian"),
+    ("variables", "<varible/>", "varible"),
+    ("relations", "<relaton/>", "relaton"),
+    ("predicates", "<predicat/>", "predicat"),
+    ("constraints", '<constrant name="c9" arity="0" scope="" reference="r0"/>',
+     "constrant"),
+])
+def test_an_unknown_element_warns(parent, element, tag):
+    end = "</%s>" % parent
+    parsed = parse_instance(FIVE_SECTIONS.replace(end, element + end, 1))
+    assert parsed.diagnostics == ["warning: ignoring unknown element <%s> in <%s>"
+                                  % (tag, parent)]
+    assert parsed == parse_instance(FIVE_SECTIONS)
 
 
 # -- resolution ---------------------------------------------------------------
