@@ -408,22 +408,34 @@ def _items(root, diagnostics: List[str], item: str, mandatory: bool = False,
                            % (count_attr, declared, len(names), item))
 
 
-def _read_xml(document, tuple_lists: dict):
-    """The root of `document`'s tree. Expat reads the document a slice at a
-    time, and each <relation> is read as it closes: its tuple list, or the
-    FormatError that reading it raised, goes into `tuple_lists` under the
-    element, and its text is dropped. A relation whose arity, semantics or
-    content the ordered pass will refuse is left to it."""
-    parser = ET.XMLPullParser(("end",))
+def _read_xml(document, relations: dict):
+    """The root of `document`'s tree. Each <relation> is read into
+    `relations` as soon as its element is whole. A document longer than one
+    slice goes to expat a slice at a time, so that its tuple texts are never
+    all alive at once; a shorter one is built at once, which spares it an
+    end event per element."""
     tuple_memo: Dict[int, _TupleMemo] = {}
     root = None
+
+    def read(elements):
+        nonlocal root
+        for root in elements:
+            if root.tag.endswith("relation") and _local(root.tag) == "relation":
+                _read_relation(root, tuple_memo, relations)
+
     try:
+        if len(document) <= XML_SLICE:
+            tree = ET.fromstring(document)
+            read(tree.iter())
+            return tree
+        parser = ET.XMLPullParser(("end",))
         for start in range(0, len(document), XML_SLICE):
             parser.feed(document[start:start + XML_SLICE])
-            for _, root in parser.read_events():
-                if root.tag.endswith("relation") and _local(root.tag) == "relation":
-                    _read_relation(root, tuple_memo, tuple_lists)
+            read(el for _, el in parser.read_events())
+        # expat may hold back the events of a token split across slices
+        # until more is fed, or until the parser is closed
         parser.close()
+        read(el for _, el in parser.read_events())
     except ET.ParseError as e:
         line, column = e.position
         raise XmlError("malformed XML: %s" % ErrorString(e.code),
@@ -433,17 +445,27 @@ def _read_xml(document, tuple_lists: dict):
     return root
 
 
-def _read_relation(el, tuple_memo: dict, tuple_lists: dict):
+def _read_relation(el, tuple_memo: dict, relations: dict):
+    """Read relation `el` into `relations`: its RelationDef, or the error
+    that its header or its tuple list raised, which the ordered pass raises
+    when the relation's turn comes. Its text is dropped."""
+    name = el.get("name", "")
     try:
-        arity = int(el.get("arity"))
-    except (TypeError, ValueError):
-        return
-    if arity < 0 or len(el) or el.get("semantics") not in ("supports", "conflicts"):
-        return
-    try:
-        tuple_lists[el] = parse_tuples(el.text or "", arity, tuple_memo)
-    except FormatError as e:
-        tuple_lists[el] = e
+        arity = _int_attr(el, "arity", required=True)
+        if arity < 0:
+            raise StructuralError("relation %s has negative arity %d" % (clip(name), arity))
+        semantics = _require_attr(el, "semantics")
+        if semantics not in ("supports", "conflicts"):
+            raise StructuralError(
+                "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
+            )
+        try:
+            tuples = parse_tuples(_text(el, "relation", name), arity, tuple_memo)
+        except FormatError as e:
+            raise FormatError("relation %s: %s" % (clip(name), e)) from None
+        relations[el] = RelationDef(name, arity, semantics, tuples)
+    except (StructuralError, FormatError) as e:
+        relations[el] = e.with_traceback(None)
     el.text = None
 
 
@@ -456,8 +478,8 @@ def parse_instance(document) -> InstanceModel:
     WCSP/QCSP content. Count drift (nb* attributes vs. actual content) and
     unknown attributes and elements only add diagnostics.
     """
-    tuple_lists: Dict[object, Union[List[Tuple[int, ...]], FormatError]] = {}
-    root = _read_xml(document, tuple_lists)
+    relations: Dict[object, Union[RelationDef, StructuralError, FormatError]] = {}
+    root = _read_xml(document, relations)
     if _local(root.tag) != "instance":
         raise StructuralError("root element must be <instance>, found <%s>" % _local(root.tag))
     _reject_extensions(root)
@@ -488,26 +510,16 @@ def parse_instance(document) -> InstanceModel:
         model.variables.append(VariableDef(name, _require_attr(el, "domain")))
 
     for el, name in _items(root, diag, "relation"):
-        arity = _int_attr(el, "arity", required=True)
-        if arity < 0:
-            raise StructuralError("relation %s has negative arity %d" % (clip(name), arity))
-        semantics = _require_attr(el, "semantics")
-        if semantics not in ("supports", "conflicts"):
-            raise StructuralError(
-                "relation %s has unknown semantics %s" % (clip(name), clip(semantics))
-            )
-        _text(el, "relation", name)
-        # _read_relation read every relation that passed the checks above
-        tuples = tuple_lists[el]
-        if isinstance(tuples, FormatError):
-            raise FormatError("relation %s: %s" % (clip(name), tuples))
+        relation = relations[el]
+        if isinstance(relation, Exception):
+            raise relation
         declared = _int_attr(el, "nbTuples", required=False)
-        if declared is not None and declared != len(tuples):
+        if declared is not None and declared != len(relation.tuples):
             diag.append(
                 "warning: relation %s declares nbTuples=%d but holds %d"
-                % (clip(name), declared, len(tuples))
+                % (clip(name), declared, len(relation.tuples))
             )
-        model.relations.append(RelationDef(name, arity, semantics, tuples))
+        model.relations.append(relation)
 
     for el, name in _items(root, diag, "predicate"):
         params_el = _child(el, "parameters", "predicate", name)

@@ -550,7 +550,7 @@ def test_a_misspelt_constraint_draws_a_warning_and_leaves_stdout(tmp_path):
     ("0 0<", "0 0<x/><", "relation 'r0': unexpected element <x> inside its text"),
     (">0 1<", ">0<x/> 1<", "domain 'd0': unexpected element <x> inside its text"),
 ])
-def test_a_relation_the_reader_leaves_is_one_error_line(tmp_path, old, new, message):
+def test_a_malformed_relation_header_is_one_error_line(tmp_path, old, new, message):
     xml = FORBID_00.replace(old, new, 1)
     assert xml != FORBID_00
     assert run_cli(RunConfig(write(tmp_path, xml))) == (EXIT_ERROR, "", "error: %s\n" % message)

@@ -568,6 +568,35 @@ def test_a_document_read_in_slices_of_any_size_parses_alike(monkeypatch, size):
     assert list(map(parse_outcome, documents)) == whole
 
 
+class LaggingParser(ET.XMLPullParser):
+    """A pull parser that hands expat each slice only when the next one
+    comes, and the last one when it is closed, as expat 2.6 and later may
+    do with a token split across slices: the last events come from
+    `close()`."""
+
+    held = None
+
+    def feed(self, data):
+        if self.held is not None:
+            super().feed(self.held)
+        self.held = data
+
+    def close(self):
+        if self.held is not None:
+            super().feed(self.held)
+        return super().close()
+
+
+@pytest.mark.parametrize("size", [1, 7, 100])
+def test_events_held_back_until_close_are_read(monkeypatch, size):
+    documents = [TINY_ALLDIFF, TWO_RELATIONS, BAD_LIST, relations_xml(3, 50)]
+    documents += [document.encode() for document in documents]
+    whole = list(map(parse_outcome, documents))
+    monkeypatch.setattr(model, "XML_SLICE", size)
+    monkeypatch.setattr(ET, "XMLPullParser", LaggingParser)
+    assert list(map(parse_outcome, documents)) == whole
+
+
 def test_each_relation_is_read_once(monkeypatch):
     texts = []
     real = model.parse_tuples
