@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from .compiler import compile_instance
 from .errors import XcspError
-from .model import parse_instance, resolve_references
+from .model import file_document, parse_instance, resolve_references
 from .search import VAL_HEURISTICS, VAR_HEURISTICS, BranchStrategy, Engine
 from .verify import verify_solution
 
@@ -99,8 +99,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
     started = time.monotonic()
     try:
         with open(config.path, "rb") as handle:
-            document = handle.read()
-        model = parse_instance(document)
+            model = parse_instance(file_document(handle))
         instance = resolve_references(model)
         problem = compile_instance(instance, element_base=config.element_base)
     except (OSError, XcspError) as e:

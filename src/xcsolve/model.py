@@ -8,6 +8,8 @@ predicate expressions). WCSP and QCSP extensions are detected and rejected.
 
 from __future__ import annotations
 
+import os
+import stat
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
@@ -408,6 +410,37 @@ def _items(root, diagnostics: List[str], item: str, mandatory: bool = False,
                            % (count_attr, declared, len(names), item))
 
 
+class FileDocument:
+    """A read-only document over an open regular file: its length is the
+    file's size when it was wrapped, and a slice reads that range from the
+    file when it is asked for, so the document is never whole in memory."""
+
+    def __init__(self, handle, size: int):
+        self._handle = handle
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(self._size)
+        length = max(0, stop - start)
+        self._handle.seek(start)
+        data = self._handle.read(length)
+        if len(data) != length:
+            raise OSError("%s: the file shrank while it was read" % self._handle.name)
+        return data
+
+
+def file_document(handle):
+    """The document in binary file `handle`: a FileDocument over a regular
+    file; all of the bytes of a pipe or a terminal, which has no size."""
+    status = os.fstat(handle.fileno())
+    if not stat.S_ISREG(status.st_mode):
+        return handle.read()
+    return FileDocument(handle, status.st_size)
+
+
 def _read_xml(document, relations: dict):
     """The root of `document`'s tree. Each <relation> is read into
     `relations` as soon as its element is whole. A document longer than one
@@ -425,7 +458,7 @@ def _read_xml(document, relations: dict):
 
     try:
         if len(document) <= XML_SLICE:
-            tree = ET.fromstring(document)
+            tree = ET.fromstring(document[0:len(document)])
             read(tree.iter())
             return tree
         parser = ET.XMLPullParser(("end",))
@@ -470,9 +503,12 @@ def _read_relation(el, tuple_memo: dict, relations: dict):
 
 
 def parse_instance(document) -> InstanceModel:
-    """Parse an XCSP 2.1 document (bytes or str) into an InstanceModel.
+    """Parse an XCSP 2.1 document into an InstanceModel: bytes, str, or a
+    FileDocument, which reads the file a slice at a time as it is parsed.
 
     Bytes go to expat undecoded, so that it honours the declared encoding.
+    A FileDocument's file that cannot be read, or that shrinks while it is
+    read, raises OSError.
     Raises XmlError for malformed XML or an unknown declared encoding,
     StructuralError for schema violations, UnsupportedExtensionError for
     WCSP/QCSP content. Count drift (nb* attributes vs. actual content) and

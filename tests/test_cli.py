@@ -6,7 +6,9 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,7 @@ from xcsolve.cli import (
 )
 from xcsolve.errors import CLIP
 from xcsolve.expr import MAX_DEPTH
+from xcsolve.model import XML_SLICE
 from xcsolve.search import VAL_HEURISTICS, VAR_HEURISTICS
 
 from helpers import (ERRING_XML, TINY_ALLDIFF, brute_force, instance_xml, latin_xml,
@@ -576,6 +579,69 @@ def test_diagnostics_go_to_stderr_not_stdout(tmp_path):
     assert code == EXIT_OK
     assert "nbValues" in err
     check_grammar(out)
+
+
+# -- reading the instance file -------------------------------------------------
+
+
+def padded(xml, slices):
+    """`xml` with `slices` reader slices of XML comments before its
+    <domains>: expat reads each comment and drops it."""
+    comment = "<!--%s-->\n" % ("x" * 4089)
+    count = slices * XML_SLICE // len(comment)
+    return xml.replace("<domains", comment * count + "<domains", 1)
+
+
+def traced_peak(path):
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(RunConfig(path, mode="all"))
+        return code, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_peak_of_a_run_does_not_hold_the_document(tmp_path):
+    # whatever the padding, the reader holds one slice and expat copies it
+    # into a buffer that grows to two, so a document padded past one slice
+    # sets the base: 60 more slices of padding, 3.75 MiB, may add less than
+    # two slices to the peak
+    few = traced_peak(write(tmp_path, padded(TINY_ALLDIFF, 4), "few.xml"))
+    many = traced_peak(write(tmp_path, padded(TINY_ALLDIFF, 64), "many.xml"))
+    assert few[:2] == many[:2] == (EXIT_OK, "s SATISFIABLE\nv 1 2\nv 2 1\n")
+    assert many[2] - few[2] < 2 * XML_SLICE
+
+
+@pytest.mark.parametrize("xml", [TINY_ALLDIFF, padded(latin_xml(4, globals_=True), 2)],
+                         ids=["one-slice", "padded"])
+def test_a_document_through_a_fifo_solves_as_from_a_file(tmp_path, xml):
+    fifo = tmp_path / "fifo.xml"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(xml,), daemon=True)
+    writer.start()
+    piped = run_cli(RunConfig(str(fifo), mode="all", stats=True))
+    writer.join(timeout=10)
+    regular = run_cli(RunConfig(write(tmp_path, xml), mode="all", stats=True))
+    assert not writer.is_alive()
+    strip = lambda out: re.sub(r"c time .*\n", "", out)
+    assert (piped[0], strip(piped[1]), piped[2]) == (regular[0], strip(regular[1]), regular[2])
+    assert regular[0] == EXIT_OK and "v " in regular[1]
+
+
+@pytest.mark.parametrize("xml", [TINY_ALLDIFF, padded(TINY_ALLDIFF, 3)],
+                         ids=["one-slice", "padded"])
+@pytest.mark.parametrize("keep", [0, 0.5])
+def test_a_file_truncated_before_the_parse_is_one_error_line(tmp_path, monkeypatch, xml, keep):
+    path = write(tmp_path, xml)
+
+    def truncated_parse(document):
+        os.truncate(path, int(len(xml) * keep))
+        return parse_instance(document)
+
+    monkeypatch.setattr(cli, "parse_instance", truncated_parse)
+    code, out, err = run_cli(RunConfig(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: %s: the file shrank while it was read\n" % path
 
 
 # -- determinism --------------------------------------------------------------

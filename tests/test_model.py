@@ -25,7 +25,7 @@ from xcsolve.errors import integer_error
 from xcsolve.expr import Apply, IntLiteral as Literal, VarRef
 from xcsolve.intset import IntegerSet
 from xcsolve import model
-from xcsolve.model import TUPLE_MEMO, GlobalRef, PredicateRef, RelationRef
+from xcsolve.model import TUPLE_MEMO, XML_SLICE, GlobalRef, PredicateRef, RelationRef
 
 from helpers import TINY_ALLDIFF, instance_xml
 
@@ -558,14 +558,50 @@ def parse_outcome(document):
         return type(e), str(e)
 
 
+def file_outcomes(tmp_path, documents):
+    """The outcome of parsing each of the byte `documents` from a file."""
+    outcomes = []
+    for k, document in enumerate(documents):
+        path = tmp_path / ("%d.xml" % k)
+        path.write_bytes(document)
+        with open(path, "rb") as handle:
+            outcomes.append(parse_outcome(model.file_document(handle)))
+    return outcomes
+
+
 @pytest.mark.parametrize("size", [1, 7, 100, 4096])
-def test_a_document_read_in_slices_of_any_size_parses_alike(monkeypatch, size):
+def test_a_document_read_in_slices_of_any_size_parses_alike(monkeypatch, tmp_path, size):
     texts = [TINY_ALLDIFF, FIVE_SECTIONS, BAD_LIST, relations_xml(3, 50)]
     texts += [path.read_text() for path in sorted(CORPUS.glob("*.xml"))]
-    documents = texts + [text.encode() for text in texts]
+    encoded = [text.encode() for text in texts]
+    documents = texts + encoded
     whole = list(map(parse_outcome, documents))
     monkeypatch.setattr(model, "XML_SLICE", size)
     assert list(map(parse_outcome, documents)) == whole
+    assert file_outcomes(tmp_path, encoded) == whole[len(texts):]
+
+
+def boundary_xml(size, encoding):
+    """A document of `size` bytes in `encoding`, UTF-8 or UTF-16, padded
+    with a comment."""
+    xml = '<?xml version="1.0" encoding="%s"?>\n<!--%%s-->%s' % (encoding, TINY_ALLDIFF)
+    unit = 2 if encoding == "UTF-16" else 1
+    xml %= "x" * ((size - len((xml % "").encode(encoding))) // unit)
+    assert len(xml.encode(encoding)) == size
+    return xml
+
+
+@pytest.mark.parametrize("size, encoding", [
+    (XML_SLICE - 1, "UTF-8"), (XML_SLICE, "UTF-8"), (XML_SLICE + 1, "UTF-8"),
+    # a UTF-16 document has an even number of bytes
+    (XML_SLICE - 2, "UTF-16"), (XML_SLICE, "UTF-16"), (XML_SLICE + 2, "UTF-16"),
+])
+def test_a_document_on_the_one_slice_boundary_parses_alike(tmp_path, size, encoding):
+    xml = boundary_xml(size, encoding)
+    document = xml.encode(encoding)
+    outcomes = [parse_outcome(xml), parse_outcome(document)]
+    outcomes += file_outcomes(tmp_path, [document])
+    assert outcomes == [parse_instance(TINY_ALLDIFF)] * 3
 
 
 class LaggingParser(ET.XMLPullParser):
